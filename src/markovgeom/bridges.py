@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .geometry import Bidivergence, squared_distance
 from .normalize import (
     ConvergenceError,
     ScalingPotentials,
     StochasticOperator,
+    _marginal_violation,
+    logsumexp,
     poe_combine,
     schrodinger_solve,
     softmax_rows,
@@ -76,6 +77,13 @@ def _validate_probability(vec, n: int, name: str) -> np.ndarray:
     return vec
 
 
+def _normalized_degrees(k: np.ndarray) -> np.ndarray:
+    """Stationary measure of the diffusion operator over a symmetric kernel:
+    its row sums (degrees) normalized to a probability vector."""
+    degrees = k.sum(axis=1)
+    return degrees / degrees.sum()
+
+
 def solve_bridge(
     kernel,
     mu_plus,
@@ -110,15 +118,11 @@ def dmap_as_bridge(d2, beta: float) -> BridgeSolution:
     """
     kernel = rbf_kernel(d2, beta)
     k = kernel.values
-    degrees = k.sum(axis=1)
-    pi = degrees / degrees.sum()
-    u = pi / degrees
+    pi = _normalized_degrees(k)
+    u = pi / k.sum(axis=1)
     v = np.ones_like(pi)
     coupling = u[:, None] * k
-    residual = max(
-        float(np.abs(coupling.sum(axis=1) - pi).max()),
-        float(np.abs(coupling.sum(axis=0) - pi).max()),
-    )
+    residual = _marginal_violation(coupling, pi, pi)
     potentials = ScalingPotentials(u, v, iterations=0, residual=residual)
     forward = StochasticOperator(coupling / pi[:, None], "row")
     return BridgeSolution(coupling, potentials, pi, pi, forward)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bridges import (
+    _normalized_degrees,
     attention_bridge,
     classify_regime,
     magnetic_flux,
@@ -151,15 +152,9 @@ def load_marginal(path, n: int, skip_header: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _format_value(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_matrix_csv(path, matrix) -> None:
     """Row-major CSV at 17 significant digits (round-trips float64 exactly)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(_format_value(v) for v in row) for row in matrix]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%.17g", delimiter=",")
 
 
 def write_report_json(path, report: dict) -> None:
@@ -256,9 +251,7 @@ def _marginal_for(source: str, n: int, args, d2: np.ndarray, biv, beta: float) -
     if getattr(args, "kernel", "rbf") == "attention":
         a_plus = attention_forward(biv, beta)
         return stationary_distribution(a_plus, tol=args.tol, max_iter=args.max_iter)
-    kernel = rbf_kernel(d2, beta).values
-    degrees = kernel.sum(axis=1)
-    return degrees / degrees.sum()
+    return _normalized_degrees(rbf_kernel(d2, beta).values)
 
 
 def _row_residual(values: np.ndarray) -> float:
@@ -426,9 +419,7 @@ def cmd_magnetic(args) -> int:
     operator = dmap(d2, beta)
     theta = edge_phases(cloud, weights, beta)
     phased = magnetic_operator(operator, theta)
-    kernel = rbf_kernel(d2, beta).values
-    degrees = kernel.sum(axis=1)
-    pi = degrees / degrees.sum()
+    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = float(np.abs(hermitized - hermitized.conj().T).max())
@@ -463,9 +454,7 @@ def cmd_embed(args) -> int:
     cloud, _, _, d2 = _load_geometry(args)
     beta = _resolve_beta(args.beta, d2)
     operator = dmap(d2, beta)
-    kernel = rbf_kernel(d2, beta).values
-    degrees = kernel.sum(axis=1)
-    pi = degrees / degrees.sum()
+    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     dec = decompose(conjugate_symmetrize(operator, pi), pi)
     embedding = diffusion_embedding(dec, t=args.t, k=args.k)
     report = {

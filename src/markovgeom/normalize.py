@@ -1,10 +1,10 @@
-"""Log-domain-safe normalizers: softmax, product of experts, matrix scaling.
+"""Normalizers: softmax, product of experts, and stabilized matrix scaling.
 
-Every iterative scaler works on log-scores and reduces with log-sum-exp, so
-the machinery stays finite even when score ranges span hundreds of nats.
-Scaling potentials are maintained additively in the log domain but exposed as
-positive vectors, with the scalar gauge freedom fixed by normalizing the
-row/source potential to unit geometric mean.
+``sinkhorn``, ``schrodinger_solve`` and the bistochastic diffusion operator
+share one scaling core: log-domain sweeps absorb the answer into log
+potentials, matrix-vector sweeps on the absorbed kernel finish it, so score
+ranges of hundreds of nats stay finite.  Scaling potentials are exposed as
+positive vectors, the source potential at unit geometric mean (gauge).
 """
 
 from __future__ import annotations
@@ -12,12 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 VALID_KINDS = ("row", "column", "bi")
 
 # marginals handed to the scalers must sum to one within this bound
 MARGINAL_SUM_TOL = 1e-12
+
+# |log| of the scaling vectors stays below this (about 1e50); leaving that range
+# (or turning non-finite) triggers a log-domain absorption sweep
+_LOG_SAFE_RANGE = 115.0
 
 
 class ConvergenceError(RuntimeError):
@@ -56,6 +59,15 @@ def _validate_marginal(mu, n: int, name: str) -> np.ndarray:
     if abs(total - 1.0) > MARGINAL_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 (got {total!r})")
     return mu
+
+
+def logsumexp(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(x))) along ``axis``, shifted by the maximum so it cannot overflow."""
+    top = x.max(axis=axis, keepdims=True)
+    shifted = x - top
+    np.exp(shifted, out=shifted)
+    out = top + np.log(shifted.sum(axis=axis, keepdims=True))
+    return out if keepdims else out.squeeze(axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +172,80 @@ def poe_combine(a: StochasticOperator, b: StochasticOperator) -> StochasticOpera
     return StochasticOperator(prod / norm, a.kind)
 
 
+def _marginal_violation(matrix, rows, cols) -> float:
+    """Sup-norm violation of the row sums ``rows`` and column sums ``cols``."""
+    return max(float(np.abs(matrix.sum(axis=1) - rows).max()),
+               float(np.abs(matrix.sum(axis=0) - cols).max()))
+
+
+def _log_sweep(log_kernel, log_a, b, g, symmetric):
+    """One sweep in the log domain from column potential g; returns f, g and the
+    absorbed kernel exp(log_kernel + f_i + g_j).  Alternating, its columns sum
+    to b, so none of them underflows; symmetric, f = g is the damped potential.
+    """
+    f = log_a - logsumexp(log_kernel + g, axis=1)
+    if symmetric:
+        f = g = (f + g) / 2.0
+        kernel = log_kernel + (f[:, None] + g[None, :])
+        return f, g, np.exp(kernel, out=kernel)
+    kernel = log_kernel + f[:, None]
+    top = kernel.max(axis=0)
+    kernel -= top
+    np.exp(kernel, out=kernel)
+    scale = b / kernel.sum(axis=0)
+    kernel *= scale
+    return f, np.log(scale) - top, kernel
+
+
+def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
+    """(log u, log v, sweeps, residual): diag(u) exp(log_kernel) diag(v) has row
+    sums a and column sums b within ``tol`` (sup norm); log u has zero mean.
+
+    Sweep 1 runs in the log domain and absorbs most of the answer into f, g;
+    later sweeps are u <- a / (K v), v <- b / (K^T u) on the absorbed kernel K,
+    so the columns are exact and the residual is the row violation, read off
+    the K v the next sweep needs.  A sweep whose u or v leaves the safe range
+    is redone in the log domain.  ``symmetric`` (b = a, symmetric kernel) keeps
+    u = v with the damped update u <- sqrt(u * a / (K u)), whose error modes
+    shrink by (1 - lambda) / 2, so a nearly decomposable kernel does not stall it.
+    """
+    log_a = np.log(a)
+    g = np.zeros_like(log_a)
+    u = v = np.ones_like(log_a)
+    residual = np.inf
+    for sweep in range(1, max_iter + 1):
+        absorb = sweep == 1
+        if not absorb:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                if symmetric:
+                    u_next = v_next = np.sqrt(v * a / kv)
+                else:
+                    u_next = a / kv
+                    v_next = b / (u_next @ kernel)
+                absorb = not np.all(np.abs(np.log([u_next, v_next])) < _LOG_SAFE_RANGE)
+            if not absorb:
+                u, v = u_next, v_next
+        if absorb:
+            f, g, kernel = _log_sweep(log_kernel, log_a, b, g + np.log(v), symmetric)
+            u = v = np.ones_like(log_a)
+        kv = kernel @ v
+        residual = float(np.abs(u * kv - a).max())
+        if residual <= tol:
+            log_u = f + np.log(u)
+            shift = log_u.mean()
+            return log_u - shift, g + np.log(v) + shift, sweep, residual
+    raise ConvergenceError(
+        f"scaling stalled at residual {residual:.3e} > tol {tol:.3e} "
+        f"after {max_iter} iterations",
+        residual=residual,
+        iterations=max_iter,
+    )
+
+
 def sinkhorn(
     z, tol: float = 1e-10, max_iter: int = 10_000
 ) -> tuple[StochasticOperator, ScalingPotentials]:
-    """Scale exp(z) to a bistochastic matrix by alternating log-domain sweeps.
+    """Scale exp(z) to a bistochastic matrix.
 
     Parameters
     ----------
@@ -180,30 +262,13 @@ def sinkhorn(
     reported with u normalized to unit geometric mean.
     """
     z = _validate_logits(z, square=True)
-    n = z.shape[0]
-    log_u = np.zeros(n)
-    log_v = np.zeros(n)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        log_v = -logsumexp(z + log_u[:, None], axis=0)
-        log_u = -logsumexp(z + log_v[None, :], axis=1)
-        shift = log_u.mean()
-        lu = log_u - shift
-        lv = log_v + shift
-        scaled = np.exp(z + lu[:, None] + lv[None, :])
-        residual = max(
-            float(np.abs(scaled.sum(axis=1) - 1.0).max()),
-            float(np.abs(scaled.sum(axis=0) - 1.0).max()),
-        )
-        if residual <= tol:
-            potentials = ScalingPotentials(np.exp(lu), np.exp(lv), iteration, residual)
-            return StochasticOperator(scaled, "bi"), potentials
-    raise ConvergenceError(
-        f"sinkhorn stalled at residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations",
-        residual=float(residual),
-        iterations=max_iter,
-    )
+    ones = np.ones(z.shape[0])
+    log_u, log_v, sweeps, residual = _scale(z, ones, ones, tol, max_iter)
+    scaled = z + log_u[:, None]
+    scaled += log_v
+    np.exp(scaled, out=scaled)
+    potentials = ScalingPotentials(np.exp(log_u), np.exp(log_v), sweeps, residual)
+    return StochasticOperator(scaled, "bi"), potentials
 
 
 def schrodinger_solve(
@@ -211,16 +276,15 @@ def schrodinger_solve(
 ) -> ScalingPotentials:
     """Find positive u, v with diag(u) K diag(v) matching prescribed marginals.
 
-    Runs the alternating fixed-point updates u <- mu_plus / (K v) and
-    v <- mu_minus / (K^T u) in the log domain.  Convergence is declared when
-    both constraints u_i * (K v)_i = mu_plus_i and v_j * (K^T u)_j = mu_minus_j
-    hold within ``tol`` (sup norm).  Bistochastic scaling is the special case
-    of uniform marginals, up to an overall factor of n.
+    Convergence is declared when both constraints
+    u_i * (K v)_i = mu_plus_i and v_j * (K^T u)_j = mu_minus_j hold within
+    ``tol`` (sup norm).  Bistochastic scaling is the special case of uniform
+    marginals, up to an overall factor of n.
 
     Raises
     ------
     ConvergenceError if the residual stays above ``tol`` for ``max_iter``
-    rounds; ValueError for non-positive kernels or invalid marginals.
+    sweeps; ValueError for non-positive kernels or invalid marginals.
     """
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -230,27 +294,5 @@ def schrodinger_solve(
     n = k.shape[0]
     mu_plus = _validate_marginal(mu_plus, n, "mu_plus")
     mu_minus = _validate_marginal(mu_minus, n, "mu_minus")
-
-    log_k = np.log(k)
-    log_mu_plus = np.log(mu_plus)
-    log_mu_minus = np.log(mu_minus)
-    log_v = np.zeros(n)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        log_u = log_mu_plus - logsumexp(log_k + log_v[None, :], axis=1)
-        log_v = log_mu_minus - logsumexp(log_k + log_u[:, None], axis=0)
-        shift = log_u.mean()
-        u = np.exp(log_u - shift)
-        v = np.exp(log_v + shift)
-        residual = max(
-            float(np.abs(u * (k @ v) - mu_plus).max()),
-            float(np.abs(v * (k.T @ u) - mu_minus).max()),
-        )
-        if residual <= tol:
-            return ScalingPotentials(u, v, iteration, residual)
-    raise ConvergenceError(
-        f"marginal scaling stalled at residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations",
-        residual=float(residual),
-        iterations=max_iter,
-    )
+    log_u, log_v, sweeps, residual = _scale(np.log(k), mu_plus, mu_minus, tol, max_iter)
+    return ScalingPotentials(np.exp(log_u), np.exp(log_v), sweeps, residual)

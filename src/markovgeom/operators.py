@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .geometry import Bidivergence
 from .normalize import (
     ConvergenceError,
     StochasticOperator,
+    _marginal_violation,
+    _scale,
     sinkhorn,
     softmax_cols,
     softmax_rows,
@@ -191,35 +192,30 @@ def laplacians(kernel: KernelMatrix) -> LaplacianPair:
 def dmap_bistochastic(
     d2, beta: float, tol: float = 1e-10, max_iter: int = 10_000
 ) -> StochasticOperator:
-    """Bistochastic diffusion operator via a damped symmetric scaling iteration.
+    """Bistochastic diffusion operator, exactly symmetric.
 
-    A symmetric input admits a symmetric diagonal scaling, so a single
-    log-potential suffices; the half-step damping removes the two-cycle the
-    plain alternating update can fall into on symmetric matrices.  The iterate
-    is symmetric by construction at every step.
+    Scales the symmetrized logits z = -beta * d2 to unit marginals with the
+    damped symmetric update of the scaling core and returns exp(z_ij + w_i +
+    w_j), w = (log u + log v) / 2, after rechecking its marginals against ``tol``.
     """
     beta = _validate_beta(beta)
     d2 = _validate_squared_distance(d2)
     z = -beta * d2
     z = (z + z.T) / 2.0  # exact symmetry; a no-op for bitwise-symmetric input
-    n = z.shape[0]
-    w = np.zeros(n)
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
-        w = 0.5 * (w - logsumexp(z + w[None, :], axis=1))
-        scaled = np.exp(z + (w[:, None] + w[None, :]))
-        residual = max(
-            float(np.abs(scaled.sum(axis=1) - 1.0).max()),
-            float(np.abs(scaled.sum(axis=0) - 1.0).max()),
+    ones = np.ones(z.shape[0])
+    log_u, log_v, sweeps, _ = _scale(z, ones, ones, tol, max_iter, symmetric=True)
+    w = (log_u + log_v) / 2.0
+    z += w[:, None] + w[None, :]
+    scaled = np.exp(z, out=z)
+    residual = _marginal_violation(scaled, 1.0, 1.0)
+    if residual > tol:
+        raise ConvergenceError(
+            f"symmetrized bistochastic operator misses tol: residual {residual:.3e} "
+            f"> tol {tol:.3e} after {sweeps} iterations",
+            residual=residual,
+            iterations=sweeps,
         )
-        if residual <= tol:
-            return StochasticOperator(scaled, "bi")
-    raise ConvergenceError(
-        f"bistochastic scaling stalled at residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations",
-        residual=float(residual),
-        iterations=max_iter,
-    )
+    return StochasticOperator(scaled, "bi")
 
 
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .bridges import (
+    _normalized_degrees,
     attention_bridge,
     attention_gauge,
     classify_regime,
@@ -35,7 +35,14 @@ from .geometry import (
     gram,
     squared_distance,
 )
-from .normalize import ConvergenceError, poe_combine, sinkhorn, softmax_cols, softmax_rows
+from .normalize import (
+    ConvergenceError,
+    _marginal_violation,
+    poe_combine,
+    sinkhorn,
+    softmax_cols,
+    softmax_rows,
+)
 from .operators import (
     attention_forward,
     dmap,
@@ -68,36 +75,21 @@ class CheckResult:
         return out
 
 
-def _part(label: str, residual: float, tolerance: float) -> dict:
-    """Residual that must stay at or below its tolerance."""
+def _part(label: str, residual: float, tolerance: float, require: str = "<=") -> dict:
+    """Residual that must stay at or below its tolerance; with ``require=">"``,
+    a quantity that must strictly exceed it (separation-style check)."""
+    passed = residual <= tolerance if require == "<=" else residual > tolerance
     return {
         "label": label,
         "residual": float(residual),
         "tolerance": float(tolerance),
-        "require": "<=",
-        "passed": bool(residual <= tolerance),
-    }
-
-
-def _part_exceeds(label: str, value: float, minimum: float) -> dict:
-    """Quantity that must strictly exceed a floor (separation-style check)."""
-    return {
-        "label": label,
-        "residual": float(value),
-        "tolerance": float(minimum),
-        "require": ">",
-        "passed": bool(value > minimum),
+        "require": require,
+        "passed": bool(passed),
     }
 
 
 def _part_bool(label: str, ok: bool) -> dict:
-    return {
-        "label": label,
-        "residual": 0.0 if ok else 1.0,
-        "tolerance": 0.0,
-        "require": "<=",
-        "passed": bool(ok),
-    }
+    return _part(label, 0.0 if ok else 1.0, 0.0)
 
 
 def _result(check_id: str, name: str, parts: list[dict], info: dict | None = None) -> CheckResult:
@@ -124,6 +116,11 @@ def _sweep_clouds(seed: int, count: int = 10) -> list[DataCloud]:
     return clouds
 
 
+def _random_marginal(rng: np.random.Generator, n: int) -> np.ndarray:
+    mu = rng.uniform(0.5, 1.5, n)
+    return mu / mu.sum()
+
+
 def _max_abs(a) -> float:
     return float(np.abs(a).max())
 
@@ -139,7 +136,8 @@ def check_bidivergence_identity(cloud: DataCloud, beta: float) -> CheckResult:
         biv = bidivergence(gram(sample))
         d2 = squared_distance(biv)
         worst_split = max(worst_split, _max_abs(biv.fwd + biv.bwd - d2))
-        oracle = cdist(sample.points, sample.points, "sqeuclidean")
+        x = sample.points
+        oracle = ((x[:, None] - x[None]) ** 2).sum(-1)
         worst_oracle = max(worst_oracle, _max_abs(d2 - oracle))
     parts = [
         _part("forward + backward equals squared distance (20 clouds)", worst_split, 1e-12),
@@ -233,9 +231,7 @@ def check_dmap_equilibrium(cloud: DataCloud, beta: float) -> CheckResult:
     biv = bidivergence(gram(cloud))
     d2 = squared_distance(biv)
     operator = dmap(d2, beta)
-    kernel = rbf_kernel(d2, beta).values
-    degrees = kernel.sum(axis=1)
-    pi = degrees / degrees.sum()
+    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     stationarity = _max_abs(pi @ operator.values - pi)
     current_max = _max_abs(currents(operator, pi))
     report = classify_regime(operator, pi, pi)
@@ -255,10 +251,7 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
     sample = _random_cloud(rng, 10, 3)
     sample_d2 = squared_distance(bidivergence(gram(sample)))
     scaled, _ = sinkhorn(-1.0 * sample_d2, tol=1e-12)
-    residual = max(
-        _max_abs(scaled.values.sum(axis=1) - 1.0),
-        _max_abs(scaled.values.sum(axis=0) - 1.0),
-    )
+    residual = _marginal_violation(scaled.values, 1.0, 1.0)
 
     z = rng.standard_normal((8, 8))
     u = rng.standard_normal(8)
@@ -270,10 +263,7 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
     a, _ = sinkhorn(rng.standard_normal((8, 8)), tol=1e-13)
     b, _ = sinkhorn(rng.standard_normal((8, 8)), tol=1e-13)
     product = a.values @ b.values
-    closure_dev = max(
-        _max_abs(product.sum(axis=1) - 1.0),
-        _max_abs(product.sum(axis=0) - 1.0),
-    )
+    closure_dev = _marginal_violation(product, 1.0, 1.0)
 
     two_by_two, _ = sinkhorn(np.log(np.array([[2.0, 1.0], [1.0, 2.0]])), tol=1e-13)
     analytic = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
@@ -294,21 +284,14 @@ def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
     d2 = squared_distance(biv)
     kernel = rbf_kernel(d2, beta).values
     n = cloud.n_samples
-    mu_plus = rng.uniform(0.5, 1.5, n)
-    mu_plus /= mu_plus.sum()
-    mu_minus = rng.uniform(0.5, 1.5, n)
-    mu_minus /= mu_minus.sum()
+    mu_plus = _random_marginal(rng, n)
+    mu_minus = _random_marginal(rng, n)
     bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=1e-11, max_iter=100_000)
-    marginal_residual = max(
-        _max_abs(bridge.coupling.sum(axis=1) - mu_plus),
-        _max_abs(bridge.coupling.sum(axis=0) - mu_minus),
-    )
+    marginal_residual = _marginal_violation(bridge.coupling, mu_plus, mu_minus)
 
     flat = np.ones((5, 5))
-    wa = rng.uniform(0.5, 1.5, 5)
-    wa /= wa.sum()
-    wb = rng.uniform(0.5, 1.5, 5)
-    wb /= wb.sum()
+    wa = _random_marginal(rng, 5)
+    wb = _random_marginal(rng, 5)
     flat_bridge = solve_bridge(flat, wa, wb, tol=1e-12, max_iter=100_000)
     product_dev = _max_abs(flat_bridge.coupling - np.outer(wa, wb))
 
@@ -333,10 +316,8 @@ def check_doob_transform(cloud: DataCloud, beta: float) -> CheckResult:
 
     kernel = rbf_kernel(d2, beta).values
     n = cloud.n_samples
-    mu_plus = rng.uniform(0.5, 1.5, n)
-    mu_plus /= mu_plus.sum()
-    mu_minus = rng.uniform(0.5, 1.5, n)
-    mu_minus /= mu_minus.sum()
+    mu_plus = _random_marginal(rng, n)
+    mu_minus = _random_marginal(rng, n)
     bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=1e-12, max_iter=100_000)
     transformed = doob_transform(operator, bridge.potentials.v)
     doob_dev = _max_abs(bridge.forward.values - transformed.values)
@@ -360,8 +341,7 @@ def check_attention_bridge(cloud: DataCloud, beta: float) -> CheckResult:
     a_plus = attention_forward(biv, beta)
     n = cloud.n_samples
 
-    mu_plus = rng.uniform(0.5, 1.5, n)
-    mu_plus /= mu_plus.sum()
+    mu_plus = _random_marginal(rng, n)
     mu_minus = mu_plus @ a_plus.values
     matched = attention_bridge(biv, beta, mu_plus, mu_minus, tol=1e-12, max_iter=100_000)
     matched_dev = _max_abs(matched.forward.values - a_plus.values)
@@ -381,18 +361,12 @@ def check_attention_bridge(cloud: DataCloud, beta: float) -> CheckResult:
 
     parts = [
         _part("matched marginals reproduce plain forward attention", matched_dev, 1e-10),
-        _part_exceeds(
-            "a 1e-3 total-variation sink perturbation moves the forward operator",
-            off_dev,
-            1e-5,
-        ),
+        _part("a 1e-3 total-variation sink perturbation moves the forward operator",
+              off_dev, 1e-5, ">"),
         _part_bool(f"stationary attention bridge is NESS (got {report.regime})",
                    report.regime == "NESS"),
-        _part_exceeds(
-            "steady-state currents clear 10x the equilibrium threshold",
-            report.max_current,
-            10.0 * report.current_threshold,
-        ),
+        _part("steady-state currents clear 10x the equilibrium threshold",
+              report.max_current, 10.0 * report.current_threshold, ">"),
     ]
     return _result("C11", "attention as a bridge", parts)
 
@@ -409,9 +383,7 @@ def check_magnetic_operators(cloud: DataCloud, beta: float) -> CheckResult:
     magnitude_dev = _max_abs(phased.magnitudes.values - operator.values)
     assembled_dev = _max_abs(np.abs(phased.matrix) - operator.values)
 
-    kernel = rbf_kernel(d2, beta).values
-    degrees = kernel.sum(axis=1)
-    pi = degrees / degrees.sum()
+    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_abs(hermitized - hermitized.conj().T)
     eigenvalues = np.linalg.eig(hermitized)[0]
@@ -455,9 +427,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     biv = bidivergence(gram(cloud))
     d2 = squared_distance(biv)
     operator = dmap(d2, beta)
-    kernel = rbf_kernel(d2, beta).values
-    degrees = kernel.sum(axis=1)
-    pi = degrees / degrees.sum()
+    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     parts = _spectrum_parts("diffusion operator", operator, pi)
 
     # the bistochastic variant runs on a seeded cloud: uniform-marginal scaling
@@ -492,8 +462,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     )
 
     two_point = dmap(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-    two_kernel = rbf_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0).values
-    two_pi = two_kernel.sum(axis=1) / two_kernel.sum()
+    two_pi = _normalized_degrees(rbf_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0).values)
     two_dec = decompose(conjugate_symmetrize(two_point, two_pi), two_pi)
     q = np.exp(-1.0)
     analytic = (1.0 - q) / (1.0 + q)
@@ -510,8 +479,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     cbiv = bidivergence(gram(clusters))
     cd2 = squared_distance(cbiv)
     cop = dmap(cd2, 1.0)
-    ckernel = rbf_kernel(cd2, 1.0).values
-    cpi = ckernel.sum(axis=1) / ckernel.sum()
+    cpi = _normalized_degrees(rbf_kernel(cd2, 1.0).values)
     cdec = decompose(conjugate_symmetrize(cop, cpi), cpi)
     coord = diffusion_embedding(cdec, t=1.0, k=1).coordinates[:, 0]
     separated = bool(

@@ -1,10 +1,15 @@
 """CSV ingest, emit, command dispatch, exit codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import markovgeom
 from markovgeom.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -104,11 +109,23 @@ class TestLoadMarginal:
             load_marginal(path, 3)
 
 
+# one row across the float64 range: huge and tiny magnitudes, signed zero,
+# subnormals, the largest finite value and a Dirichlet draw
+_EXTREME_ROW = np.concatenate([
+    [1e300, -1e-300, -0.0, 5e-324, -3e-310, np.finfo(float).max, 1.0 / 3.0],
+    np.random.default_rng(133).dirichlet(np.ones(5)),
+])
+
+
 class TestEmit:
-    def test_identity_matrix_bytes(self, tmp_path):
-        path = tmp_path / "eye.csv"
-        write_matrix_csv(path, np.eye(2))
-        assert path.read_text() == "1,0\n0,1\n"
+    @pytest.mark.parametrize("matrix, expected", [
+        (np.eye(2), "1,0\n0,1\n"),
+        (_EXTREME_ROW, ",".join(format(v, ".17g") for v in _EXTREME_ROW) + "\n"),
+    ], ids=["eye", "extremes"])
+    def test_identity_matrix_bytes(self, tmp_path, matrix, expected):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, matrix)
+        assert path.read_text() == expected
 
     def test_written_matrix_reingests_exactly(self, tmp_path):
         rng = np.random.default_rng(132)
@@ -372,3 +389,12 @@ class TestExitCodes:
         code = main(["dmap", "--input", str(path), "--out-dir", str(tmp_path)])
         assert code == EXIT_USAGE
         assert "beta" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+        code = "import sys, markovgeom.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"

@@ -1,9 +1,10 @@
-"""Softmax, product of experts, and the log-domain matrix scalers."""
+"""Softmax, product of experts, and the stabilized matrix scalers."""
 
 import numpy as np
 import pytest
 import scipy.special
 
+from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
 from markovgeom.normalize import (
     ConvergenceError,
     ScalingPotentials,
@@ -14,6 +15,7 @@ from markovgeom.normalize import (
     softmax_cols,
     softmax_rows,
 )
+from markovgeom.operators import dmap_bistochastic
 
 
 def sinkhorn_oracle(kernel, iterations=50_000):
@@ -35,6 +37,38 @@ def schrodinger_oracle(kernel, mu_plus, mu_minus, iterations=50_000):
         u = mu_plus / (kernel @ v)
         v = mu_minus / (kernel.T @ u)
     return u[:, None] * kernel * v[None, :]
+
+
+def marginal_violation(matrix, rows, cols):
+    """Sup-norm violation of prescribed row and column sums, from the matrix."""
+    return max(float(np.abs(matrix.sum(axis=1) - rows).max()),
+               float(np.abs(matrix.sum(axis=0) - cols).max()))
+
+
+def cloud_geometry(n, d, seed):
+    points = np.random.default_rng(seed).standard_normal((n, d))
+    biv = bidivergence(gram(DataCloud(points)))
+    return biv, squared_distance(biv)
+
+
+_Z = np.random.default_rng(43).standard_normal((6, 6))
+_MU_PLUS, _MU_MINUS = np.random.default_rng(47).dirichlet(np.ones(6), size=2)
+_D2 = cloud_geometry(6, 3, 48)[1]
+
+
+def _bridge_coupling(**kw):
+    kernel = np.exp(_Z)
+    potentials = schrodinger_solve(kernel, _MU_PLUS, _MU_MINUS, **kw)
+    return potentials.u[:, None] * kernel * potentials.v[None, :], _MU_PLUS, _MU_MINUS
+
+
+# each scaler on a fixed input, returning (matrix, row sums, column sums) as
+# the caller sees them
+SCALERS = {
+    "sinkhorn": lambda **kw: (sinkhorn(_Z, **kw)[0].values, 1.0, 1.0),
+    "schrodinger_solve": _bridge_coupling,
+    "dmap_bistochastic": lambda **kw: (dmap_bistochastic(_D2, 1.0, **kw).values, 1.0, 1.0),
+}
 
 
 class TestStochasticOperator:
@@ -203,12 +237,19 @@ class TestSinkhorn:
         _, potentials = sinkhorn(rng.standard_normal((6, 6)), tol=1e-12)
         assert abs(np.log(potentials.u).mean()) < 1e-12
 
-    def test_nonconvergence_raises_with_residual(self):
-        rng = np.random.default_rng(43)
+    @pytest.mark.parametrize("scaler", list(SCALERS))
+    def test_nonconvergence_raises_with_residual(self, scaler):
+        solve = SCALERS[scaler]
         with pytest.raises(ConvergenceError) as excinfo:
-            sinkhorn(rng.standard_normal((6, 6)), tol=1e-30, max_iter=3)
-        assert excinfo.value.iterations == 3
-        assert excinfo.value.residual > 0.0
+            solve(tol=1e-30, max_iter=16)
+        err = excinfo.value
+        assert err.iterations == 16
+        assert err.residual > 0.0
+        assert f"residual {err.residual:.3e} > tol 1.000e-30" in str(err)
+        # the residual is on the caller's scale: the same sweeps under a tol
+        # just above it return an object whose own marginal violation it is
+        matrix, rows, cols = solve(tol=err.residual * (1.0 + 1e-3), max_iter=16)
+        assert marginal_violation(matrix, rows, cols) == pytest.approx(err.residual, rel=1e-3)
 
     def test_rejects_rectangular_input(self):
         with pytest.raises(ValueError, match="square"):
@@ -286,3 +327,41 @@ class TestSchrodingerSolve:
         original = potentials.u[:, None] * kernel * potentials.v[None, :]
         rescaled = scaled.u[:, None] * kernel * scaled.v[None, :]
         np.testing.assert_allclose(original, rescaled, rtol=1e-14)
+
+
+class TestScalingCore:
+    """Properties shared by every scaler built on the stabilized core."""
+
+    def test_reported_residual_is_that_of_the_returned_object(self):
+        n = 8
+        bound = 4 * n * np.finfo(float).eps
+        for seed in range(5):
+            rng = np.random.default_rng(60 + seed)
+            z = rng.standard_normal((n, n))
+            operator, potentials = sinkhorn(z)
+            assert abs(potentials.residual - marginal_violation(operator.values, 1.0, 1.0)) <= bound
+            mu_plus, mu_minus = rng.dirichlet(np.ones(n), size=2)
+            kernel = np.exp(z)
+            potentials = schrodinger_solve(kernel, mu_plus, mu_minus)
+            coupling = potentials.u[:, None] * kernel * potentials.v[None, :]
+            assert abs(potentials.residual - marginal_violation(coupling, mu_plus, mu_minus)) <= bound
+
+    @pytest.mark.parametrize("n, d, seed, beta, attention_converges", [
+        (60, 2, 0, 10.0, True),    # logits span about 200 nats
+        (30, 3, 7, 50.0, False),   # about 960 nats: exp(logits) underflows
+    ])
+    def test_extreme_score_ranges(self, n, d, seed, beta, attention_converges):
+        biv, d2 = cloud_geometry(n, d, seed)
+        assert 190.0 <= beta * d2.max() <= 970.0
+        if attention_converges:
+            operator, _ = sinkhorn(-beta * biv.fwd)
+            assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-10
+        else:
+            with pytest.raises(ConvergenceError) as excinfo:
+                sinkhorn(-beta * biv.fwd)
+            assert np.isfinite(excinfo.value.residual)
+        # the damped symmetric update is not slowed by the nearly decomposable
+        # kernel, so the bistochastic diffusion operator converges on both
+        bistochastic = dmap_bistochastic(d2, beta).values
+        assert np.all(np.isfinite(bistochastic))
+        assert marginal_violation(bistochastic, 1.0, 1.0) <= 1e-10
