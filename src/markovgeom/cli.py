@@ -3,7 +3,8 @@
 Matrices are written as plain CSV at 17 significant digits (lossless for
 float64), reports as JSON with insertion-ordered keys, complex operators as
 paired magnitude/phase CSVs.  Identical configuration and inputs produce
-byte-identical output files.
+byte-identical output files.  Large matrices are formatted in row chunks on
+every available CPU; the bytes do not depend on how many there are.
 
 Exit codes: 0 success (or all identities pass), 1 verification failure,
 2 usage/input error, 3 numerical non-convergence.  The MG_LOG_LEVEL
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,6 +42,7 @@ from .geometry import (
 )
 from .normalize import ConvergenceError
 from .operators import (
+    _max_hermitian_gap,
     attention_backward,
     attention_bistochastic,
     attention_forward,
@@ -75,10 +78,31 @@ _MARGINAL_LOOSE = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _parse_cells(path, row_no: int, cells: list[str]) -> list[float]:
+    """Parse one row cell by cell; the first bad cell raises with its location."""
+    values = []
+    for col_no, cell in enumerate(cells, start=1):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {row_no}, column {col_no}: "
+                f"not a number: {cell.strip()!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{path}: row {row_no}, column {col_no}: non-finite value"
+            )
+        values.append(value)
+    return values
+
+
 def load_matrix(path, skip_header: bool = False) -> np.ndarray:
     """Parse a CSV of finite reals; errors carry the row/column location.
 
-    Row numbers refer to data rows (a skipped header does not count).
+    Row numbers refer to data rows (a skipped header does not count).  Each
+    row is parsed in one pass; only a row that fails it, or whose sum is not
+    finite, is rescanned cell by cell to locate the error.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -91,20 +115,14 @@ def load_matrix(path, skip_header: bool = False) -> np.ndarray:
             continue
         row_no += 1
         cells = line.split(",")
-        values = []
-        for col_no, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {row_no}, column {col_no}: "
-                    f"not a number: {cell.strip()!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"{path}: row {row_no}, column {col_no}: non-finite value"
-                )
-            values.append(value)
+        try:
+            values = list(map(float, cells))
+        except ValueError:
+            values = None
+        # a non-finite cell makes the sum non-finite; an overflowing sum of
+        # finite cells only costs a rescan
+        if values is None or not math.isfinite(sum(values)):
+            values = _parse_cells(path, row_no, cells)
         if rows and len(values) != len(rows[0]):
             raise ValueError(
                 f"{path}: row {row_no}: expected {len(rows[0])} columns, "
@@ -152,13 +170,196 @@ def load_marginal(path, n: int, skip_header: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Matrices of at least this many cells are formatted on every available CPU,
+# with at least _MIN_ROWS_PER_WORKER rows per process; smaller ones, and
+# platforms without os.fork, take the same formatter serially.
+_PARALLEL_MIN_CELLS = 1 << 16
+_MIN_ROWS_PER_WORKER = 16
+# cells per formatted text block, and bytes per read of a worker's pipe
+_BLOCK_CELLS = 1 << 14
+_PIPE_READ = 1 << 20
+
+
+def _emit_workers(matrix: np.ndarray) -> int:
+    """Number of processes that format ``matrix``, the caller included."""
+    if matrix.size < _PARALLEL_MIN_CELLS or not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, matrix.shape[0] // _MIN_ROWS_PER_WORKER))
+
+
+def _format_rows(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str):
+    """Yield the text of rows ``lo:hi`` as ASCII blocks.
+
+    ``row_fmt`` holds one ``%`` field per column.  Rows are joined by ``sep``,
+    and the first row of a chunk is led by ``sep`` too unless it is row 0, so
+    the chunks of a matrix concatenate to the text of the whole matrix.
+    """
+    step = max(1, _BLOCK_CELLS // max(1, matrix.shape[1]))
+    for start in range(lo, hi, step):
+        block = matrix[start:min(start + step, hi)]
+        fmt = (sep + row_fmt) * len(block)
+        if start == 0:
+            fmt = fmt[len(sep):]
+        yield (fmt % tuple(block.ravel().tolist())).encode("ascii")
+
+
+def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str):
+    """Fork a worker that formats rows ``lo:hi`` and writes them to a pipe.
+
+    The worker holds its chunk's text until it is done, so it never waits on
+    the pipe while the caller formats its own chunk.  It only formats and
+    writes, then leaves through ``os._exit``: no BLAS call, no logging, no
+    stdio flush, no parent cleanup.  Returns ``(pid, read_fd)``.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            for block in list(_format_rows(matrix, lo, hi, row_fmt, sep)):
+                view = memoryview(block)
+                while view:
+                    view = view[os.write(write_fd, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _write_rows(fh, matrix: np.ndarray, row_fmt: str, sep: str, workers: int) -> None:
+    """Write the text of every row of ``matrix`` to the binary file ``fh``.
+
+    The rows are split into ``workers`` contiguous chunks.  The caller formats
+    the first chunk and streams it; each other chunk comes from a forked
+    worker, whose bytes are copied from its pipe in row order.  The bytes do
+    not depend on ``workers``.  A worker that fails raises
+    ``ChildProcessError``.
+    """
+    n = matrix.shape[0]
+    workers = max(1, min(workers, n))
+    bounds = [n * i // workers for i in range(workers + 1)]
+    children = []
+    failed = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_formatter(matrix, lo, hi, row_fmt, sep))
+        for block in _format_rows(matrix, 0, bounds[1], row_fmt, sep):
+            fh.write(block)
+        for _, read_fd in children:
+            while piece := os.read(read_fd, _PIPE_READ):
+                fh.write(piece)
+    finally:
+        # a worker inherits the read ends of the pipes made before it, so all
+        # must close before any wait: then a worker still writing after an
+        # error gets EPIPE and exits instead of blocking
+        for _, read_fd in children:
+            os.close(read_fd)
+        for pid, _ in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failed.append(code)
+    if failed:
+        raise ChildProcessError(
+            f"{fh.name}: {len(failed)} of {workers - 1} formatting workers failed "
+            f"(exit codes {failed})"
+        )
+
+
+def _write_file(path, write) -> None:
+    """Call ``write(fh)`` on ``path`` opened for binary writing; on any
+    failure, remove the partial file before the error propagates."""
+    fh = open(path, "wb")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def write_matrix_csv(path, matrix) -> None:
-    """Row-major CSV at 17 significant digits (round-trips float64 exactly)."""
-    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%.17g", delimiter=",")
+    """Row-major CSV at 17 significant digits (round-trips float64 exactly).
+
+    Byte-identical to ``np.savetxt(path, matrix, fmt="%.17g", delimiter=",")``
+    whatever the number of CPUs that format it.
+    """
+    matrix = np.ascontiguousarray(np.atleast_2d(np.asarray(matrix, dtype=float)))
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D matrix, got shape {matrix.shape}")
+    row_fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    _write_file(path, lambda fh: _write_rows(fh, matrix, row_fmt, "", _emit_workers(matrix)))
+
+
+def _placeholder(index: int) -> str:
+    # no argument or path can hold a NUL, so no other report string equals this
+    return f"\0markovgeom-matrix-{index}"
+
+
+def _stub_matrices(value, matrices: list):
+    """Copy of a report with each finite 2-D float64 array replaced by a
+    placeholder string and appended to ``matrices``; other arrays become lists."""
+    if isinstance(value, dict):
+        return {key: _stub_matrices(item, matrices) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_stub_matrices(item, matrices) for item in value]
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype == np.float64 and np.isfinite(value).all():
+            matrices.append(np.ascontiguousarray(value))
+            return _placeholder(len(matrices) - 1)
+        return value.tolist()
+    return value
+
+
+def _write_json_matrix(fh, matrix: np.ndarray, indent: int) -> None:
+    """The ``indent=2`` JSON of ``matrix.tolist()`` for a value whose line is
+    indented by ``indent`` spaces; floats are written by ``float.__repr__``."""
+    if matrix.shape[0] == 0:
+        fh.write(b"[]")
+        return
+    rows, cells = " " * (indent + 2), " " * (indent + 4)
+    if matrix.shape[1]:
+        row_fmt = f"\n{rows}[" + ",".join([f"\n{cells}%r"] * matrix.shape[1]) + f"\n{rows}]"
+    else:
+        row_fmt = f"\n{rows}[]"
+    fh.write(b"[")
+    _write_rows(fh, matrix, row_fmt, ",", _emit_workers(matrix))
+    fh.write(f"\n{' ' * indent}]".encode("ascii"))
 
 
 def write_report_json(path, report: dict) -> None:
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    """Write ``json.dumps(report, indent=2)`` and a newline.
+
+    A finite 2-D float64 array anywhere in the report is written as its
+    nested list by the row-chunk formatter, into the text that ``json.dumps``
+    makes of the rest of the report; the file is byte-identical to dumping
+    the report with every array replaced by ``array.tolist()``.
+    """
+    matrices: list[np.ndarray] = []
+    text = json.dumps(_stub_matrices(report, matrices), indent=2) + "\n"
+
+    def write(fh):
+        pos = 0
+        for index, matrix in enumerate(matrices):
+            token = json.dumps(_placeholder(index))
+            at = text.index(token, pos)
+            line = text[text.rfind("\n", 0, at) + 1:at]
+            fh.write(text[pos:at].encode("ascii"))
+            _write_json_matrix(fh, matrix, len(line) - len(line.lstrip(" ")))
+            pos = at + len(token)
+        fh.write(text[pos:].encode("ascii"))
+
+    _write_file(path, write)
 
 
 def emit(
@@ -179,7 +380,7 @@ def emit(
         if matrices:
             report = dict(report)
             report["matrices"] = {
-                name: np.atleast_2d(np.asarray(values, dtype=float)).tolist()
+                name: np.atleast_2d(np.asarray(values, dtype=float))
                 for name, values in matrices.items()
             }
     else:
@@ -292,7 +493,7 @@ def cmd_kernel(args) -> int:
     cloud, _, _, d2 = _load_geometry(args)
     beta = _resolve_beta(args.beta, d2)
     kernel = rbf_kernel(d2, beta)
-    symmetry = float(np.abs(kernel.values - kernel.values.T).max())
+    symmetry = _max_hermitian_gap(kernel.values)
     report = {
         "command": "kernel",
         "config": _config_echo(args, beta),
@@ -422,7 +623,7 @@ def cmd_magnetic(args) -> int:
     pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
-    hermiticity = float(np.abs(hermitized - hermitized.conj().T).max())
+    hermiticity = _max_hermitian_gap(hermitized)
     eigenvalues = np.sort(np.linalg.eigvalsh(hermitized))[::-1]
     report = {
         "command": "magnetic",

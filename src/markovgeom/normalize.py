@@ -268,7 +268,9 @@ def sinkhorn(
     scaled += log_v
     np.exp(scaled, out=scaled)
     potentials = ScalingPotentials(np.exp(log_u), np.exp(log_v), sweeps, residual)
-    return StochasticOperator(scaled, "bi"), potentials
+    # the contract is tol, so the construction bound must not be tighter; the
+    # factor 2 covers rounding between the core's residual and a fresh sum
+    return StochasticOperator(scaled, "bi", check_tol=max(1e-6, 2.0 * tol)), potentials
 
 
 def schrodinger_solve(

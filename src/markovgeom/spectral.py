@@ -16,7 +16,7 @@ import numpy as np
 
 from .bridges import currents
 from .normalize import StochasticOperator
-from .operators import ComplexOperator
+from .operators import ComplexOperator, _max_hermitian_gap
 
 # adjacent eigenvalues closer than this are flagged as a degenerate block;
 # coordinates inside such a block are solver-ordered and not canonicalized
@@ -91,18 +91,16 @@ def conjugate_hermitize(op: ComplexOperator, pi, db_tol: float = 1e-8) -> np.nda
     return symmetric * np.exp(1j * op.phases)
 
 
-def _fix_leading_phase(vectors: np.ndarray) -> np.ndarray:
-    """Make the first significantly nonzero component of each column real
-    positive (a sign flip in the real case)."""
-    out = vectors.copy()
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        significant = np.flatnonzero(np.abs(col) > _LEAD_COMPONENT_FLOOR)
-        if significant.size == 0:
-            continue
-        lead = col[significant[0]]
-        out[:, c] = col * (np.conj(lead) / np.abs(lead))
-    return out
+def _fix_leading_phase(vectors: np.ndarray) -> None:
+    """In place: make the first significantly nonzero component of each column
+    real positive (a sign flip in the real case)."""
+    significant = np.abs(vectors) > _LEAD_COMPONENT_FLOOR
+    first = significant.argmax(axis=0)
+    columns = np.arange(vectors.shape[1])
+    lead = vectors[first, columns]
+    with np.errstate(invalid="ignore"):  # 0/0 only in columns left unchanged
+        phase = np.conj(lead) / np.abs(lead)
+    np.multiply(vectors, phase, out=vectors, where=significant[first, columns])
 
 
 def decompose(conjugated, pi) -> SpectralDecomposition:
@@ -118,19 +116,22 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     pi = _validate_measure(pi, mat.shape[0])
-    hermiticity = float(np.abs(mat - mat.conj().T).max())
+    hermiticity = _max_hermitian_gap(mat)
     if hermiticity > 1e-8:
         raise ValueError(
             f"input deviates from Hermitian by {hermiticity:.3e}; "
             "decompose expects the output of a conjugation transform"
         )
     eigenvalues, vectors = np.linalg.eigh(mat)
-    order = np.argsort(eigenvalues, kind="stable")[::-1]
-    eigenvalues = eigenvalues[order]
-    vectors = _fix_leading_phase(vectors[:, order])
+    # eigh returns ascending eigenvalues, so descending order is the reversed
+    # view; the left vectors then reuse eigh's buffer
+    eigenvalues = eigenvalues[::-1]
+    vectors = vectors[:, ::-1]
+    _fix_leading_phase(vectors)
     root = np.sqrt(pi)
     right = vectors / root[:, None]
-    left = vectors * root[:, None]
+    left = vectors
+    left *= root[:, None]
     if eigenvalues.size > 1:
         degenerate = bool(np.abs(np.diff(eigenvalues)).min() < DEGENERACY_GAP)
     else:

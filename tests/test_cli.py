@@ -1,15 +1,18 @@
 """CSV ingest, emit, command dispatch, exit codes, and determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import markovgeom
+from markovgeom import cli
 from markovgeom.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
@@ -19,6 +22,7 @@ from markovgeom.cli import (
     load_matrix,
     main,
     write_matrix_csv,
+    write_report_json,
 )
 
 
@@ -77,6 +81,39 @@ class TestLoadMatrix:
         path.write_text("x,y\n1,2\n")
         out = load_matrix(path, skip_header=True)
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("text, message", [
+        # a non-finite value in row 1 is reported before junk in row 2
+        ("1,inf\nx,2\n", "row 1, column 2: non-finite value"),
+        # within a row the first bad column wins, junk or inf
+        ("1,x,inf\n", "row 1, column 2: not a number: 'x'"),
+        ("1,-inf,x\n", "row 1, column 2: non-finite value"),
+        ("nan,2\n", "row 1, column 1: non-finite value"),
+        # a bad cell is reported before a wrong column count
+        ("1,2\n3,x,5\n", "row 2, column 2: not a number: 'x'"),
+        ("1,2\n3,4,5\n", "row 2: expected 2 columns, got 3"),
+        # blank lines are not counted; padding is stripped from the message
+        ("1,2\n\n  \n3, y \n", "row 2, column 2: not a number: 'y'"),
+        ("1,2\n3,\n", "row 2, column 2: not a number: ''"),
+    ])
+    def test_error_precedence_and_message(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as excinfo:
+            load_matrix(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_padding_blank_lines_and_header(self, tmp_path):
+        path = tmp_path / "pad.csv"
+        path.write_text("a, b\n\n 1.5 ,2\n   \n-3e-2,\t4 \n\n")
+        np.testing.assert_array_equal(load_matrix(path, skip_header=True), [[1.5, 2.0], [-0.03, 4.0]])
+        with pytest.raises(ValueError, match="row 1, column 1: not a number: 'a'"):
+            load_matrix(path)
+
+    def test_overflowing_row_sum_of_finite_cells_is_accepted(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1e308,1e308\n-1e308,-1e308\n")
+        np.testing.assert_array_equal(load_matrix(path), [[1e308, 1e308], [-1e308, -1e308]])
 
 
 class TestLoadMarginal:
@@ -151,6 +188,124 @@ class TestEmit:
         np.testing.assert_allclose(np.abs(assembled), magnitude, rtol=0, atol=1e-15)
         report = json.loads((out / "magnetic_report.json").read_text())
         assert report["results"]["magnitude_residual"] == 0.0
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(cli, "_emit_workers", lambda matrix: workers)
+
+
+def _savetxt_bytes(matrix):
+    buffer = io.BytesIO()
+    np.savetxt(buffer, np.atleast_2d(matrix), fmt="%.17g", delimiter=",")
+    return buffer.getvalue()
+
+
+# above the parallel threshold: a row count that 2 and 3 do not divide, one
+# row, one column, and the extreme row repeated
+_LARGE = {
+    "301x300": np.random.default_rng(134).dirichlet(np.ones(300), size=301),
+    "1-row": np.random.default_rng(135).standard_normal((1, 70_000)),
+    "1-column": np.random.default_rng(136).standard_normal((70_000, 1)),
+    "extremes": np.tile(_EXTREME_ROW, (280, 20)),
+}
+
+
+class TestParallelEmit:
+    def test_large_matrices_are_above_the_threshold(self):
+        for matrix in _LARGE.values():
+            assert matrix.size >= cli._PARALLEL_MIN_CELLS
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_LARGE))
+    def test_csv_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, name, workers):
+        _force_workers(monkeypatch, workers)
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, _LARGE[name])
+        assert path.read_bytes() == _savetxt_bytes(_LARGE[name])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(_LARGE))
+    def test_json_equals_json_dumps(self, tmp_path, monkeypatch, name, workers):
+        _force_workers(monkeypatch, workers)
+        matrix = _LARGE[name]
+        small = np.array([[-0.0, 5e-324], [1e-300, np.finfo(float).max]])
+
+        def report(value, other):
+            return {"command": "x", "results": {"values": [1.0, -0.0, 1e300]},
+                    "matrices": {"big": value, "nested": [{"in_list": other}],
+                                 "empty": np.zeros((0, 3)),
+                                 "no_columns": np.zeros((2, 0))}}
+
+        path = tmp_path / "r.json"
+        write_report_json(path, report(matrix, small))
+        expected = report(matrix.tolist(), small.tolist())
+        expected["matrices"]["empty"] = []
+        expected["matrices"]["no_columns"] = [[], []]
+        assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+    def test_json_of_non_finite_matrix_equals_json_dumps(self, tmp_path):
+        matrix = np.array([[np.nan, np.inf], [-np.inf, 1.0]])
+        path = tmp_path / "r.json"
+        write_report_json(path, {"m": matrix})
+        assert path.read_text() == json.dumps({"m": matrix.tolist()}, indent=2) + "\n"
+
+    def test_worker_count_follows_cpus_and_rows(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert cli._emit_workers(np.zeros((8, 8))) == 1
+        assert cli._emit_workers(np.zeros((1, 70_000))) == 1
+        assert cli._emit_workers(np.zeros((40, 2000))) == 2
+        assert cli._emit_workers(np.zeros((600, 600))) == 3
+
+    @pytest.mark.parametrize("fmt, output", [("csv", "dmap.csv"), ("json", "dmap_report.json")])
+    def test_failing_worker_exits_2_without_output(self, tmp_path, monkeypatch, capsys, fmt, output):
+        cloud = tmp_path / "cloud.csv"
+        write_matrix_csv(cloud, np.random.default_rng(137).standard_normal((300, 2)))
+        real = cli._format_rows
+
+        def fail_in_workers(matrix, lo, hi, row_fmt, sep):
+            if lo > 0:
+                raise RuntimeError("injected formatter failure")
+            return real(matrix, lo, hi, row_fmt, sep)
+
+        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(cli, "_format_rows", fail_in_workers)
+        out = tmp_path / "out"
+        code = main(["dmap", "--input", str(cloud), "--beta", "1", "--format", fmt,
+                     "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert "formatting workers failed" in capsys.readouterr().err
+        assert not (out / output).exists()
+
+
+    def test_caller_failure_reaps_workers_blocked_on_their_pipes(self, tmp_path):
+        # each worker's chunk (about 0.6 MB) overflows its pipe while the
+        # caller fails on its own chunk; run in a child so a hang times out
+        path = tmp_path / "m.csv"
+        code = textwrap.dedent(f"""
+            import os
+            import numpy as np
+            from markovgeom import cli
+            real = cli._format_rows
+            def fail_in_caller(matrix, lo, hi, row_fmt, sep):
+                if lo == 0:
+                    raise RuntimeError("injected")
+                return real(matrix, lo, hi, row_fmt, sep)
+            cli._format_rows = fail_in_caller
+            cli._emit_workers = lambda matrix: 3
+            try:
+                cli.write_matrix_csv({str(path)!r}, np.full((301, 300), 1.0 / 3.0))
+            except RuntimeError:
+                print("raised")
+            try:
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                print("no children left")
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True)
+        assert out.stdout.split("\n")[:2] == ["raised", "no children left"]
+        assert not path.exists()
 
 
 class TestDmapCommand:
@@ -276,6 +431,18 @@ class TestOtherCommands:
         operator = load_matrix(out / "attention.csv")
         np.testing.assert_allclose(operator.sum(axis=0), 1.0, atol=1e-10)
         np.testing.assert_allclose(operator.sum(axis=1), 1.0, atol=1e-10)
+
+    def test_attention_bistochastic_at_loose_tol(self, tmp_path, cloud_csv):
+        cloud_path, _ = cloud_csv
+        out = tmp_path / "loose"
+        code = main([
+            "attention", "--input", str(cloud_path), "--bistochastic",
+            "--tol", "1e-4", "--out-dir", str(out),
+        ])
+        assert code == EXIT_OK
+        report = json.loads((out / "attention_report.json").read_text())
+        assert 1e-6 < report["results"]["row_sum_residual"] <= 1e-4
+        assert report["results"]["column_sum_residual"] <= 1e-4
 
     def test_attention_backward_command(self, tmp_path, cloud_csv):
         cloud_path, _ = cloud_csv

@@ -14,6 +14,7 @@ from markovgeom.geometry import (
 from markovgeom.normalize import ConvergenceError, StochasticOperator, softmax_rows
 from markovgeom.operators import (
     ComplexOperator,
+    _max_hermitian_gap,
     attention_backward,
     attention_bistochastic,
     attention_forward,
@@ -61,6 +62,26 @@ class TestRbfKernel:
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             rbf_kernel(np.array([[1.0, 0.0], [0.0, 1.0]]), beta=1.0)
+
+    def test_rejects_asymmetry_in_a_far_off_diagonal_tile(self):
+        _, _, d2 = random_geometry(52, n=600)
+        assert _max_hermitian_gap(d2) == 0.0
+        d2[3, 590] += 1e-9 * np.abs(d2).max()
+        assert _max_hermitian_gap(d2) == float(np.abs(d2 - d2.T).max())
+        with pytest.raises(ValueError, match="symmetric"):
+            rbf_kernel(d2, beta=1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            dmap(d2, beta=1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 257, 600])
+    def test_hermitian_gap_equals_full_difference(self, n):
+        rng = np.random.default_rng(n)
+        real = rng.standard_normal((n, n))
+        cplx = real + 1j * rng.standard_normal((n, n))
+        for matrix in (real, cplx, (cplx + cplx.conj().T) / 2):
+            assert _max_hermitian_gap(matrix) == float(np.abs(matrix - matrix.conj().T).max())
+        real[n - 1, 0] = np.nan
+        assert np.isnan(_max_hermitian_gap(real))
 
 
 class TestDirectionalKernels:

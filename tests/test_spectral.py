@@ -20,6 +20,8 @@ from markovgeom.operators import (
     rbf_kernel,
 )
 from markovgeom.spectral import (
+    _LEAD_COMPONENT_FLOOR,
+    _fix_leading_phase,
     conjugate_hermitize,
     conjugate_symmetrize,
     decompose,
@@ -34,6 +36,20 @@ def dmap_with_measure(seed, n=6, d=3, beta=1.0):
     kernel = rbf_kernel(d2, beta).values
     pi = kernel.sum(axis=1) / kernel.sum()
     return dmap(d2, beta), pi, d2
+
+
+def _fix_leading_phase_loop(vectors):
+    """Reference: one column at a time, the first entry above the floor is
+    rotated to the positive real axis."""
+    out = vectors.copy()
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        significant = np.flatnonzero(np.abs(col) > _LEAD_COMPONENT_FLOOR)
+        if significant.size == 0:
+            continue
+        lead = col[significant[0]]
+        out[:, c] = col * (np.conj(lead) / np.abs(lead))
+    return out
 
 
 class TestConjugateSymmetrize:
@@ -151,6 +167,48 @@ class TestDecompose:
             column = dec.right_vectors[:, c] * np.sqrt(pi)
             lead = column[np.flatnonzero(np.abs(column) > 1e-12)[0]]
             assert lead > 0.0
+
+    @pytest.mark.parametrize("n", [2, 7, 50, 300])
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+    def test_matches_sorted_loop_reference_bitwise(self, n, hermitian):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n))
+        if hermitian:
+            a = a + 1j * rng.standard_normal((n, n))
+        mat = (a + a.conj().T) / 2
+        pi = rng.uniform(0.5, 1.5, n)
+        pi /= pi.sum()
+        self._assert_matches_reference(mat, pi)
+
+    def test_degenerate_diagonal_matches_reference_bitwise(self):
+        self._assert_matches_reference(np.diag([1.0, 0.5, 0.5, 0.5, 0.2]), np.full(5, 0.2))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_leading_phase_skips_entries_below_floor(self, dtype):
+        rng = np.random.default_rng(124)
+        vectors = rng.standard_normal((6, 5)).astype(dtype)
+        if dtype is complex:
+            vectors += 1j * rng.standard_normal((6, 5))
+        vectors[:3, 1] = [1e-13, -5e-13, 0.0]  # leading entries below the floor
+        vectors[:, 2] = -1e-14                  # no significant entry at all
+        vectors[:, 4] = 0.0
+        vectors[0, 3] = -0.7
+        expected = _fix_leading_phase_loop(vectors)
+        fixed = vectors.copy()
+        _fix_leading_phase(fixed)
+        np.testing.assert_array_equal(fixed, expected)
+        np.testing.assert_array_equal(fixed[:, [2, 4]], vectors[:, [2, 4]])
+
+    @staticmethod
+    def _assert_matches_reference(mat, pi):
+        eigenvalues, vectors = np.linalg.eigh(mat)
+        order = np.argsort(eigenvalues, kind="stable")[::-1]
+        vectors = _fix_leading_phase_loop(vectors[:, order])
+        root = np.sqrt(pi)
+        dec = decompose(mat, pi)
+        np.testing.assert_array_equal(dec.eigenvalues, eigenvalues[order])
+        np.testing.assert_array_equal(dec.right_vectors, vectors / root[:, None])
+        np.testing.assert_array_equal(dec.left_vectors, vectors * root[:, None])
 
     def test_rejects_non_hermitian_input(self):
         rng = np.random.default_rng(123)
