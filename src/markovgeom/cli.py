@@ -444,8 +444,8 @@ def _marginal_for(source: str, n: int, args, d2: np.ndarray, biv, beta: float) -
     """Resolve a marginal argument: a CSV path or the keyword 'stationary'.
 
     'stationary' uses the intrinsic distribution of the selected kernel: the
-    normalized kernel row sums for the distance kernel, the power-iteration
-    fixed point of forward attention for the directional kernel.
+    normalized kernel row sums for the distance kernel, the stationary
+    measure of forward attention for the directional kernel.
     """
     if source != "stationary":
         return load_marginal(source, n, args.skip_header)
@@ -624,7 +624,7 @@ def cmd_magnetic(args) -> int:
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_hermitian_gap(hermitized)
-    eigenvalues = np.sort(np.linalg.eigvalsh(hermitized))[::-1]
+    eigenvalues = np.linalg.eigvalsh(hermitized)[::-1]  # eigvalsh is ascending
     report = {
         "command": "magnetic",
         "config": _config_echo(args, beta),

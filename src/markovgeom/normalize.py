@@ -9,9 +9,12 @@ positive vectors, the source potential at unit geometric mean (gauge).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 VALID_KINDS = ("row", "column", "bi")
 
@@ -21,6 +24,16 @@ MARGINAL_SUM_TOL = 1e-12
 # |log| of the scaling vectors stays below this (about 1e50); leaving that range
 # (or turning non-finite) triggers a log-domain absorption sweep
 _LOG_SAFE_RANGE = 115.0
+
+# an iteration's contraction rate is read from its last _RATE_WINDOW residual
+# ratios; the alternating sweeps trust it once those agree within _RATE_SPREAD
+_RATE_WINDOW = 4
+_RATE_SPREAD = 1.1
+# cap of the over-relaxation factor: the rate read early in a solve can exceed
+# the asymptotic one, and past the optimum the error shrinks only by omega - 1
+_OMEGA_MAX = 1.5
+# a re-estimated omega replaces the current one only when larger by this factor
+_OMEGA_STEP = 1.02
 
 
 class ConvergenceError(RuntimeError):
@@ -197,6 +210,31 @@ def _log_sweep(log_kernel, log_a, b, g, symmetric):
     return f, np.log(scale) - top, kernel
 
 
+def _recent_ratios(history):
+    """Ratios of the last _RATE_WINDOW successive residuals, or None while the
+    history is shorter; a zero residual makes the next ratio infinite."""
+    if len(history) <= _RATE_WINDOW:
+        return None
+    tail = history[-_RATE_WINDOW - 1:]
+    return [later / earlier if earlier > 0.0 else np.inf
+            for earlier, later in zip(tail, tail[1:])]
+
+
+def _phase_rate(history, omega):
+    """Residual contraction per sweep over the last few sweeps of a phase, or
+    None while it is not measurable.  Plain sweeps count once their ratios
+    agree (their maximum); over-relaxed sweeps, whose ratios oscillate, once
+    the phase's first window has passed (their geometric mean)."""
+    if omega == 1.0:
+        ratios = _recent_ratios(history)
+        if ratios is None or max(ratios) > _RATE_SPREAD * min(ratios):
+            return None
+        return max(ratios)
+    if len(history) <= 2 * _RATE_WINDOW:
+        return None
+    return (history[-1] / history[-1 - _RATE_WINDOW]) ** (1.0 / _RATE_WINDOW)
+
+
 def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
     """(log u, log v, sweeps, residual): diag(u) exp(log_kernel) diag(v) has row
     sums a and column sums b within ``tol`` (sup norm); log u has zero mean.
@@ -208,32 +246,77 @@ def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
     is redone in the log domain.  ``symmetric`` (b = a, symmetric kernel) keeps
     u = v with the damped update u <- sqrt(u * a / (K u)), whose error modes
     shrink by (1 - lambda) / 2, so a nearly decomposable kernel does not stall it.
+
+    Alternating sweeps over-relax once their rate rho is known (Thibault,
+    Chizat, Dossal & Papadakis, "Overrelaxed Sinkhorn-Knopp", 2017): when the
+    residual ratios of the last few sweeps since the absorption agree and more
+    than that many sweeps would remain, the updates become
+    u <- u (a / (u K v))^omega and v <- v (b / (v K^T u))^omega with
+    omega = min(_OMEGA_MAX, 2 / (1 + sqrt(1 - rho))).  The columns are then
+    inexact, so the residual is the larger of the row and column violations
+    of the same (u, v); the column part reuses K^T u from the update.  The
+    rate seen under omega gives rho again through Young's SOR relation, and
+    a larger omega follows when the first estimate was low.  A residual above
+    all of the first few over-relaxed residuals drops back to plain sweeps
+    until the next absorption, which also resets omega.
     """
     log_a = np.log(a)
     g = np.zeros_like(log_a)
     u = v = np.ones_like(log_a)
     residual = np.inf
+    omega = engaged = 1.0
+    relax = not symmetric  # whether over-relaxation may still engage
+    history = []  # residuals of the current phase: plain since absorption, or over-relaxed
+    absorptions = 0
     for sweep in range(1, max_iter + 1):
         absorb = sweep == 1
         if not absorb:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 if symmetric:
                     u_next = v_next = np.sqrt(v * a / kv)
-                else:
+                elif omega == 1.0:
                     u_next = a / kv
                     v_next = b / (u_next @ kernel)
+                else:
+                    u_next = u * (a / (u * kv)) ** omega
+                    ktu = u_next @ kernel
+                    v_next = v * (b / (v * ktu)) ** omega
                 absorb = not np.all(np.abs(np.log([u_next, v_next])) < _LOG_SAFE_RANGE)
             if not absorb:
                 u, v = u_next, v_next
         if absorb:
             f, g, kernel = _log_sweep(log_kernel, log_a, b, g + np.log(v), symmetric)
             u = v = np.ones_like(log_a)
+            absorptions += 1
+            omega, relax, history = 1.0, not symmetric, []
         kv = kernel @ v
         residual = float(np.abs(u * kv - a).max())
+        if omega != 1.0:
+            residual = max(residual, float(np.abs(v * ktu - b).max()))
         if residual <= tol:
+            log.debug("scaling converged: %d sweeps, %d absorptions, omega %.3f, "
+                      "residual %.3e", sweep, absorptions, engaged, residual)
             log_u = f + np.log(u)
             shift = log_u.mean()
             return log_u - shift, g + np.log(v) + shift, sweep, residual
+        if absorb:
+            continue  # the absorbing sweep is no plain sweep: keep it out of the rate
+        history.append(residual)
+        if omega != 1.0 and len(history) > _RATE_WINDOW and residual > max(history[:_RATE_WINDOW]):
+            omega, relax, history = 1.0, False, []
+            continue
+        rate = _phase_rate(history, omega) if relax else None
+        if rate is None or residual * rate**_RATE_WINDOW <= tol:
+            continue  # no rate yet, or too few sweeps left to repay a new transient
+        # Young's relation maps the rate seen at omega to the plain-sweep rate
+        rho = (rate + omega - 1.0) ** 2 / (rate * omega**2)
+        if rho < 1.0:
+            better = min(_OMEGA_MAX, 2.0 / (1.0 + np.sqrt(1.0 - rho)))
+            if better > _OMEGA_STEP * omega:
+                omega = engaged = better
+                history = []
+    log.debug("scaling stalled: %d sweeps, %d absorptions, omega %.3f, residual %.3e",
+              max_iter, absorptions, engaged, residual)
     raise ConvergenceError(
         f"scaling stalled at residual {residual:.3e} > tol {tol:.3e} "
         f"after {max_iter} iterations",

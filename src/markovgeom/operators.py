@@ -75,7 +75,7 @@ class ComplexOperator:
             )
         if not np.all(np.isfinite(theta)):
             raise ValueError("phases contain non-finite entries")
-        asym = float(np.abs(theta + theta.T).max())
+        asym = _max_hermitian_gap(theta, antisymmetric=True)
         if asym > 1e-12:
             raise ValueError(f"phases must be antisymmetric (violation {asym:.3e})")
         object.__setattr__(self, "phases", theta)
@@ -83,7 +83,18 @@ class ComplexOperator:
     @property
     def matrix(self) -> np.ndarray:
         """Assembled complex operator: magnitudes times e^{i phases}."""
-        return self.magnitudes.values * np.exp(1j * self.phases)
+        return _polar(self.magnitudes.values, self.phases)
+
+
+def _polar(magnitude, theta: np.ndarray) -> np.ndarray:
+    """magnitude * e^{i theta}, with cos and sin written straight into the real
+    and imaginary parts: no complex exponential and no complex temporaries."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    out.real *= magnitude
+    np.sin(theta, out=out.imag)
+    out.imag *= magnitude
+    return out
 
 
 def _validate_beta(beta: float) -> float:
@@ -96,8 +107,9 @@ def _validate_beta(beta: float) -> float:
 _TILE = 256
 
 
-def _max_hermitian_gap(matrix: np.ndarray) -> float:
-    """max |A - A^H| over all entries (|A - A^T| for a real matrix).
+def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float:
+    """max |A - A^H| over all entries (|A - A^T| for a real matrix), or
+    max |A + A^H| when ``antisymmetric``.
 
     Each tile on or above the diagonal is compared with its mirror tile, so
     no transposed n^2 copy is made; a NaN entry gives NaN, as the full
@@ -112,7 +124,8 @@ def _max_hermitian_gap(matrix: np.ndarray) -> float:
             mirror = matrix[cols, rows].T
             if np.iscomplexobj(mirror):
                 mirror = mirror.conj()
-            gaps.append(np.abs(matrix[rows, cols] - mirror).max())
+            block = matrix[rows, cols]
+            gaps.append(np.abs(block + mirror if antisymmetric else block - mirror).max())
     return float(np.max(gaps))
 
 

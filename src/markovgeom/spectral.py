@@ -16,7 +16,7 @@ import numpy as np
 
 from .bridges import currents
 from .normalize import StochasticOperator
-from .operators import ComplexOperator, _max_hermitian_gap
+from .operators import ComplexOperator, _max_hermitian_gap, _polar
 
 # adjacent eigenvalues closer than this are flagged as a degenerate block;
 # coordinates inside such a block are solver-ordered and not canonicalized
@@ -88,7 +88,7 @@ def conjugate_hermitize(op: ComplexOperator, pi, db_tol: float = 1e-8) -> np.nda
     a Hermitian matrix, whose eigenvalues are real.
     """
     symmetric = conjugate_symmetrize(op.magnitudes, pi, db_tol=db_tol)
-    return symmetric * np.exp(1j * op.phases)
+    return _polar(symmetric, op.phases)
 
 
 def _fix_leading_phase(vectors: np.ndarray) -> None:

@@ -1,5 +1,7 @@
 """Bridge solver, Doob transforms, currents, regimes, and the factorizations."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,37 @@ def random_geometry(seed, n=6, d=3):
 def random_marginal(rng, n):
     mu = rng.uniform(0.5, 1.5, n)
     return mu / mu.sum()
+
+
+def two_cluster_geometry(n, seed=0, d=3, offset=3.0, weighted=False):
+    """Two Gaussian clusters whose centres sit ``offset`` apart along axis 0:
+    a nearly decomposable chain at beta of order one."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d))
+    points[n // 2:, 0] += offset
+    cloud = DataCloud(points)
+    if weighted:
+        a = rng.standard_normal((d, d))
+        biv = bidivergence(generalized_gram(cloud, InteractionWeights(np.eye(d) + 0.5 * (a - a.T))))
+    else:
+        biv = bidivergence(gram(cloud))
+    return biv, squared_distance(biv)
+
+
+def gth_stationary(p):
+    """Left fixed point by Grassmann-Taksar-Heyman elimination (1985): no
+    subtractions, so accurate to rounding on any irreducible chain.  O(n^3)
+    in numpy rank-one updates; an oracle for small n only."""
+    a = np.array(p, dtype=float)
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 class TestSolveBridge:
@@ -203,6 +236,71 @@ class TestStationaryDistribution:
         p = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")
         with pytest.raises(ConvergenceError):
             stationary_distribution(p, tol=1e-30, max_iter=2)
+
+    def test_tolerance_below_rounding_raises_from_the_direct_solve(self):
+        p = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")
+        with pytest.raises(ConvergenceError, match="direct solve"):
+            stationary_distribution(p, tol=1e-30)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+    def test_two_cluster_dmap_meets_tol(self, beta):
+        # the step-size stop rule missed tol here by 7.7x, 20x and 40x
+        _, d2 = two_cluster_geometry(120)
+        kernel = rbf_kernel(d2, beta).values
+        degrees = kernel.sum(axis=1) / kernel.sum()
+        pi = stationary_distribution(dmap(d2, beta))
+        assert np.abs(pi - degrees).max() <= 1e-12
+
+    def test_400_point_two_cluster_dmap_meets_tol(self):
+        _, d2 = two_cluster_geometry(400)
+        kernel = rbf_kernel(d2, 1.0).values
+        degrees = kernel.sum(axis=1) / kernel.sum()
+        pi = stationary_distribution(dmap(d2, 1.0))
+        assert np.abs(pi - degrees).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed, n, beta", [(269, 22, 1.0), (333, 40, 2.0), (22, 16, 1.2)])
+    def test_slow_mode_behind_a_fast_one_at_loose_tol(self, seed, n, beta):
+        # 1-D clouds whose early steps shrink at the rate of a faster mode;
+        # a bound read off those steps certified errors up to 1.6 tol
+        points = np.random.default_rng(seed).standard_normal((n, 1))
+        d2 = squared_distance(bidivergence(gram(DataCloud(points))))
+        kernel = rbf_kernel(d2, beta).values
+        degrees = kernel.sum(axis=1) / kernel.sum()
+        pi = stationary_distribution(dmap(d2, beta), tol=1e-4)
+        assert np.abs(pi - degrees).max() <= 1e-4
+
+    @pytest.mark.parametrize("seed, beta, offset", [
+        (0, 1.0, 3.0), (1, 0.3, 3.0), (2, 0.3, 0.0), (3, 0.1, 0.0), (4, 0.05, 0.0)])
+    def test_forward_attention_against_gth(self, seed, beta, offset):
+        # non-reversible chains: the split clouds end on the direct solve, the
+        # single clusters on the power path; both within tol of the GTH point
+        biv, _ = two_cluster_geometry(120, seed=seed, offset=offset, weighted=True)
+        a_plus = attention_forward(biv, beta)
+        for tol in (1e-12, 1e-10):
+            pi = stationary_distribution(a_plus, tol=tol)
+            assert np.abs(pi - gth_stationary(a_plus.values)).max() <= tol
+
+    def test_one_debug_record_names_the_path(self, caplog):
+        fast, _ = two_cluster_geometry(120, seed=3, offset=0.0, weighted=True)
+        _, slow = two_cluster_geometry(120)
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            stationary_distribution(attention_forward(fast, 0.1))
+            stationary_distribution(dmap(slow, 1.0))
+        power, direct = [r.getMessage() for r in caplog.records]
+        assert power.startswith("stationary measure: ") and "power steps, rho 0." in power
+        assert direct.startswith("stationary measure: direct solve after 5 power steps")
+        assert "error bound" in power and "error bound" in direct
+
+    def test_nearly_decomposable_chain_raises(self):
+        # two blocks coupled at 1e-9: no residual in double precision pins the
+        # fixed point to 1e-12, so the solver raises instead of guessing
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.5, 1.5, (8, 8))
+        p[:4, 4:] *= 1e-9
+        p[4:, :4] *= 3e-9
+        p /= p.sum(axis=1, keepdims=True)
+        with pytest.raises(ConvergenceError, match="direct solve"):
+            stationary_distribution(StochasticOperator(p, "row"))
 
     def test_rejects_operators_with_zero_entries(self):
         p = StochasticOperator(np.array([[1.0, 0.0], [0.5, 0.5]]), "row")

@@ -558,6 +558,28 @@ class TestExitCodes:
         assert "beta" in capsys.readouterr().err
 
 
+class TestSolverLogging:
+    def test_debug_level_logs_solvers_and_leaves_outputs_unchanged(self, tmp_path, cloud_csv,
+                                                                   marginal_csv):
+        cloud_path, _ = cloud_csv
+        mu_path, _ = marginal_csv
+        outputs, stderr = {}, {}
+        for level in ("warn", "debug"):
+            out = tmp_path / level
+            argv = ["bridge", "--input", str(cloud_path), "--beta", "1", "--kernel", "attention",
+                    "--mu-plus", "stationary", "--mu-minus", str(mu_path), "--out-dir", str(out)]
+            env = dict(os.environ, MG_LOG_LEVEL=level,
+                       PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+            run = subprocess.run([sys.executable, "-m", "markovgeom", *argv], env=env,
+                                 check=True, capture_output=True, text=True, timeout=120)
+            outputs[level] = {p.name: p.read_bytes() for p in out.iterdir()}
+            stderr[level] = run.stderr.splitlines()
+        assert outputs["debug"] == outputs["warn"]
+        assert stderr["warn"] == []
+        names = [line.split(":")[0] for line in stderr["debug"]]
+        assert names == ["DEBUG markovgeom.bridges", "DEBUG markovgeom.normalize"]
+
+
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):
         env = dict(os.environ, PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))

@@ -1,5 +1,7 @@
 """Softmax, product of experts, and the stabilized matrix scalers."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.special
@@ -45,10 +47,29 @@ def marginal_violation(matrix, rows, cols):
                float(np.abs(matrix.sum(axis=0) - cols).max()))
 
 
-def cloud_geometry(n, d, seed):
+def cloud_geometry(n, d, seed, offset=0.0):
+    """Gaussian cloud; ``offset`` moves its second half along axis 0 into a
+    separate cluster, which makes the scaling sweeps contract slowly."""
     points = np.random.default_rng(seed).standard_normal((n, d))
+    points[n // 2:, 0] += offset
     biv = bidivergence(gram(DataCloud(points)))
     return biv, squared_distance(biv)
+
+
+# sweeps of plain alternating scaling on the 120-point two-cluster cloud
+# (seed 0, offset 3) at beta 0.5, 1 and 1.5: sinkhorn, then schrodinger_solve
+# between _TWO_CLUSTER_MARGINALS
+_PLAIN_SWEEPS = {0.5: (53, 71), 1.0: (114, 160), 1.5: (187, 256)}
+_TWO_CLUSTER_MARGINALS = np.random.default_rng(1).dirichlet(np.full(120, 50.0), size=2)
+
+
+def two_cluster_scalings(beta):
+    biv, d2 = cloud_geometry(120, 3, 0, offset=3.0)
+    operator, potentials = sinkhorn(-beta * biv.fwd)
+    kernel = np.exp(-beta * d2)
+    bridge = schrodinger_solve(kernel, *_TWO_CLUSTER_MARGINALS)
+    coupling = bridge.u[:, None] * kernel * bridge.v[None, :]
+    return operator, potentials, coupling, bridge
 
 
 _Z = np.random.default_rng(43).standard_normal((6, 6))
@@ -363,6 +384,35 @@ class TestScalingCore:
             potentials = schrodinger_solve(kernel, mu_plus, mu_minus)
             coupling = potentials.u[:, None] * kernel * potentials.v[None, :]
             assert abs(potentials.residual - marginal_violation(coupling, mu_plus, mu_minus)) <= bound
+
+    def test_reported_residual_holds_with_over_relaxation(self, caplog):
+        n = 120
+        bound = 4 * n * np.finfo(float).eps
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            operator, potentials, coupling, bridge = two_cluster_scalings(1.0)
+        omegas = [float(r.getMessage().split("omega ")[1].split(",")[0]) for r in caplog.records]
+        assert len(omegas) == 2 and min(omegas) > 1.0
+        assert abs(potentials.residual - marginal_violation(operator.values, 1.0, 1.0)) <= bound
+        assert abs(bridge.residual - marginal_violation(coupling, *_TWO_CLUSTER_MARGINALS)) <= bound
+
+    @pytest.mark.parametrize("beta", sorted(_PLAIN_SWEEPS))
+    def test_over_relaxation_halves_the_sweeps(self, beta):
+        operator, potentials, coupling, bridge = two_cluster_scalings(beta)
+        plain_sinkhorn, plain_bridge = _PLAIN_SWEEPS[beta]
+        assert potentials.iterations <= plain_sinkhorn // 2
+        assert bridge.iterations <= plain_bridge // 2
+        assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-10
+        assert marginal_violation(coupling, *_TWO_CLUSTER_MARGINALS) <= 1e-10
+
+    def test_one_debug_record_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            _, potentials = sinkhorn(_Z)
+            with pytest.raises(ConvergenceError):
+                sinkhorn(_Z, tol=1e-30, max_iter=16)
+        converged, stalled = [r.getMessage() for r in caplog.records]
+        assert converged.startswith(f"scaling converged: {potentials.iterations} sweeps, 1 absorptions")
+        assert f"residual {potentials.residual:.3e}" in converged
+        assert stalled.startswith("scaling stalled: 16 sweeps")
 
     @pytest.mark.parametrize("n, d, seed, beta, attention_converges", [
         (60, 2, 0, 10.0, True),    # logits span about 200 nats

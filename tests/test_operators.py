@@ -15,6 +15,7 @@ from markovgeom.normalize import ConvergenceError, StochasticOperator, softmax_r
 from markovgeom.operators import (
     ComplexOperator,
     _max_hermitian_gap,
+    _polar,
     attention_backward,
     attention_bistochastic,
     attention_forward,
@@ -284,7 +285,36 @@ class TestMagneticOperator:
         with pytest.raises(ValueError, match="antisymmetric"):
             magnetic_operator(p, np.ones(d2.shape))
 
+    def test_rejects_antisymmetry_violation_in_a_far_tile(self):
+        rng = np.random.default_rng(71)
+        _, _, d2 = random_geometry(72, n=600)
+        p = dmap(d2, beta=1.0)
+        raw = rng.standard_normal(d2.shape)
+        theta = raw - raw.T
+        magnetic_operator(p, theta)
+        theta[3, 590] += 1e-9
+        with pytest.raises(ValueError, match=r"antisymmetric \(violation 1\.000e-09\)"):
+            magnetic_operator(p, theta)
+        assert _max_hermitian_gap(theta, antisymmetric=True) == float(np.abs(theta + theta.T).max())
+        theta[599, 1] = np.nan
+        assert np.isnan(_max_hermitian_gap(theta, antisymmetric=True))
+        with pytest.raises(ValueError, match="non-finite"):
+            magnetic_operator(p, theta)
+
     def test_rejects_column_operator(self):
         col = StochasticOperator(np.full((2, 2), 0.5), "column")
         with pytest.raises(ValueError, match="row"):
             ComplexOperator(col, np.zeros((2, 2)))
+
+
+class TestPolar:
+    def test_matches_the_complex_exponential_within_two_ulp(self):
+        rng = np.random.default_rng(73)
+        theta = np.concatenate([[0.0, -0.0, np.pi, -np.pi, 1e3, -1e3],
+                                rng.uniform(-50.0, 50.0, 994)]).reshape(10, 100)
+        magnitude = rng.uniform(0.0, 2.0, theta.shape)
+        reference = magnitude * np.exp(1j * theta)
+        out = _polar(magnitude, theta)
+        assert out.dtype == complex and out.shape == theta.shape
+        for got, want in ((out.real, reference.real), (out.imag, reference.imag)):
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
