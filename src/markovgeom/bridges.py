@@ -30,7 +30,7 @@ from .normalize import (
     schrodinger_solve,
     softmax_rows,
 )
-from .operators import ComplexOperator, _polar, dmap, rbf_kernel
+from .operators import ComplexOperator, _polar, directional_kernels, dmap, rbf_kernel
 
 # currents below this fraction of the largest flux count as zero when
 # separating equilibrium from steady-state circulation
@@ -303,9 +303,10 @@ def classify_regime(
     mu_plus = _validate_probability(mu_plus, n, "mu_plus")
     mu_minus = _validate_probability(mu_minus, n, "mu_minus")
     marginal_gap = float(np.abs(mu_plus - mu_minus).max())
-    j = currents(p, mu_plus)
+    flux = mu_plus[:, None] * p.values
+    j = flux - flux.T
     max_current = float(np.abs(j).max())
-    threshold = CURRENT_ZERO_FRACTION * float((mu_plus[:, None] * p.values).max())
+    threshold = CURRENT_ZERO_FRACTION * float(flux.max())
     stationarity_residual = float(np.abs(mu_plus @ p.values - mu_plus).max())
     if marginal_gap > tol:
         regime = "NE"
@@ -380,9 +381,7 @@ def attention_bridge(
     h = u_minus.  Choosing mu_minus = mu_plus @ A_plus makes it coincide with
     the plain forward attention map.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    kernel = np.exp(-beta * bidiv.fwd)
+    kernel, _ = directional_kernels(bidiv, beta)
     return solve_bridge(kernel, mu_plus, mu_minus, tol=tol, max_iter=max_iter)
 
 

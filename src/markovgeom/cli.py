@@ -440,19 +440,24 @@ def _config_echo(args, beta: float | None = None) -> dict:
     return config
 
 
-def _marginal_for(source: str, n: int, args, d2: np.ndarray, biv, beta: float) -> np.ndarray:
-    """Resolve a marginal argument: a CSV path or the keyword 'stationary'.
+def _marginals(args, n: int, d2: np.ndarray, biv, beta: float, a_plus=None):
+    """Resolve --mu-plus and --mu-minus, each a CSV path or 'stationary'.
 
     'stationary' uses the intrinsic distribution of the selected kernel: the
     normalized kernel row sums for the distance kernel, the stationary
-    measure of forward attention for the directional kernel.
+    measure of forward attention ``a_plus`` (built when not given) for the
+    directional kernel.  Equal arguments are resolved once.
     """
-    if source != "stationary":
-        return load_marginal(source, n, args.skip_header)
-    if getattr(args, "kernel", "rbf") == "attention":
-        a_plus = attention_forward(biv, beta)
-        return stationary_distribution(a_plus, tol=args.tol, max_iter=args.max_iter)
-    return _normalized_degrees(rbf_kernel(d2, beta).values)
+    def resolve(source):
+        if source != "stationary":
+            return load_marginal(source, n, args.skip_header)
+        if args.kernel == "attention":
+            operator = a_plus if a_plus is not None else attention_forward(biv, beta)
+            return stationary_distribution(operator, tol=args.tol, max_iter=args.max_iter)
+        return _normalized_degrees(rbf_kernel(d2, beta).values)
+
+    mu_plus = resolve(args.mu_plus)
+    return mu_plus, mu_plus if args.mu_minus == args.mu_plus else resolve(args.mu_minus)
 
 
 def _row_residual(values: np.ndarray) -> float:
@@ -546,8 +551,7 @@ def cmd_bridge(args) -> int:
     cloud, _, biv, d2 = _load_geometry(args)
     beta = _resolve_beta(args.beta, d2)
     n = cloud.n_samples
-    mu_plus = _marginal_for(args.mu_plus, n, args, d2, biv, beta)
-    mu_minus = _marginal_for(args.mu_minus, n, args, d2, biv, beta)
+    mu_plus, mu_minus = _marginals(args, n, d2, biv, beta)
     if args.kernel == "rbf":
         kernel = rbf_kernel(d2, beta).values
         bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
@@ -589,8 +593,8 @@ def cmd_classify(args) -> int:
     beta = _resolve_beta(args.beta, d2)
     n = cloud.n_samples
     operator = dmap(d2, beta) if args.kernel == "rbf" else attention_forward(biv, beta)
-    mu_plus = _marginal_for(args.mu_plus, n, args, d2, biv, beta)
-    mu_minus = _marginal_for(args.mu_minus, n, args, d2, biv, beta)
+    a_plus = operator if args.kernel == "attention" else None
+    mu_plus, mu_minus = _marginals(args, n, d2, biv, beta, a_plus)
     regime = classify_regime(operator, mu_plus, mu_minus)
     report = {
         "command": "classify",

@@ -6,12 +6,12 @@ generalized Gram matrix.  Each part is zero on the diagonal and may be
 negative off it, but their sum is always the symmetric (Mahalanobis) squared
 distance, to which only the symmetric part of the weight matrix contributes.
 
-Convention note: with the diagonal-shift split used here the forward and
-backward parts are exact mutual transposes for *every* weight matrix, plain or
-generalized; any split of diagonal-shift form that sums to a symmetric
-distance forces this relation.  The genuinely asymmetric information lives in
-the antisymmetric part of the generalized Gram matrix itself, which is
-exposed separately through ``hermitian_partition`` and ``edge_phases``.
+Convention note: the diagonal-shift split makes the backward part the
+transpose of the forward one for *every* weight matrix, bwd[i, j] = G[j, j] -
+G[j, i] = fwd[j, i], so ``Bidivergence`` stores ``fwd`` alone and reads ``bwd``
+as the view ``fwd.T``: an inconsistent pair cannot be built.  The genuinely
+asymmetric information lives in the antisymmetric part of the generalized Gram
+matrix, exposed through ``hermitian_partition`` and ``edge_phases``.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class DataCloud:
 class InteractionWeights:
     """Square feature-interaction matrix, optionally built from a factor pair.
 
-    When constructed via :meth:`from_factors` the materialized product
-    ``query_factor @ key_factor.T`` is what every downstream operation uses;
-    the factors are retained only for reference.
+    Built by :meth:`from_factors`, it keeps the factors next to the product
+    ``query_factor @ key_factor.T``: ``generalized_gram`` forms the query-key
+    scores from the factors, and only what needs W itself reads ``matrix``.
     """
 
     matrix: np.ndarray
@@ -118,11 +118,9 @@ class HermitianPartition:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Pairwise inner-product matrix; ``generalized`` marks a weighted product
-    that carries no symmetry guarantee."""
+    """Pairwise inner-product matrix, not symmetric when weighted."""
 
     values: np.ndarray
-    generalized: bool = False
 
     def __post_init__(self):
         vals = _as_finite_matrix(self.values, "gram values")
@@ -133,20 +131,20 @@ class GramMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Bidivergence:
-    """Forward/backward signed divergence pair with exactly zero diagonals."""
+    """Signed divergence pair: a forward part with zero diagonal, and its transpose."""
 
     fwd: np.ndarray
-    bwd: np.ndarray
 
     def __post_init__(self):
         fwd = _as_finite_matrix(self.fwd, "forward divergence")
-        bwd = _as_finite_matrix(self.bwd, "backward divergence")
-        if fwd.shape != bwd.shape or fwd.shape[0] != fwd.shape[1]:
-            raise ValueError("divergence parts must be square matrices of equal shape")
-        if np.any(np.diag(fwd) != 0.0) or np.any(np.diag(bwd) != 0.0):
-            raise ValueError("divergence parts must have exactly zero diagonals")
+        if fwd.shape[0] != fwd.shape[1] or np.any(np.diag(fwd) != 0.0):
+            raise ValueError("divergence must be square with an exactly zero diagonal")
         object.__setattr__(self, "fwd", fwd)
-        object.__setattr__(self, "bwd", bwd)
+
+    @property
+    def bwd(self) -> np.ndarray:
+        """Backward part bwd[i, j] = fwd[j, i], a view sharing fwd's memory."""
+        return self.fwd.T
 
     @property
     def n(self) -> int:
@@ -155,17 +153,20 @@ class Bidivergence:
 
 def gram(cloud: DataCloud) -> GramMatrix:
     """Plain Gram matrix R R^T of the sample rows."""
-    return GramMatrix(cloud.points @ cloud.points.T, generalized=False)
+    return GramMatrix(cloud.points @ cloud.points.T)
 
 
 def generalized_gram(cloud: DataCloud, weights: InteractionWeights) -> GramMatrix:
-    """Weighted Gram matrix R W R^T; reduces to ``gram`` when W is the identity."""
+    """Weighted Gram matrix R W R^T, or (R W_Q)(R W_K)^T for factored weights."""
     if weights.dim != cloud.n_features:
         raise ValueError(
             f"weight dimension {weights.dim} does not match "
             f"feature dimension {cloud.n_features}"
         )
-    return GramMatrix(cloud.points @ weights.matrix @ cloud.points.T, generalized=True)
+    r = cloud.points
+    if weights.query_factor is not None:
+        return GramMatrix((r @ weights.query_factor) @ (r @ weights.key_factor).T)
+    return GramMatrix(r @ weights.matrix @ r.T)
 
 
 def hermitian_partition(weights: InteractionWeights) -> HermitianPartition:
@@ -177,18 +178,17 @@ def hermitian_partition(weights: InteractionWeights) -> HermitianPartition:
 def bidivergence(gram_matrix: GramMatrix) -> Bidivergence:
     """Diagonal-shift split of a Gram matrix into a signed divergence pair.
 
-    fwd[i, j] = G[i, i] - G[i, j] and bwd[i, j] = G[j, j] - G[j, i].  The
-    orientation is chosen so that a row softmax of ``-beta * fwd`` reproduces
-    the row softmax of the raw scaled scores ``beta * G`` (the diagonal term
-    is a per-row shift the softmax ignores).
+    fwd[i, j] = G[i, i] - G[i, j], and bwd[i, j] = G[j, j] - G[j, i] is its
+    transpose.  The orientation is chosen so that a row softmax of
+    ``-beta * fwd`` reproduces the row softmax of the raw scaled scores
+    ``beta * G`` (the diagonal term is a per-row shift the softmax ignores).
     """
     g = gram_matrix.values
-    d = np.diag(g).copy()
-    return Bidivergence(fwd=d[:, None] - g, bwd=d[None, :] - g.T)
+    return Bidivergence(np.diag(g)[:, None] - g)
 
 
 def squared_distance(bidiv: Bidivergence) -> np.ndarray:
-    """Symmetric squared-distance matrix fwd + bwd (zero diagonal)."""
+    """fwd + fwd^T: exactly symmetric with the exactly zero diagonal of fwd."""
     return bidiv.fwd + bidiv.bwd
 
 

@@ -162,9 +162,13 @@ def directional_kernels(bidiv: Bidivergence, beta: float) -> tuple[np.ndarray, n
 
     Both have unit diagonals; entries can exceed 1 where the signed divergence
     is negative.  Their Hadamard product is the symmetric distance kernel.
+    The backward kernel is the view ``fwd.T``; overflow raises ``ValueError``.
     """
     beta = _validate_beta(beta)
-    return np.exp(-beta * bidiv.fwd), np.exp(-beta * bidiv.bwd)
+    k = np.exp(-beta * bidiv.fwd)
+    if np.isinf(k).any():
+        raise ValueError(f"directional kernel overflowed at beta={beta:g}; reduce beta")
+    return k, k.T
 
 
 def attention_forward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
@@ -197,13 +201,10 @@ def attention_bistochastic(
     cross-relation is asserted in general.
     """
     beta = _validate_beta(beta)
-    if direction == "fwd":
-        logits = -beta * bidiv.fwd
-    elif direction == "bwd":
-        logits = -beta * bidiv.bwd
-    else:
+    if direction not in ("fwd", "bwd"):
         raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    operator, _ = sinkhorn(logits, tol=tol, max_iter=max_iter)
+    divergence = bidiv.fwd if direction == "fwd" else bidiv.bwd
+    operator, _ = sinkhorn(-beta * divergence, tol=tol, max_iter=max_iter)
     return operator
 
 

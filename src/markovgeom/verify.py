@@ -125,6 +125,11 @@ def _max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
+def _plain_geometry(cloud: DataCloud):
+    biv = bidivergence(gram(cloud))
+    return biv, squared_distance(biv)
+
+
 def check_bidivergence_identity(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 1)
     worst_split = 0.0
@@ -133,8 +138,7 @@ def check_bidivergence_identity(cloud: DataCloud, beta: float) -> CheckResult:
         n = int(rng.integers(4, 25))
         d = int(rng.integers(1, 9))
         sample = _random_cloud(rng, n, d)
-        biv = bidivergence(gram(sample))
-        d2 = squared_distance(biv)
+        biv, d2 = _plain_geometry(sample)
         worst_split = max(worst_split, _max_abs(biv.fwd + biv.bwd - d2))
         x = sample.points
         oracle = ((x[:, None] - x[None]) ** 2).sum(-1)
@@ -190,8 +194,7 @@ def check_poe_theorem(cloud: DataCloud, beta: float) -> CheckResult:
 
 
 def check_kernel_factorization(cloud: DataCloud, beta: float) -> CheckResult:
-    biv = bidivergence(gram(cloud))
-    d2 = squared_distance(biv)
+    biv, d2 = _plain_geometry(cloud)
     kernel = rbf_kernel(d2, beta).values
     fwd, bwd = directional_kernels(biv, beta)
     dev = _max_abs(kernel - fwd * bwd)
@@ -219,8 +222,7 @@ def check_sb_factorization(cloud: DataCloud, beta: float) -> CheckResult:
 def check_poe_factorization(cloud: DataCloud, beta: float) -> CheckResult:
     worst = 0.0
     for sample in _sweep_clouds(_SEED + 5):
-        biv = bidivergence(gram(sample))
-        d2 = squared_distance(biv)
+        biv, d2 = _plain_geometry(sample)
         for b in _SWEEP_BETAS:
             worst = max(worst, _max_abs(poe_factorization(biv, b).values - dmap(d2, b).values))
     parts = [_part("expert-product factorization equals the diffusion operator", worst, 1e-12)]
@@ -228,8 +230,7 @@ def check_poe_factorization(cloud: DataCloud, beta: float) -> CheckResult:
 
 
 def check_dmap_equilibrium(cloud: DataCloud, beta: float) -> CheckResult:
-    biv = bidivergence(gram(cloud))
-    d2 = squared_distance(biv)
+    _, d2 = _plain_geometry(cloud)
     operator = dmap(d2, beta)
     pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     stationarity = _max_abs(pi @ operator.values - pi)
@@ -249,7 +250,7 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
     # contract is about the scaler itself
     rng = np.random.default_rng(_SEED + 8)
     sample = _random_cloud(rng, 10, 3)
-    sample_d2 = squared_distance(bidivergence(gram(sample)))
+    sample_d2 = _plain_geometry(sample)[1]
     scaled, _ = sinkhorn(-1.0 * sample_d2, tol=1e-12)
     residual = _marginal_violation(scaled.values, 1.0, 1.0)
 
@@ -280,8 +281,7 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
 
 def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 9)
-    biv = bidivergence(gram(cloud))
-    d2 = squared_distance(biv)
+    _, d2 = _plain_geometry(cloud)
     kernel = rbf_kernel(d2, beta).values
     n = cloud.n_samples
     mu_plus = _random_marginal(rng, n)
@@ -309,8 +309,7 @@ def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
 
 def check_doob_transform(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 10)
-    biv = bidivergence(gram(cloud))
-    d2 = squared_distance(biv)
+    _, d2 = _plain_geometry(cloud)
     operator = dmap(d2, beta)
     neutral_dev = _max_abs(doob_transform(operator, np.ones(cloud.n_samples)).values - operator.values)
 
@@ -424,8 +423,7 @@ def _spectrum_parts(label: str, operator, pi) -> list[dict]:
 
 
 def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
-    biv = bidivergence(gram(cloud))
-    d2 = squared_distance(biv)
+    _, d2 = _plain_geometry(cloud)
     operator = dmap(d2, beta)
     pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     parts = _spectrum_parts("diffusion operator", operator, pi)
@@ -434,7 +432,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     # of a near-decomposable input kernel may not converge in reasonable time
     rng = np.random.default_rng(_SEED + 13)
     sample = _random_cloud(rng, 10, 3)
-    sample_d2 = squared_distance(bidivergence(gram(sample)))
+    sample_d2 = _plain_geometry(sample)[1]
     bistochastic = dmap_bistochastic(sample_d2, 1.0, tol=1e-12)
     parts += _spectrum_parts(
         "bistochastic diffusion operator", bistochastic, np.full(10, 0.1)
@@ -476,8 +474,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
 
     base = np.array([[0.0, 0.0], [0.1, 0.05], [-0.07, 0.09], [0.05, -0.08]])
     clusters = DataCloud(np.vstack([base, base + np.array([6.0, 0.0])]))
-    cbiv = bidivergence(gram(clusters))
-    cd2 = squared_distance(cbiv)
+    _, cd2 = _plain_geometry(clusters)
     cop = dmap(cd2, 1.0)
     cpi = _normalized_degrees(rbf_kernel(cd2, 1.0).values)
     cdec = decompose(conjugate_symmetrize(cop, cpi), cpi)

@@ -579,6 +579,37 @@ class TestSolverLogging:
         names = [line.split(":")[0] for line in stderr["debug"]]
         assert names == ["DEBUG markovgeom.bridges", "DEBUG markovgeom.normalize"]
 
+    @pytest.mark.parametrize("command, output", [("classify", "currents.csv"),
+                                                 ("bridge", "coupling.csv")])
+    def test_equal_stationary_marginals_are_solved_once(self, tmp_path, command, output):
+        rng = np.random.default_rng(133)
+        points, w = rng.standard_normal((6, 3)), rng.standard_normal((3, 3))
+        cloud_path, weights_path = tmp_path / "cloud.csv", tmp_path / "w.csv"
+        write_matrix_csv(cloud_path, points)
+        write_matrix_csv(weights_path, w)
+        out = tmp_path / "out"
+        argv = [command, "--input", str(cloud_path), "--weights", str(weights_path),
+                "--beta", "1", "--kernel", "attention", "--mu-plus", "stationary",
+                "--mu-minus", "stationary", "--out-dir", str(out)]
+        env = dict(os.environ, MG_LOG_LEVEL="debug",
+                   PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-m", "markovgeom", *argv], env=env,
+                             check=True, capture_output=True, text=True, timeout=120)
+        records = [line for line in run.stderr.splitlines() if "stationary measure" in line]
+        assert len(records) == 1
+        # the output equals the library result with both marginals solved separately
+        biv = markovgeom.bidivergence(markovgeom.generalized_gram(
+            load_cloud(cloud_path), cli.load_weights(weights_path)))
+        a_plus = markovgeom.attention_forward(biv, 1.0)
+        mu_plus = markovgeom.stationary_distribution(a_plus, tol=1e-10)
+        mu_minus = markovgeom.stationary_distribution(a_plus, tol=1e-10)
+        if command == "classify":
+            expected = markovgeom.classify_regime(a_plus, mu_plus, mu_minus).currents
+        else:
+            expected = markovgeom.attention_bridge(biv, 1.0, mu_plus, mu_minus).coupling
+        write_matrix_csv(tmp_path / "expected.csv", expected)
+        assert (out / output).read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
 
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):

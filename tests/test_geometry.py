@@ -15,6 +15,7 @@ from markovgeom.geometry import (
     hermitian_partition,
     squared_distance,
 )
+from markovgeom.verify import check_attention_equivalence
 
 
 def gram_oracle(points):
@@ -70,7 +71,6 @@ class TestGram:
     def test_orthonormal_rows(self):
         g = gram(DataCloud(np.eye(2)))
         np.testing.assert_array_equal(g.values, np.eye(2))
-        assert not g.generalized
 
     def test_scalar_products(self):
         g = gram(DataCloud(np.array([[1.0], [2.0]])))
@@ -89,7 +89,6 @@ class TestGeneralizedGram:
         cloud = DataCloud(rng.standard_normal((5, 3)))
         weighted = generalized_gram(cloud, InteractionWeights(np.eye(3)))
         np.testing.assert_allclose(weighted.values, gram(cloud).values, atol=1e-14)
-        assert weighted.generalized
 
     def test_identity_data_passes_weights_through(self):
         w = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -118,6 +117,22 @@ class TestInteractionWeights:
         weights = InteractionWeights.from_factors(wq, wk)
         np.testing.assert_allclose(weights.matrix, wq @ wk.T, atol=1e-15)
         assert weights.query_factor is wq or np.array_equal(weights.query_factor, wq)
+
+    def test_factored_gram_associates_like_attention_scores(self):
+        # the query-key association (R W_Q)(R W_K)^T keeps the divergence path
+        # within 1e-12 of the raw softmax on this wide cloud; R (W_Q W_K^T) R^T
+        # gave 1.03e-12 here
+        rng = np.random.default_rng(19)
+        pts = rng.standard_normal((200, 128))
+        wq = rng.standard_normal((128, 127))
+        wk = rng.standard_normal((128, 127))
+        cloud = DataCloud(pts)
+        weights = InteractionWeights.from_factors(wq, wk)
+        np.testing.assert_array_equal(
+            generalized_gram(cloud, weights).values, (pts @ wq) @ (pts @ wk).T
+        )
+        check = check_attention_equivalence(cloud, 1.0)
+        assert check.passed, check.parts
 
     def test_factor_shape_mismatch(self):
         with pytest.raises(ValueError, match="factor"):
@@ -163,7 +178,7 @@ class TestBidivergence:
         np.testing.assert_array_equal(biv.fwd + biv.bwd, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_signed_entries_from_asymmetric_gram(self):
-        biv = bidivergence(GramMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), generalized=True))
+        biv = bidivergence(GramMatrix(np.array([[0.0, 1.0], [2.0, 0.0]])))
         np.testing.assert_array_equal(biv.fwd, [[0.0, -1.0], [-2.0, 0.0]])
         np.testing.assert_array_equal(biv.bwd, [[0.0, -2.0], [-1.0, 0.0]])
         total = biv.fwd + biv.bwd
@@ -171,12 +186,12 @@ class TestBidivergence:
 
     def test_self_zero_is_exact(self):
         rng = np.random.default_rng(18)
-        biv = bidivergence(GramMatrix(rng.standard_normal((6, 6)), generalized=True))
+        biv = bidivergence(GramMatrix(rng.standard_normal((6, 6))))
         assert np.all(np.diag(biv.fwd) == 0.0)
         assert np.all(np.diag(biv.bwd) == 0.0)
 
     def test_parts_are_mutual_transposes(self):
-        # holds for plain and generalized geometry under this convention
+        # holds for plain and generalized geometry: bwd is a view of fwd
         rng = np.random.default_rng(19)
         cloud = DataCloud(rng.standard_normal((7, 4)))
         plain = bidivergence(gram(cloud))
@@ -185,10 +200,21 @@ class TestBidivergence:
             generalized_gram(cloud, InteractionWeights(rng.standard_normal((4, 4))))
         )
         np.testing.assert_array_equal(weighted.fwd, weighted.bwd.T)
+        assert np.shares_memory(weighted.bwd, weighted.fwd)
+
+    def test_backward_part_is_derived(self):
+        biv = Bidivergence(np.array([[0.0, 3.0], [-1.0, 0.0]]))
+        np.testing.assert_array_equal(biv.bwd, [[0.0, -1.0], [3.0, 0.0]])
+        with pytest.raises(AttributeError):
+            biv.bwd = np.zeros((2, 2))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            Bidivergence(np.ones((2, 2)), np.zeros((2, 2)))
+            Bidivergence(np.ones((2, 2)))
+
+    def test_rejects_rectangular(self):
+        with pytest.raises(ValueError, match="square"):
+            Bidivergence(np.zeros((2, 3)))
 
 
 class TestSquaredDistance:

@@ -112,6 +112,21 @@ class TestDirectionalKernels:
         np.testing.assert_array_equal(np.diag(fwd), np.ones(biv.n))
         np.testing.assert_array_equal(np.diag(bwd), np.ones(biv.n))
 
+    def test_backward_kernel_is_the_forward_transpose(self):
+        _, biv, _ = random_geometry(55)
+        fwd, bwd = directional_kernels(biv, beta=0.7)
+        np.testing.assert_array_equal(bwd, np.exp(-0.7 * biv.bwd))
+        assert np.shares_memory(fwd, bwd)
+
+    def test_overflow_raises_instead_of_nan_product(self):
+        # two points far from the origin: a unit distance but signed
+        # divergences of -1000 and 1001, so exp(1000) overflows while the
+        # distance kernel exp(-1) is fine; inf * exp(-1001) = inf * 0 is NaN
+        biv = bidivergence(gram(DataCloud(np.array([[1000.0], [1001.0]]))))
+        assert rbf_kernel(squared_distance(biv), 1.0).values[0, 1] == np.exp(-1.0)
+        with pytest.raises(ValueError, match="overflow"):
+            directional_kernels(biv, beta=1.0)
+
 
 class TestAttentionForward:
     def test_zero_divergence_gives_uniform_rows(self):
