@@ -22,9 +22,7 @@ from .normalize import (
     ConvergenceError,
     ScalingPotentials,
     StochasticOperator,
-    _RATE_WINDOW,
     _marginal_violation,
-    _recent_ratios,
     logsumexp,
     poe_combine,
     schrodinger_solve,
@@ -36,12 +34,9 @@ from .operators import ComplexOperator, _polar, directional_kernels, dmap, rbf_k
 # separating equilibrium from steady-state circulation
 CURRENT_ZERO_FRACTION = 1e-9
 
-# one LU solve of the n x n bordered system costs about as much as n / 8 power
-# steps (flop count n / 3; measured on a 2-vCPU host, 60 steps at n = 400 and
-# 150 at n = 2000)
-_LU_STEPS_PER_STATE = 1.0 / 8.0
-# pseudo-random sign vectors whose solves estimate the norm of the bordered inverse
-_NORM_PROBES = 2
+# pseudo-random sign vectors whose solves estimate the norm of the bordered
+# inverse; they share the one LU with the fixed point
+_NORM_PROBES = 8
 
 log = logging.getLogger(__name__)
 
@@ -173,20 +168,30 @@ def _sign_probes(n: int) -> np.ndarray:
     return np.where(z >> np.uint64(63), 1.0, -1.0).reshape(n, _NORM_PROBES)
 
 
-def _direct_stationary(values: np.ndarray, tol: float, steps: int) -> np.ndarray:
-    """Left fixed point from one LU solve of the bordered system A pi = e_n,
-    A = P^T - I with its last row set to ones.
+def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.ndarray:
+    """Left fixed point of a strictly positive row-stochastic operator, within
+    ``tol`` of the exact one in sup norm.
 
-    A residual r = e_n - A pi moves pi by A^{-1} r, so the error is bounded by
-    |A^{-1}| (|r| + sqrt(n) eps |pi|), the second term for the rounding in
-    forming r.  |A^{-1}| is estimated by pseudo-random sign probes solved with
-    pi; a nearly decomposable chain has a huge one, and there a tiny residual
-    certifies nothing.  At most one refinement step; ``ConvergenceError``
-    when the bound still exceeds ``tol``.
+    One LU solve of the bordered system A pi = e_n, A = P^T - I with its last
+    row set to ones; positivity makes the fixed point unique.  The diagonal
+    of A is formed as in GTH elimination, as minus the off-diagonal mass of
+    its column, not as P_ii - 1, so a state whose P_ii rounds to 1 keeps its
+    balance equation.  A residual r = e_n - A pi moves pi by A^{-1} r, so the
+    error is bounded by |A^{-1}| (|r| + sqrt(n) eps |pi|), the second term for
+    the rounding in forming r.  |A^{-1}| is estimated by pseudo-random sign
+    probes solved with pi; a nearly decomposable chain has a huge one, and
+    there a tiny residual certifies nothing.  At most one refinement step;
+    raises ``ConvergenceError`` when the bound still exceeds ``tol``.
     """
+    if p.kind not in ("row", "bi"):
+        raise ValueError("stationary_distribution expects a row-stochastic operator")
+    values = p.values
+    if np.any(values <= 0.0):
+        raise ValueError("operator must be strictly positive for a unique fixed point")
     n = values.shape[0]
     system = values.T.copy()
-    system.flat[:: n + 1] -= 1.0
+    np.fill_diagonal(system, 0.0)
+    np.fill_diagonal(system, -system.sum(axis=0))
     system[-1] = 1.0
     rhs = np.zeros((n, 1 + _NORM_PROBES))
     rhs[-1, 0] = 1.0
@@ -202,83 +207,15 @@ def _direct_stationary(values: np.ndarray, tol: float, steps: int) -> np.ndarray
         if bound <= tol or refined:
             break
         pi += np.linalg.solve(system, residual)
-    log.debug("stationary measure: direct solve after %d power steps, refined %s, "
-              "error bound %.3e", steps, refined, bound)
+    log.debug("stationary measure: direct solve, refined %s, error bound %.3e", refined, bound)
     if bound > tol:
         raise ConvergenceError(
             f"stationary distribution misses tol after a direct solve: error bound "
             f"{bound:.3e} > tol {tol:.3e} (inverse norm {inverse_norm:.1e})",
             residual=bound,
-            iterations=steps,
+            iterations=1,
         )
     return pi
-
-
-def stationary_distribution(
-    p: StochasticOperator, tol: float = 1e-12, max_iter: int = 10_000
-) -> np.ndarray:
-    """Left fixed point of a strictly positive row-stochastic operator, within
-    ``tol`` of the exact one in sup norm.
-
-    Power iteration from the uniform vector; positivity makes the fixed point
-    unique.  Steps that shrink by a factor rho leave the iterate an error of
-    at most s rho / (1 - rho) after a step of size s, so the rate is read
-    off the ratios of the last few steps (their maximum), s is the largest
-    of those steps carried forward at that rate, and the advanced iterate is
-    returned once this bound is at most ``tol / 2``, and not before twice
-    that many steps.  Both margins are for the ratios still rising: a slow
-    mode with a small share surfaces only as the faster ones decay, which
-    left errors up to 1.75 tol at tol 1e-4 without them.  When the steps stop
-    contracting, or the steps still needed would cost more than one LU
-    solve (about n / 8 steps, or more than the ``max_iter`` budget left),
-    the bordered linear system is solved once instead, at O(n^3), and its
-    residual, scaled by an estimate of the inverse's norm, is checked against
-    ``tol`` after at most one refinement step.  Raises ``ConvergenceError``
-    when neither path certifies ``tol`` within ``max_iter`` steps.
-    """
-    if p.kind not in ("row", "bi"):
-        raise ValueError("stationary_distribution expects a row-stochastic operator")
-    values = p.values
-    if np.any(values <= 0.0):
-        raise ValueError("operator must be strictly positive for a unique fixed point")
-    n = values.shape[0]
-    pi = np.full(n, 1.0 / n)
-    step, steps = np.inf, []
-    for iteration in range(1, max_iter + 1):
-        nxt = pi @ values
-        step = float(np.abs(nxt - pi).max())
-        pi = nxt / nxt.sum()
-        steps.append(step)
-        # a step within the rounding of pi @ P leaves a fixed point to rounding,
-        # and past it the step ratios are noise
-        if step <= min(tol, n * np.finfo(float).eps * float(pi.max())):
-            log.debug("stationary measure: %d power steps, step %.3e at rounding level",
-                      iteration, step)
-            return pi
-        ratios = _recent_ratios(steps)
-        if ratios is None:
-            continue
-        rho = max(ratios)
-        if rho >= 1.0:
-            return _direct_stationary(values, tol, iteration)
-        # the last steps carried forward at rate rho bound every later step,
-        # also when an oscillating chain's latest step sits in a dip
-        envelope = max(s * rho**age for age, s in enumerate(reversed(steps[-_RATE_WINDOW - 1:])))
-        bound = envelope * rho / (1.0 - rho)
-        target = tol / 2.0
-        if bound <= target and iteration >= 2 * _RATE_WINDOW:
-            log.debug("stationary measure: %d power steps, rho %.4f, error bound %.3e",
-                      iteration, rho, bound)
-            return pi
-        remaining = np.log(target / bound) / np.log(rho)
-        if remaining > min(_LU_STEPS_PER_STATE * n, max_iter - iteration):
-            return _direct_stationary(values, tol, iteration)
-    raise ConvergenceError(
-        f"stationary distribution stalled at residual {step:.3e} > tol "
-        f"{tol:.3e} after {max_iter} iterations",
-        residual=step,
-        iterations=max_iter,
-    )
 
 
 def currents(p: StochasticOperator, rho) -> np.ndarray:

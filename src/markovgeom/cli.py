@@ -34,8 +34,8 @@ from .bridges import (
 from .geometry import (
     DataCloud,
     InteractionWeights,
+    _gram_phases,
     bidivergence,
-    edge_phases,
     generalized_gram,
     gram,
     squared_distance,
@@ -425,7 +425,7 @@ def _load_geometry(args):
     gram_matrix = generalized_gram(cloud, weights) if weights is not None else gram(cloud)
     biv = bidivergence(gram_matrix)
     d2 = squared_distance(biv)
-    return cloud, weights, biv, d2
+    return cloud, gram_matrix, biv, d2
 
 
 def _config_echo(args, beta: float | None = None) -> dict:
@@ -440,21 +440,18 @@ def _config_echo(args, beta: float | None = None) -> dict:
     return config
 
 
-def _marginals(args, n: int, d2: np.ndarray, biv, beta: float, a_plus=None):
+def _marginals(args, n: int, intrinsic):
     """Resolve --mu-plus and --mu-minus, each a CSV path or 'stationary'.
 
-    'stationary' uses the intrinsic distribution of the selected kernel: the
-    normalized kernel row sums for the distance kernel, the stationary
-    measure of forward attention ``a_plus`` (built when not given) for the
-    directional kernel.  Equal arguments are resolved once.
+    'stationary' is ``intrinsic()``, the intrinsic distribution of the
+    selected kernel: the normalized kernel row sums for the distance kernel,
+    the stationary measure of forward attention for the directional kernel.
+    Equal arguments are resolved once.
     """
     def resolve(source):
-        if source != "stationary":
-            return load_marginal(source, n, args.skip_header)
-        if args.kernel == "attention":
-            operator = a_plus if a_plus is not None else attention_forward(biv, beta)
-            return stationary_distribution(operator, tol=args.tol, max_iter=args.max_iter)
-        return _normalized_degrees(rbf_kernel(d2, beta).values)
+        if source == "stationary":
+            return intrinsic()
+        return load_marginal(source, n, args.skip_header)
 
     mu_plus = resolve(args.mu_plus)
     return mu_plus, mu_plus if args.mu_minus == args.mu_plus else resolve(args.mu_minus)
@@ -551,11 +548,13 @@ def cmd_bridge(args) -> int:
     cloud, _, biv, d2 = _load_geometry(args)
     beta = _resolve_beta(args.beta, d2)
     n = cloud.n_samples
-    mu_plus, mu_minus = _marginals(args, n, d2, biv, beta)
     if args.kernel == "rbf":
         kernel = rbf_kernel(d2, beta).values
+        mu_plus, mu_minus = _marginals(args, n, lambda: _normalized_degrees(kernel))
         bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
     else:
+        mu_plus, mu_minus = _marginals(args, n, lambda: stationary_distribution(
+            attention_forward(biv, beta), tol=args.tol))
         bridge = attention_bridge(biv, beta, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
     regime = classify_regime(bridge.forward, mu_plus, mu_minus)
     report = {
@@ -592,9 +591,14 @@ def cmd_classify(args) -> int:
     cloud, _, biv, d2 = _load_geometry(args)
     beta = _resolve_beta(args.beta, d2)
     n = cloud.n_samples
-    operator = dmap(d2, beta) if args.kernel == "rbf" else attention_forward(biv, beta)
-    a_plus = operator if args.kernel == "attention" else None
-    mu_plus, mu_minus = _marginals(args, n, d2, biv, beta, a_plus)
+    if args.kernel == "rbf":
+        operator = dmap(d2, beta)
+        mu_plus, mu_minus = _marginals(
+            args, n, lambda: _normalized_degrees(rbf_kernel(d2, beta).values))
+    else:
+        operator = attention_forward(biv, beta)
+        mu_plus, mu_minus = _marginals(
+            args, n, lambda: stationary_distribution(operator, tol=args.tol))
     regime = classify_regime(operator, mu_plus, mu_minus)
     report = {
         "command": "classify",
@@ -619,10 +623,10 @@ def cmd_classify(args) -> int:
 def cmd_magnetic(args) -> int:
     if not args.weights:
         raise ValueError("the magnetic command requires --weights")
-    cloud, weights, biv, d2 = _load_geometry(args)
+    cloud, gram_matrix, biv, d2 = _load_geometry(args)
     beta = _resolve_beta(args.beta, d2)
     operator = dmap(d2, beta)
-    theta = edge_phases(cloud, weights, beta)
+    theta = _gram_phases(gram_matrix.values, beta)
     phased = magnetic_operator(operator, theta)
     pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     _, current = magnetic_flux(pi, phased)

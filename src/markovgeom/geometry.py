@@ -202,5 +202,9 @@ def edge_phases(cloud: DataCloud, weights: InteractionWeights, beta: float) -> n
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    g = generalized_gram(cloud, weights).values
+    return _gram_phases(generalized_gram(cloud, weights).values, beta)
+
+
+def _gram_phases(g: np.ndarray, beta: float) -> np.ndarray:
+    """beta * (G - G^T) / 2, the phase field of a weighted Gram matrix G."""
     return beta * (g - g.T) / 2.0

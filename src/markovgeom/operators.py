@@ -147,7 +147,14 @@ def rbf_kernel(d2, beta: float) -> KernelMatrix:
     """Gaussian kernel exp(-beta * d2): unit diagonal, symmetric, positive."""
     beta = _validate_beta(beta)
     d2 = _validate_squared_distance(d2)
-    values = np.exp(-beta * d2)
+    with np.errstate(over="ignore"):
+        values = np.exp(-beta * d2)
+    if np.isinf(values.max()):
+        # negative "squared distances" come from indefinite weighted geometry
+        raise ValueError(
+            f"kernel overflowed: beta={beta:g} times the most negative squared "
+            f"distance {float(d2.min()):g} exceeds the exponential range; reduce beta"
+        )
     if np.any(values == 0.0):
         raise ValueError(
             f"kernel underflowed to zero: beta={beta:g} times the largest "
@@ -165,7 +172,8 @@ def directional_kernels(bidiv: Bidivergence, beta: float) -> tuple[np.ndarray, n
     The backward kernel is the view ``fwd.T``; overflow raises ``ValueError``.
     """
     beta = _validate_beta(beta)
-    k = np.exp(-beta * bidiv.fwd)
+    with np.errstate(over="ignore"):
+        k = np.exp(-beta * bidiv.fwd)
     if np.isinf(k).any():
         raise ValueError(f"directional kernel overflowed at beta={beta:g}; reduce beta")
     return k, k.T

@@ -354,7 +354,7 @@ def check_attention_bridge(cloud: DataCloud, beta: float) -> CheckResult:
     off_bridge = attention_bridge(biv, beta, mu_plus, perturbed, tol=1e-12, max_iter=100_000)
     off_dev = _max_abs(off_bridge.forward.values - a_plus.values)
 
-    pi_plus = stationary_distribution(a_plus, tol=1e-12, max_iter=200_000)
+    pi_plus = stationary_distribution(a_plus, tol=1e-12)
     stationary_bridge = attention_bridge(biv, beta, pi_plus, pi_plus, tol=1e-12, max_iter=100_000)
     report = classify_regime(stationary_bridge.forward, pi_plus, pi_plus)
 

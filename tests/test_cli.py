@@ -610,6 +610,32 @@ class TestSolverLogging:
         write_matrix_csv(tmp_path / "expected.csv", expected)
         assert (out / output).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
+    @pytest.mark.parametrize("counted, argv", [
+        ("generalized_gram", ["magnetic"]),
+        ("rbf_kernel", ["bridge", "--kernel", "rbf", "--mu-plus", "stationary",
+                        "--mu-minus", "stationary"]),
+    ])
+    def test_each_intermediate_is_built_once(self, tmp_path, monkeypatch, counted, argv):
+        rng = np.random.default_rng(134)
+        cloud_path, weights_path = tmp_path / "cloud.csv", tmp_path / "w.csv"
+        write_matrix_csv(cloud_path, rng.standard_normal((6, 3)))
+        write_matrix_csv(weights_path, rng.standard_normal((3, 3)))
+        original, calls = getattr(markovgeom, counted), []
+
+        def counting(*args, **kwargs):
+            calls.append(counted)
+            return original(*args, **kwargs)
+
+        # patch the name wherever the package binds it, so calls from inside
+        # the library (edge_phases, for one) are counted too
+        for module in vars(markovgeom).values():
+            if getattr(module, counted, None) is original:
+                monkeypatch.setattr(module, counted, counting)
+        code = main([*argv, "--input", str(cloud_path), "--weights", str(weights_path),
+                     "--beta", "1", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert calls == [counted]
+
 
 class TestImports:
     def test_cli_import_does_not_load_scipy(self):

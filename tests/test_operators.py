@@ -64,6 +64,12 @@ class TestRbfKernel:
         with pytest.raises(ValueError, match="diagonal"):
             rbf_kernel(np.array([[1.0, 0.0], [0.0, 1.0]]), beta=1.0)
 
+    def test_overflow_from_negative_squared_distances_is_named(self):
+        # an indefinite weighted geometry gives negative "squared distances";
+        # exp(800) overflows, and the error names it and beta, with no warning
+        with pytest.raises(ValueError, match="overflowed: beta=1 "):
+            rbf_kernel(np.array([[0.0, -800.0], [-800.0, 0.0]]), beta=1.0)
+
     def test_rejects_asymmetry_in_a_far_off_diagonal_tile(self):
         _, _, d2 = random_geometry(52, n=600)
         assert _max_hermitian_gap(d2) == 0.0

@@ -75,7 +75,7 @@ class TestConjugateSymmetrize:
         cloud = DataCloud(rng.standard_normal((6, 3)))
         weights = InteractionWeights(rng.standard_normal((3, 3)))
         a_plus = attention_forward(bidivergence(generalized_gram(cloud, weights)), 1.0)
-        pi_plus = stationary_distribution(a_plus, tol=1e-10, max_iter=200_000)
+        pi_plus = stationary_distribution(a_plus, tol=1e-10)
         with pytest.raises(ValueError, match="detailed balance"):
             conjugate_symmetrize(a_plus, pi_plus)
 
