@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Bidivergence, squared_distance
+from .geometry import Bidivergence, _validate_beta, squared_distance
 from .normalize import (
     ConvergenceError,
     ScalingPotentials,
     StochasticOperator,
     _marginal_violation,
+    _validate_tol,
     logsumexp,
     poe_combine,
     schrodinger_solve,
@@ -181,8 +182,10 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
     the rounding in forming r.  |A^{-1}| is estimated by pseudo-random sign
     probes solved with pi; a nearly decomposable chain has a huge one, and
     there a tiny residual certifies nothing.  At most one refinement step;
-    raises ``ConvergenceError`` when the bound still exceeds ``tol``.
+    raises ``ConvergenceError`` when the bound still exceeds ``tol``, and
+    ``ValueError`` for a tol that is not finite and positive.
     """
+    _validate_tol(tol)
     if p.kind not in ("row", "bi"):
         raise ValueError("stationary_distribution expects a row-stochastic operator")
     values = p.values
@@ -276,8 +279,7 @@ def sb_factorization_check(bidiv: Bidivergence, beta: float) -> float:
     summed divergences.  Exact algebraically; the return value measures pure
     floating-point drift.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = _validate_beta(beta)
     log_fwd = -beta * bidiv.fwd
     log_bwd = -beta * bidiv.bwd
     log_a_plus = log_fwd - logsumexp(log_fwd, axis=1, keepdims=True)
@@ -295,8 +297,7 @@ def poe_factorization(bidiv: Bidivergence, beta: float) -> StochasticOperator:
     Both experts use row normalization, so their combination is the row
     softmax of the summed divergences, i.e. the diffusion operator itself.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = _validate_beta(beta)
     forward_expert = softmax_rows(-beta * bidiv.fwd)
     backward_expert = softmax_rows(-beta * bidiv.bwd)
     return poe_combine(forward_expert, backward_expert)

@@ -20,6 +20,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,12 @@ from .bridges import (
     stationary_distribution,
 )
 from .geometry import (
+    Bidivergence,
     DataCloud,
+    GramMatrix,
     InteractionWeights,
     _gram_phases,
+    _validate_beta,
     bidivergence,
     generalized_gram,
     gram,
@@ -362,21 +366,17 @@ def write_report_json(path, report: dict) -> None:
     _write_file(path, write)
 
 
-def emit(
-    report: dict,
-    matrices: dict[str, np.ndarray],
-    out_dir,
-    fmt: str,
-    report_name: str,
-    path_overrides: dict[str, str] | None = None,
-) -> list[Path]:
-    """Write matrices (CSV) and the report (JSON); 'json' format inlines the
-    matrices into the report instead of writing separate files."""
-    out_dir = Path(out_dir)
+def emit(report: dict, matrices: dict[str, np.ndarray], args) -> None:
+    """Write the matrices (CSV) and the report (JSON) under ``--out-dir``.
+
+    The report goes to ``<command>_report.json``; each matrix to
+    ``<name>.csv``, or to ``--out`` for the commands that take it (each writes
+    one matrix).  ``--format json`` inlines the matrices into the report
+    instead of writing separate files.
+    """
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    overrides = path_overrides or {}
-    written: list[Path] = []
-    if fmt == "json":
+    if getattr(args, "format", "csv") == "json":
         if matrices:
             report = dict(report)
             report["matrices"] = {
@@ -384,20 +384,37 @@ def emit(
                 for name, values in matrices.items()
             }
     else:
+        out = getattr(args, "out", None)
         for name, values in matrices.items():
-            path = Path(overrides[name]) if name in overrides else out_dir / f"{name}.csv"
+            path = Path(out) if out else out_dir / f"{name}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
             write_matrix_csv(path, values)
-            written.append(path)
-    report_path = out_dir / report_name
-    write_report_json(report_path, report)
-    written.append(report_path)
-    return written
+    write_report_json(out_dir / f"{args.command}_report.json", report)
 
 
 # ---------------------------------------------------------------------------
 # shared command plumbing
 # ---------------------------------------------------------------------------
+
+
+class Geometry(NamedTuple):
+    """The query-key geometry every command normalizes in its own way."""
+
+    cloud: DataCloud
+    gram: GramMatrix
+    biv: Bidivergence
+    d2: np.ndarray
+
+
+class Outcome(NamedTuple):
+    """What a command computed: report results (without ``size``; verify's
+    ``checks`` and ``all_passed``), matrices to emit, the stdout summary and
+    the exit code."""
+
+    results: dict
+    matrices: dict[str, np.ndarray]
+    summary: str
+    code: int = EXIT_OK
 
 
 def _resolve_beta(beta_arg: str, d2: np.ndarray) -> float:
@@ -409,34 +426,30 @@ def _resolve_beta(beta_arg: str, d2: np.ndarray) -> float:
                 "cannot resolve beta automatically: median off-diagonal "
                 "squared distance is zero"
             )
-        return 1.0 / median
+        return _validate_beta(1.0 / median)
     try:
         beta = float(beta_arg)
     except ValueError:
         raise ValueError(f"beta must be a positive number or 'auto', got {beta_arg!r}") from None
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return beta
+    return _validate_beta(beta)
 
 
-def _load_geometry(args):
+def _load_geometry(args) -> Geometry:
     cloud = load_cloud(args.input, args.skip_header)
     weights = load_weights(args.weights, args.skip_header) if getattr(args, "weights", None) else None
     gram_matrix = generalized_gram(cloud, weights) if weights is not None else gram(cloud)
     biv = bidivergence(gram_matrix)
-    d2 = squared_distance(biv)
-    return cloud, gram_matrix, biv, d2
+    return Geometry(cloud, gram_matrix, biv, squared_distance(biv))
 
 
-def _config_echo(args, beta: float | None = None) -> dict:
+def _config_echo(args, beta: float) -> dict:
     config = {"input": args.input}
     for key in ("weights", "direction", "bistochastic", "kernel", "mu_plus", "mu_minus",
                 "t", "k", "tol", "max_iter", "format", "skip_header"):
         if hasattr(args, key):
             config[key] = getattr(args, key)
     config["beta_arg"] = args.beta
-    if beta is not None:
-        config["beta"] = float(beta)
+    config["beta"] = float(beta)
     return config
 
 
@@ -465,224 +478,181 @@ def _col_residual(values: np.ndarray) -> float:
     return float(np.abs(values.sum(axis=0) - 1.0).max())
 
 
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-
-def cmd_dmap(args) -> int:
-    cloud, _, _, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
-    operator = dmap(d2, beta)
-    residual = _row_residual(operator.values)
-    report = {
-        "command": "dmap",
-        "config": _config_echo(args, beta),
-        "results": {
-            "size": cloud.n_samples,
-            "row_sum_residual": residual,
-            "row_sum_tolerance": 1e-12,
-        },
+def _regime_results(regime) -> dict:
+    return {
+        "regime": regime.regime,
+        "max_current": regime.max_current,
+        "current_threshold": regime.current_threshold,
+        "stationarity_residual": regime.stationarity_residual,
+        "marginal_gap": regime.marginal_gap,
     }
-    overrides = {"dmap": args.out} if args.out else None
-    emit(report, {"dmap": operator.values}, args.out_dir, args.format,
-         "dmap_report.json", overrides)
-    print(f"dmap: N={cloud.n_samples} beta={beta:.6g} row-sum residual {residual:.3e}")
-    return EXIT_OK
 
 
-def cmd_kernel(args) -> int:
-    cloud, _, _, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
-    kernel = rbf_kernel(d2, beta)
+def _run(args) -> int:
+    """The one command pipeline: load the geometry, resolve beta, run the
+    command, write its report and matrices, print its summary."""
+    if getattr(args, "out", None) and args.format == "json":
+        raise ValueError("--out names a CSV file and cannot be combined with --format json")
+    geo = _load_geometry(args)
+    beta = _resolve_beta(args.beta, geo.d2)
+    outcome = args.func(args, geo, beta)
+    report = {"command": args.command, "config": _config_echo(args, beta)}
+    if args.command == "verify":
+        report.update(outcome.results)
+    else:
+        report["results"] = {"size": geo.cloud.n_samples, **outcome.results}
+    emit(report, outcome.matrices, args)
+    print(outcome.summary)
+    return outcome.code
+
+
+# ---------------------------------------------------------------------------
+# commands: each computes its results from the geometry at one beta
+# ---------------------------------------------------------------------------
+
+
+def cmd_dmap(args, geo: Geometry, beta: float) -> Outcome:
+    operator = dmap(geo.d2, beta)
+    residual = _row_residual(operator.values)
+    return Outcome(
+        {"row_sum_residual": residual, "row_sum_tolerance": 1e-12},
+        {"dmap": operator.values},
+        f"dmap: N={geo.cloud.n_samples} beta={beta:.6g} row-sum residual {residual:.3e}",
+    )
+
+
+def cmd_kernel(args, geo: Geometry, beta: float) -> Outcome:
+    kernel = rbf_kernel(geo.d2, beta)
     symmetry = _max_hermitian_gap(kernel.values)
-    report = {
-        "command": "kernel",
-        "config": _config_echo(args, beta),
-        "results": {
-            "size": cloud.n_samples,
+    return Outcome(
+        {
             "symmetry_residual": symmetry,
             "symmetry_tolerance": 1e-12,
             "min_entry": float(kernel.values.min()),
         },
-    }
-    overrides = {"kernel": args.out} if args.out else None
-    emit(report, {"kernel": kernel.values}, args.out_dir, args.format,
-         "kernel_report.json", overrides)
-    print(f"kernel: N={cloud.n_samples} beta={beta:.6g} symmetry residual {symmetry:.3e}")
-    return EXIT_OK
+        {"kernel": kernel.values},
+        f"kernel: N={geo.cloud.n_samples} beta={beta:.6g} symmetry residual {symmetry:.3e}",
+    )
 
 
-def cmd_attention(args) -> int:
-    cloud, _, biv, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
+def cmd_attention(args, geo: Geometry, beta: float) -> Outcome:
     if args.bistochastic:
         operator = attention_bistochastic(
-            biv, beta, direction=args.direction, tol=args.tol, max_iter=args.max_iter
+            geo.biv, beta, direction=args.direction, tol=args.tol, max_iter=args.max_iter
         )
         variant = f"bistochastic-{args.direction}"
     elif args.direction == "fwd":
-        operator = attention_forward(biv, beta)
+        operator = attention_forward(geo.biv, beta)
         variant = "fwd"
     else:
-        operator = attention_backward(biv, beta)
+        operator = attention_backward(geo.biv, beta)
         variant = "bwd"
-    residuals = {}
+    results = {"variant": variant, "kind": operator.kind}
     if operator.kind in ("row", "bi"):
-        residuals["row_sum_residual"] = _row_residual(operator.values)
+        results["row_sum_residual"] = _row_residual(operator.values)
     if operator.kind in ("column", "bi"):
-        residuals["column_sum_residual"] = _col_residual(operator.values)
-    report = {
-        "command": "attention",
-        "config": _config_echo(args, beta),
-        "results": {"size": cloud.n_samples, "variant": variant, "kind": operator.kind, **residuals},
-    }
-    overrides = {"attention": args.out} if args.out else None
-    emit(report, {"attention": operator.values}, args.out_dir, args.format,
-         "attention_report.json", overrides)
-    print(f"attention ({variant}): N={cloud.n_samples} beta={beta:.6g} kind={operator.kind}")
-    return EXIT_OK
+        results["column_sum_residual"] = _col_residual(operator.values)
+    return Outcome(
+        results,
+        {"attention": operator.values},
+        f"attention ({variant}): N={geo.cloud.n_samples} beta={beta:.6g} kind={operator.kind}",
+    )
 
 
-def cmd_bridge(args) -> int:
-    cloud, _, biv, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
-    n = cloud.n_samples
+def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
+    n = geo.cloud.n_samples
     if args.kernel == "rbf":
-        kernel = rbf_kernel(d2, beta).values
+        kernel = rbf_kernel(geo.d2, beta).values
         mu_plus, mu_minus = _marginals(args, n, lambda: _normalized_degrees(kernel))
         bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
     else:
         mu_plus, mu_minus = _marginals(args, n, lambda: stationary_distribution(
-            attention_forward(biv, beta), tol=args.tol))
-        bridge = attention_bridge(biv, beta, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
+            attention_forward(geo.biv, beta), tol=args.tol))
+        bridge = attention_bridge(geo.biv, beta, mu_plus, mu_minus, tol=args.tol,
+                                  max_iter=args.max_iter)
     regime = classify_regime(bridge.forward, mu_plus, mu_minus)
-    report = {
-        "command": "bridge",
-        "config": _config_echo(args, beta),
-        "results": {
-            "size": n,
-            "iterations": bridge.potentials.iterations,
-            "marginal_residual": bridge.potentials.residual,
-            "regime": regime.regime,
-            "max_current": regime.max_current,
-            "current_threshold": regime.current_threshold,
-            "stationarity_residual": regime.stationarity_residual,
-            "marginal_gap": regime.marginal_gap,
-        },
+    potentials = bridge.potentials
+    results = {
+        "iterations": potentials.iterations,
+        "marginal_residual": potentials.residual,
+        **_regime_results(regime),
     }
     matrices = {
         "coupling": bridge.coupling,
         "forward": bridge.forward.values,
-        "u_plus": bridge.potentials.u,
-        "u_minus": bridge.potentials.v,
+        "u_plus": potentials.u,
+        "u_minus": potentials.v,
         "mu_plus": mu_plus,
         "mu_minus": mu_minus,
     }
-    emit(report, matrices, args.out_dir, args.format, "bridge_report.json")
-    print(
+    return Outcome(
+        results,
+        matrices,
         f"bridge ({args.kernel}): N={n} beta={beta:.6g} regime={regime.regime} "
-        f"residual {bridge.potentials.residual:.3e} in {bridge.potentials.iterations} iterations"
+        f"residual {potentials.residual:.3e} in {potentials.iterations} iterations",
     )
-    return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    cloud, _, biv, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
-    n = cloud.n_samples
+def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
+    n = geo.cloud.n_samples
     if args.kernel == "rbf":
-        operator = dmap(d2, beta)
+        operator = dmap(geo.d2, beta)
         mu_plus, mu_minus = _marginals(
-            args, n, lambda: _normalized_degrees(rbf_kernel(d2, beta).values))
+            args, n, lambda: _normalized_degrees(rbf_kernel(geo.d2, beta).values))
     else:
-        operator = attention_forward(biv, beta)
+        operator = attention_forward(geo.biv, beta)
         mu_plus, mu_minus = _marginals(
             args, n, lambda: stationary_distribution(operator, tol=args.tol))
     regime = classify_regime(operator, mu_plus, mu_minus)
-    report = {
-        "command": "classify",
-        "config": _config_echo(args, beta),
-        "results": {
-            "size": n,
-            "regime": regime.regime,
-            "max_current": regime.max_current,
-            "current_threshold": regime.current_threshold,
-            "stationarity_residual": regime.stationarity_residual,
-            "marginal_gap": regime.marginal_gap,
-        },
-    }
-    emit(report, {"currents": regime.currents}, args.out_dir, args.format, "classify_report.json")
-    print(
+    return Outcome(
+        _regime_results(regime),
+        {"currents": regime.currents},
         f"classify ({args.kernel}): regime={regime.regime} "
-        f"max current {regime.max_current:.3e} (threshold {regime.current_threshold:.3e})"
+        f"max current {regime.max_current:.3e} (threshold {regime.current_threshold:.3e})",
     )
-    return EXIT_OK
 
 
-def cmd_magnetic(args) -> int:
-    if not args.weights:
-        raise ValueError("the magnetic command requires --weights")
-    cloud, gram_matrix, biv, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
-    operator = dmap(d2, beta)
-    theta = _gram_phases(gram_matrix.values, beta)
-    phased = magnetic_operator(operator, theta)
-    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
+def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
+    operator = dmap(geo.d2, beta)
+    phased = magnetic_operator(operator, _gram_phases(geo.gram.values, beta))
+    pi = _normalized_degrees(rbf_kernel(geo.d2, beta).values)
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_hermitian_gap(hermitized)
     eigenvalues = np.linalg.eigvalsh(hermitized)[::-1]  # eigvalsh is ascending
-    report = {
-        "command": "magnetic",
-        "config": _config_echo(args, beta),
-        "results": {
-            "size": cloud.n_samples,
-            "magnitude_residual": float(
-                np.abs(phased.magnitudes.values - operator.values).max()
-            ),
-            "hermiticity_residual": hermiticity,
-            "max_magnetic_current": float(np.abs(current).max()),
-            "eigenvalues": [float(v) for v in eigenvalues],
-        },
+    results = {
+        "magnitude_residual": float(np.abs(phased.magnitudes.values - operator.values).max()),
+        "hermiticity_residual": hermiticity,
+        "max_magnetic_current": float(np.abs(current).max()),
+        "eigenvalues": [float(v) for v in eigenvalues],
     }
     matrices = {
         "magnetic_magnitude": phased.magnitudes.values,
         "magnetic_phase": phased.phases,
         "magnetic_current": current,
     }
-    emit(report, matrices, args.out_dir, args.format, "magnetic_report.json")
-    print(
-        f"magnetic: N={cloud.n_samples} beta={beta:.6g} "
-        f"hermiticity residual {hermiticity:.3e}"
+    return Outcome(
+        results,
+        matrices,
+        f"magnetic: N={geo.cloud.n_samples} beta={beta:.6g} "
+        f"hermiticity residual {hermiticity:.3e}",
     )
-    return EXIT_OK
 
 
-def cmd_embed(args) -> int:
-    cloud, _, _, d2 = _load_geometry(args)
-    beta = _resolve_beta(args.beta, d2)
-    operator = dmap(d2, beta)
-    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
+def cmd_embed(args, geo: Geometry, beta: float) -> Outcome:
+    operator = dmap(geo.d2, beta)
+    pi = _normalized_degrees(rbf_kernel(geo.d2, beta).values)
     dec = decompose(conjugate_symmetrize(operator, pi), pi)
     embedding = diffusion_embedding(dec, t=args.t, k=args.k)
-    report = {
-        "command": "embed",
-        "config": _config_echo(args, beta),
-        "results": {
-            "size": cloud.n_samples,
+    return Outcome(
+        {
             "eigenvalues": [float(v) for v in dec.eigenvalues[: args.k + 1]],
             "degenerate": dec.degenerate,
         },
-    }
-    overrides = {"embedding": args.out} if args.out else None
-    emit(report, {"embedding": embedding.coordinates}, args.out_dir, args.format,
-         "embed_report.json", overrides)
-    print(
-        f"embed: N={cloud.n_samples} beta={beta:.6g} t={args.t:g} k={args.k} "
-        f"lambda_2={dec.eigenvalues[1]:.6g}"
+        {"embedding": embedding.coordinates},
+        f"embed: N={geo.cloud.n_samples} beta={beta:.6g} t={args.t:g} k={args.k} "
+        f"lambda_2={dec.eigenvalues[1]:.6g}",
     )
-    return EXIT_OK
 
 
 def _format_check_line(check) -> str:
@@ -691,26 +661,19 @@ def _format_check_line(check) -> str:
     return f"{check.id:<4} {status}  {check.name} ({ok}/{len(check.parts)} parts)"
 
 
-def cmd_verify(args) -> int:
-    cloud = load_cloud(args.input, args.skip_header)
-    biv = bidivergence(gram(cloud))
-    d2 = squared_distance(biv)
-    beta = _resolve_beta(args.beta, d2)
-    checks = run_identity_checks(cloud, beta)
-    for check in checks:
-        print(_format_check_line(check))
+def cmd_verify(args, geo: Geometry, beta: float) -> Outcome:
+    checks = run_identity_checks(geo.cloud, beta)
     passed = sum(1 for c in checks if c.passed)
     all_passed = passed == len(checks)
     verdict = "all identities hold" if all_passed else "verification FAILED"
-    print(f"{verdict} ({passed}/{len(checks)} criteria)")
-    report = {
-        "command": "verify",
-        "config": _config_echo(args, beta),
-        "checks": [c.as_dict() for c in checks],
-        "all_passed": all_passed,
-    }
-    emit(report, {}, args.out_dir, args.format, "verify_report.json")
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAIL
+    lines = [_format_check_line(c) for c in checks]
+    lines.append(f"{verdict} ({passed}/{len(checks)} criteria)")
+    return Outcome(
+        {"checks": [c.as_dict() for c in checks], "all_passed": all_passed},
+        {},
+        "\n".join(lines),
+        EXIT_OK if all_passed else EXIT_VERIFY_FAIL,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,72 +692,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    io_common = argparse.ArgumentParser(add_help=False)
-    io_common.add_argument("--input", required=True, help="point-cloud CSV, one sample per row")
-    io_common.add_argument("--skip-header", action="store_true", help="ignore the first CSV line")
-    io_common.add_argument("--out-dir", default=".", help="directory for output files")
-    io_common.add_argument("--format", choices=("csv", "json"), default="csv",
+    def parent():
+        return argparse.ArgumentParser(add_help=False)
+
+    common = parent()
+    common.add_argument("--input", required=True, help="point-cloud CSV, one sample per row")
+    common.add_argument("--skip-header", action="store_true", help="ignore the first CSV line")
+    common.add_argument("--out-dir", default=".", help="directory for output files")
+    common.add_argument("--beta", default="auto",
+                        help="inverse temperature, or 'auto' for 1/median off-diagonal D^2")
+    formatted = parent()
+    formatted.add_argument("--format", choices=("csv", "json"), default="csv",
                            help="csv: matrices as files; json: matrices inlined in the report")
-    io_common.add_argument("--beta", default="auto",
-                           help="inverse temperature, or 'auto' for 1/median off-diagonal D^2")
-    io_common.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
-    io_common.add_argument("--max-iter", type=int, default=10_000, dest="max_iter",
-                           help="solver iteration budget")
-
-    weighted = argparse.ArgumentParser(add_help=False)
+    weighted = parent()
     weighted.add_argument("--weights", help="optional D x D interaction-weight CSV")
+    tol = parent()
+    tol.add_argument("--tol", type=float, default=1e-10, help="solver tolerance")
+    budget = parent()
+    budget.add_argument("--max-iter", type=int, default=10_000, dest="max_iter",
+                        help="solver iteration budget")
+    marginals = parent()
+    marginals.add_argument("--kernel", choices=("rbf", "attention"), default="rbf")
+    marginals.add_argument("--mu-plus", required=True, dest="mu_plus",
+                           help="source marginal CSV, or 'stationary'")
+    marginals.add_argument("--mu-minus", required=True, dest="mu_minus",
+                           help="sink marginal CSV, or 'stationary'")
 
-    sp = subparsers.add_parser("dmap", parents=[io_common, weighted],
-                               help="row-stochastic diffusion operator")
-    sp.add_argument("--out", help="path for the operator CSV (default <out-dir>/dmap.csv)")
-    sp.set_defaults(func=cmd_dmap)
+    def command(name, func, parents, summary, out=None):
+        """Add a subcommand; ``out`` names the one matrix that --out can move."""
+        sp = subparsers.add_parser(name, parents=[common, *parents], help=summary)
+        sp.set_defaults(func=func)
+        if out:
+            sp.add_argument("--out", help=f"path for the {out} CSV (default <out-dir>/{out}.csv)")
+        return sp
 
-    sp = subparsers.add_parser("kernel", parents=[io_common, weighted],
-                               help="Gaussian distance kernel")
-    sp.add_argument("--out", help="path for the kernel CSV (default <out-dir>/kernel.csv)")
-    sp.set_defaults(func=cmd_kernel)
-
-    sp = subparsers.add_parser("attention", parents=[io_common, weighted],
-                               help="directional attention operator")
+    command("dmap", cmd_dmap, [formatted, weighted], "row-stochastic diffusion operator",
+            out="dmap")
+    command("kernel", cmd_kernel, [formatted, weighted], "Gaussian distance kernel",
+            out="kernel")
+    sp = command("attention", cmd_attention, [formatted, weighted, tol, budget],
+                 "directional attention operator", out="attention")
     sp.add_argument("--direction", choices=("fwd", "bwd"), default="fwd")
     sp.add_argument("--bistochastic", action="store_true",
                     help="doubly stochastic scaling instead of one-sided softmax")
-    sp.add_argument("--out", help="path for the operator CSV (default <out-dir>/attention.csv)")
-    sp.set_defaults(func=cmd_attention)
-
-    sp = subparsers.add_parser("bridge", parents=[io_common, weighted],
-                               help="entropic bridge between two marginals")
-    sp.add_argument("--kernel", choices=("rbf", "attention"), default="rbf")
-    sp.add_argument("--mu-plus", required=True, dest="mu_plus",
-                    help="source marginal CSV, or 'stationary'")
-    sp.add_argument("--mu-minus", required=True, dest="mu_minus",
-                    help="sink marginal CSV, or 'stationary'")
-    sp.set_defaults(func=cmd_bridge)
-
-    sp = subparsers.add_parser("classify", parents=[io_common, weighted],
-                               help="EQ/NESS/NE regime of an operator with marginals")
-    sp.add_argument("--kernel", choices=("rbf", "attention"), default="rbf")
-    sp.add_argument("--mu-plus", required=True, dest="mu_plus",
-                    help="source marginal CSV, or 'stationary'")
-    sp.add_argument("--mu-minus", required=True, dest="mu_minus",
-                    help="sink marginal CSV, or 'stationary'")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = subparsers.add_parser("magnetic", parents=[io_common, weighted],
-                               help="phased diffusion operator from asymmetric weights")
-    sp.set_defaults(func=cmd_magnetic)
-
-    sp = subparsers.add_parser("embed", parents=[io_common, weighted],
-                               help="diffusion coordinates")
+    command("bridge", cmd_bridge, [formatted, weighted, tol, budget, marginals],
+            "entropic bridge between two marginals")
+    command("classify", cmd_classify, [formatted, weighted, tol, marginals],
+            "EQ/NESS/NE regime of an operator with marginals")
+    sp = command("magnetic", cmd_magnetic, [formatted],
+                 "phased diffusion operator from asymmetric weights")
+    sp.add_argument("--weights", required=True, help="D x D interaction-weight CSV")
+    sp = command("embed", cmd_embed, [formatted, weighted], "diffusion coordinates",
+                 out="embedding")
     sp.add_argument("--t", type=float, default=1.0, help="diffusion time")
     sp.add_argument("--k", type=int, default=2, help="number of coordinates")
-    sp.add_argument("--out", help="path for the embedding CSV (default <out-dir>/embedding.csv)")
-    sp.set_defaults(func=cmd_embed)
-
-    sp = subparsers.add_parser("verify", parents=[io_common],
-                               help="run the full identity-verification suite")
-    sp.set_defaults(func=cmd_verify)
-
+    command("verify", cmd_verify, [], "run the full identity-verification suite")
     return parser
 
 
@@ -820,7 +772,7 @@ def main(argv=None) -> int:
         # argparse has already printed its message; --help exits with 0
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
+        return _run(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -16,9 +16,19 @@ matrix, exposed through ``hermitian_partition`` and ``edge_phases``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _validate_beta(beta) -> float:
+    """The inverse temperature as a float; raises ``ValueError`` unless it is
+    finite and positive.  Every public function that takes beta calls this."""
+    beta = float(beta)
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be finite and positive, got {beta}")
+    return beta
 
 
 def _as_finite_matrix(values, name: str) -> np.ndarray:
@@ -200,8 +210,7 @@ def edge_phases(cloud: DataCloud, weights: InteractionWeights, beta: float) -> n
     beta factor keeps phases on the same temperature scale as the kernel
     magnitudes.  Vanishes identically for symmetric W.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    beta = _validate_beta(beta)
     return _gram_phases(generalized_gram(cloud, weights).values, beta)
 
 

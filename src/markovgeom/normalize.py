@@ -74,6 +74,12 @@ def _validate_marginal(mu, n: int, name: str) -> np.ndarray:
     return mu
 
 
+def _validate_tol(tol) -> None:
+    """Raise ``ValueError`` unless the solver tolerance is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def logsumexp(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(x))) along ``axis``, shifted by the maximum so it cannot overflow."""
     top = x.max(axis=axis, keepdims=True)
@@ -259,7 +265,13 @@ def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
     a larger omega follows when the first estimate was low.  A residual above
     all of the first few over-relaxed residuals drops back to plain sweeps
     until the next absorption, which also resets omega.
+
+    Raises ``ValueError`` for a tol that is not finite and positive or a
+    max_iter below 1, before any sweep.
     """
+    _validate_tol(tol)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     log_a = np.log(a)
     g = np.zeros_like(log_a)
     u = v = np.ones_like(log_a)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Bidivergence
+from .geometry import Bidivergence, _validate_beta
 from .normalize import (
     ConvergenceError,
     StochasticOperator,
@@ -38,8 +38,7 @@ class KernelMatrix:
             raise ValueError(f"kernel must be square, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
             raise ValueError("kernel entries must be strictly positive and finite")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _validate_beta(self.beta)
         object.__setattr__(self, "values", vals)
 
 
@@ -95,12 +94,6 @@ def _polar(magnitude, theta: np.ndarray) -> np.ndarray:
     np.sin(theta, out=out.imag)
     out.imag *= magnitude
     return out
-
-
-def _validate_beta(beta: float) -> float:
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return float(beta)
 
 
 # tile edge of the Hermiticity scan: two tiles stay cache-resident

@@ -29,8 +29,9 @@ from .bridges import (
 from .geometry import (
     DataCloud,
     InteractionWeights,
+    _gram_phases,
+    _validate_beta,
     bidivergence,
-    edge_phases,
     generalized_gram,
     gram,
     squared_distance,
@@ -374,10 +375,10 @@ def check_magnetic_operators(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 12)
     d = cloud.n_features
     weights = InteractionWeights(0.2 * rng.standard_normal((d, d)))
-    biv = bidivergence(generalized_gram(cloud, weights))
-    d2 = squared_distance(biv)
+    g = generalized_gram(cloud, weights)
+    d2 = squared_distance(bidivergence(g))
     operator = dmap(d2, beta)
-    theta = edge_phases(cloud, weights, beta)
+    theta = _gram_phases(g.values, beta)
     phased = magnetic_operator(operator, theta)
     magnitude_dev = _max_abs(phased.magnitudes.values - operator.values)
     assembled_dev = _max_abs(np.abs(phased.matrix) - operator.values)
@@ -512,6 +513,7 @@ def run_identity_checks(cloud: DataCloud, beta: float) -> list[CheckResult]:
     temperatures (the kernel becomes numerically disconnected); the resulting
     ConvergenceError is re-raised tagged with the check that was running.
     """
+    beta = _validate_beta(beta)
     results = []
     for check in _CHECKS:
         try:

@@ -558,6 +558,137 @@ class TestExitCodes:
         assert "beta" in capsys.readouterr().err
 
 
+# commands whose solvers take --tol, and whether they take --max-iter
+_SOLVER_COMMANDS = {
+    "bridge-rbf": (["bridge", "--mu-plus", "stationary", "--mu-minus", "stationary"], True),
+    "bridge-attention": (["bridge", "--kernel", "attention", "--mu-plus", "stationary",
+                          "--mu-minus", "stationary"], True),
+    "classify-attention": (["classify", "--kernel", "attention", "--mu-plus", "stationary",
+                            "--mu-minus", "stationary"], False),
+    "attention-bistochastic": (["attention", "--bistochastic"], True),
+}
+_BAD_SOLVER_ARGS = {
+    "tol-0": (["--tol", "0"], "tol must be finite and positive"),
+    "tol-neg": (["--tol", "-1"], "tol must be finite and positive"),
+    "tol-nan": (["--tol", "nan"], "tol must be finite and positive"),
+    "max-iter-0": (["--max-iter", "0"], "max_iter must be at least 1"),
+}
+
+
+class TestArgumentChecks:
+    # the flag values that no command reads are gone from the parser
+    @pytest.mark.parametrize("command, flag", [
+        *[(command, flag) for command in ("dmap", "kernel", "magnetic", "embed", "verify")
+          for flag in ("--tol=1e-3", "--max-iter=5")],
+        ("classify", "--max-iter=5"),
+        ("verify", "--format=json"),
+    ])
+    def test_unread_flags_are_rejected(self, tmp_path, cloud_csv, capsys, command, flag):
+        cloud_path, _ = cloud_csv
+        required = {"magnetic": ["--weights", str(cloud_path)],
+                    "classify": ["--mu-plus", "stationary", "--mu-minus", "stationary"]}
+        code = main([command, "--input", str(cloud_path), *required.get(command, []), flag,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["dmap", "kernel", "attention", "embed"])
+    def test_out_with_json_format_is_usage_error(self, tmp_path, cloud_csv, capsys, command):
+        cloud_path, _ = cloud_csv
+        out = tmp_path / "out"
+        code = main([command, "--input", str(cloud_path), "--beta", "1", "--format", "json",
+                     "--out", str(tmp_path / "op.csv"), "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--out" in err and "--format json" in err
+        assert not out.exists() and not (tmp_path / "op.csv").exists()
+
+    @pytest.mark.parametrize("command", ["dmap", "kernel"])
+    @pytest.mark.parametrize("beta", ["inf", "nan", "0", "-1"])
+    def test_beta_must_be_finite_and_positive(self, tmp_path, cloud_csv, capsys, command, beta):
+        cloud_path, _ = cloud_csv
+        code = main([command, "--input", str(cloud_path), "--beta", beta,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "beta must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, solver_args, message", [
+        pytest.param(argv, solver_args, message, id=f"{name}-{case}")
+        for name, (argv, takes_max_iter) in _SOLVER_COMMANDS.items()
+        for case, (solver_args, message) in _BAD_SOLVER_ARGS.items()
+        if takes_max_iter or solver_args[0] == "--tol"
+    ])
+    def test_solver_arguments_are_usage_errors(self, tmp_path, cloud_csv, capsys, argv,
+                                               solver_args, message):
+        cloud_path, _ = cloud_csv
+        code = main([*argv, "--input", str(cloud_path), "--beta", "1", *solver_args,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
+def _contract_files(tmp_path):
+    rng = np.random.default_rng(138)
+    files = {"cloud": tmp_path / "cloud.csv", "weights": tmp_path / "w.csv",
+             "mu": tmp_path / "mu.csv"}
+    write_matrix_csv(files["cloud"], rng.standard_normal((8, 3)))
+    write_matrix_csv(files["weights"], rng.standard_normal((3, 3)))
+    mu = rng.uniform(0.5, 1.5, 8)
+    write_matrix_csv(files["mu"], (mu / mu.sum()).reshape(1, -1))
+    return files
+
+
+# each command's arguments (file keys in braces) and the matrices it writes
+_CONTRACT = {
+    "dmap": ([], ["dmap"]),
+    "kernel": ([], ["kernel"]),
+    "attention": (["--bistochastic", "--weights", "{weights}"], ["attention"]),
+    "bridge": (["--kernel", "attention", "--weights", "{weights}", "--mu-plus", "{mu}",
+                "--mu-minus", "stationary"],
+               ["coupling", "forward", "u_plus", "u_minus", "mu_plus", "mu_minus"]),
+    "classify": (["--kernel", "attention", "--weights", "{weights}", "--mu-plus", "stationary",
+                  "--mu-minus", "stationary"], ["currents"]),
+    "magnetic": (["--weights", "{weights}"],
+                 ["magnetic_magnitude", "magnetic_phase", "magnetic_current"]),
+    "embed": (["--k", "2"], ["embedding"]),
+    "verify": ([], []),
+}
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("command, fmt", [
+        (command, fmt) for command, (_, matrices) in _CONTRACT.items()
+        for fmt in (("csv", "json") if matrices else (None,))
+    ])
+    def test_rerun_is_byte_identical(self, tmp_path, capsys, command, fmt):
+        args, matrices = _CONTRACT[command]
+        files = {key: str(path) for key, path in _contract_files(tmp_path).items()}
+        argv = [command, "--input", files["cloud"], "--beta", "1",
+                *(a.format(**files) for a in args), *(["--format", fmt] if fmt else [])]
+        outputs, stdout = [], []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            stdout.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert stdout[0] == stdout[1]
+        report_name = f"{command}_report.json"
+        csvs = {f"{name}.csv" for name in matrices} if fmt == "csv" else set()
+        assert set(outputs[0]) == {report_name} | csvs
+        report = json.loads(outputs[0][report_name])
+        if command == "verify":
+            assert list(report) == ["command", "config", "checks", "all_passed"]
+        else:
+            assert list(report) == ["command", "config", "results",
+                                    *(["matrices"] if fmt == "json" else [])]
+            assert next(iter(report["results"])) == "size"
+        assert report["command"] == command
+        if fmt == "json":
+            assert list(report["matrices"]) == matrices
+
+
 class TestSolverLogging:
     def test_debug_level_logs_solvers_and_leaves_outputs_unchanged(self, tmp_path, cloud_csv,
                                                                    marginal_csv):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import markovgeom
 from markovgeom.geometry import (
     Bidivergence,
     DataCloud,
@@ -15,7 +16,7 @@ from markovgeom.geometry import (
     hermitian_partition,
     squared_distance,
 )
-from markovgeom.verify import check_attention_equivalence
+from markovgeom.verify import check_attention_equivalence, check_magnetic_operators
 
 
 def gram_oracle(points):
@@ -297,6 +298,22 @@ class TestEdgePhases:
         np.testing.assert_allclose(
             edge_phases(cloud, weights, beta=1.7), expected, rtol=0, atol=1e-12
         )
+
+
+def test_magnetic_check_builds_the_weighted_gram_once(monkeypatch):
+    original, calls = generalized_gram, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # patch every module that binds the name, edge_phases' own module included
+    for module in vars(markovgeom).values():
+        if getattr(module, "generalized_gram", None) is original:
+            monkeypatch.setattr(module, "generalized_gram", counting)
+    cloud = DataCloud(np.random.default_rng(27).standard_normal((8, 3)))
+    assert check_magnetic_operators(cloud, 1.0).passed
+    assert len(calls) == 1
 
 
 class TestGramMatrixType:

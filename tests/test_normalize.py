@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from markovgeom.bridges import attention_bridge, solve_bridge, stationary_distribution
 from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
 from markovgeom.normalize import (
     ConvergenceError,
@@ -293,6 +294,39 @@ class TestLooseTolerance:
         operator = LOOSE_SCALERS[scaler](1e-3)
         violation = marginal_violation(operator.values, 1.0, 1.0)
         assert 1e-6 < violation <= 1e-3
+
+
+# every public scaler on a fixed input, with the keyword arguments passed through
+SOLVERS = {
+    "sinkhorn": lambda **kw: sinkhorn(_Z, **kw),
+    "schrodinger_solve": lambda **kw: schrodinger_solve(np.exp(_Z), _MU_PLUS, _MU_MINUS, **kw),
+    "dmap_bistochastic": lambda **kw: dmap_bistochastic(_D2, 1.0, **kw),
+    "attention_bistochastic": lambda **kw: attention_bistochastic(
+        cloud_geometry(6, 3, 48)[0], 1.0, **kw),
+    "solve_bridge": lambda **kw: solve_bridge(np.exp(-_D2), _MU_PLUS, _MU_MINUS, **kw),
+    "attention_bridge": lambda **kw: attention_bridge(
+        cloud_geometry(6, 3, 48)[0], 1.0, _MU_PLUS, _MU_MINUS, **kw),
+}
+
+_BAD_TOLS = [0.0, -1.0, np.nan, np.inf]
+
+
+class TestSolverArguments:
+    @pytest.mark.parametrize("tol", _BAD_TOLS)
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_tol_must_be_finite_and_positive(self, solver, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            SOLVERS[solver](tol=tol)
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_max_iter_must_be_at_least_one(self, solver):
+        with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+            SOLVERS[solver](max_iter=0)
+
+    @pytest.mark.parametrize("tol", _BAD_TOLS)
+    def test_stationary_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            stationary_distribution(softmax_rows(_Z), tol=tol)
 
 
 class TestSchrodingerSolve:

@@ -1,12 +1,22 @@
 """Kernel and Markov operator constructions and their cross-identities."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import markovgeom
+from markovgeom.bridges import (
+    attention_bridge,
+    dmap_as_bridge,
+    poe_factorization,
+    sb_factorization_check,
+)
 from markovgeom.geometry import (
     DataCloud,
     InteractionWeights,
     bidivergence,
+    edge_phases,
     generalized_gram,
     gram,
     squared_distance,
@@ -14,6 +24,7 @@ from markovgeom.geometry import (
 from markovgeom.normalize import ConvergenceError, StochasticOperator, softmax_rows
 from markovgeom.operators import (
     ComplexOperator,
+    KernelMatrix,
     _max_hermitian_gap,
     _polar,
     attention_backward,
@@ -26,6 +37,7 @@ from markovgeom.operators import (
     magnetic_operator,
     rbf_kernel,
 )
+from markovgeom.verify import run_identity_checks
 
 
 def random_geometry(seed, n=6, d=3):
@@ -33,6 +45,43 @@ def random_geometry(seed, n=6, d=3):
     cloud = DataCloud(rng.standard_normal((n, d)))
     biv = bidivergence(gram(cloud))
     return cloud, biv, squared_distance(biv)
+
+
+def _beta_calls():
+    """Each public function that takes beta, called with it and valid other arguments."""
+    cloud, biv, d2 = random_geometry(70)
+    weights = InteractionWeights(np.random.default_rng(71).standard_normal((3, 3)))
+    mu = np.full(6, 1.0 / 6.0)
+    return {
+        "KernelMatrix": lambda beta: KernelMatrix(np.ones((2, 2)), beta),
+        "rbf_kernel": lambda beta: rbf_kernel(d2, beta),
+        "directional_kernels": lambda beta: directional_kernels(biv, beta),
+        "attention_forward": lambda beta: attention_forward(biv, beta),
+        "attention_backward": lambda beta: attention_backward(biv, beta),
+        "attention_bistochastic": lambda beta: attention_bistochastic(biv, beta),
+        "dmap": lambda beta: dmap(d2, beta),
+        "dmap_bistochastic": lambda beta: dmap_bistochastic(d2, beta),
+        "edge_phases": lambda beta: edge_phases(cloud, weights, beta),
+        "sb_factorization_check": lambda beta: sb_factorization_check(biv, beta),
+        "poe_factorization": lambda beta: poe_factorization(biv, beta),
+        "dmap_as_bridge": lambda beta: dmap_as_bridge(d2, beta),
+        "attention_bridge": lambda beta: attention_bridge(biv, beta, mu, mu),
+        "run_identity_checks": lambda beta: run_identity_checks(cloud, beta),
+    }
+
+
+class TestBeta:
+    def test_every_public_beta_function_is_covered(self):
+        takes_beta = {name for name in markovgeom.__all__
+                      if callable(obj := getattr(markovgeom, name))
+                      and "beta" in inspect.signature(obj).parameters}
+        assert takes_beta == set(_beta_calls())
+
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", list(_beta_calls()))
+    def test_beta_must_be_finite_and_positive(self, name, beta):
+        with pytest.raises(ValueError, match="beta must be finite and positive"):
+            _beta_calls()[name](beta)
 
 
 class TestRbfKernel:
