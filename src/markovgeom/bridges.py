@@ -108,7 +108,8 @@ def solve_bridge(
     potentials = schrodinger_solve(k, mu_plus, mu_minus, tol=tol, max_iter=max_iter)
     mu_plus = np.asarray(mu_plus, dtype=float)
     mu_minus = np.asarray(mu_minus, dtype=float)
-    coupling = potentials.u[:, None] * k * potentials.v[None, :]
+    coupling = np.multiply(k, potentials.u[:, None])
+    coupling *= potentials.v
     # row sums equal mu_plus only to the solver residual, so loosen the
     # construction sanity bound accordingly for small marginal entries
     check_tol = max(1e-6, 10.0 * tol / float(mu_plus.min()))
@@ -189,7 +190,7 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
     if p.kind not in ("row", "bi"):
         raise ValueError("stationary_distribution expects a row-stochastic operator")
     values = p.values
-    if np.any(values <= 0.0):
+    if values.min() <= 0.0:
         raise ValueError("operator must be strictly positive for a unique fixed point")
     n = values.shape[0]
     system = values.T.copy()
@@ -348,7 +349,7 @@ def attention_gauge(pi_plus, a_plus: StochasticOperator) -> np.ndarray:
     values = a_plus.values
     pi_plus = _validate_probability(pi_plus, values.shape[0], "pi_plus")
     flux = pi_plus[:, None] * values
-    if np.any(flux <= 0.0):
+    if flux.min() <= 0.0:
         raise ValueError("operator and stationary vector must be strictly positive")
     log_flux = np.log(flux)
     return log_flux - log_flux.T

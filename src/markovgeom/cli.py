@@ -44,7 +44,7 @@ from .geometry import (
     gram,
     squared_distance,
 )
-from .normalize import ConvergenceError
+from .normalize import ConvergenceError, _validate_max_iter, _validate_tol
 from .operators import (
     _max_hermitian_gap,
     attention_backward,
@@ -493,6 +493,11 @@ def _run(args) -> int:
     command, write its report and matrices, print its summary."""
     if getattr(args, "out", None) and args.format == "json":
         raise ValueError("--out names a CSV file and cannot be combined with --format json")
+    # checked here, not where a solver takes them: some paths run no solver
+    if hasattr(args, "tol"):
+        _validate_tol(args.tol)
+    if hasattr(args, "max_iter"):
+        _validate_max_iter(args.max_iter)
     geo = _load_geometry(args)
     beta = _resolve_beta(args.beta, geo.d2)
     outcome = args.func(args, geo, beta)

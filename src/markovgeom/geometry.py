@@ -31,11 +31,17 @@ def _validate_beta(beta) -> float:
     return beta
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry is finite, from two reductions and no temporary:
+    a NaN reaches both the minimum and the maximum, -inf the one, +inf the other."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _as_finite_matrix(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

@@ -1,16 +1,18 @@
 """Normalizers: softmax, product of experts, and stabilized matrix scaling.
 
 ``sinkhorn``, ``schrodinger_solve`` and the bistochastic diffusion operator
-share one scaling core: log-domain sweeps absorb the answer into log
-potentials, matrix-vector sweeps on the absorbed kernel finish it, so score
-ranges of hundreds of nats stay finite.  Scaling potentials are exposed as
-positive vectors, the source potential at unit geometric mean (gauge).
+share one scaling core: matrix-vector sweeps in the linear domain, and a
+log-domain sweep that absorbs the potentials into the kernel only when a
+scaling vector leaves its safe range, so score ranges of hundreds of nats stay
+finite.  Scaling potentials are exposed as positive vectors, the source
+potential at unit geometric mean (gauge).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ VALID_KINDS = ("row", "column", "bi")
 MARGINAL_SUM_TOL = 1e-12
 
 # |log| of the scaling vectors stays below this (about 1e50); leaving that range
-# (or turning non-finite) triggers a log-domain absorption sweep
+# (or turning non-finite) makes the sweep absorb in the log domain
 _LOG_SAFE_RANGE = 115.0
 
 # an iteration's contraction rate is read from its last _RATE_WINDOW residual
@@ -49,15 +51,19 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _validate_logits(z, *, square: bool = False) -> np.ndarray:
+def _validate_logits(z, *, square: bool = False, axis: int = 1):
+    """The logits as a float matrix and their maxima along ``axis`` (kept as a
+    2-D column or row).  A NaN or +inf reaches those maxima and a -inf the
+    overall minimum, so these two reductions are the finiteness check."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    top = z.max(axis=axis, keepdims=True)
+    if not (np.isfinite(top).all() and (z.size == 0 or np.isfinite(z.min()))):
         raise ValueError("logits must be finite (masking with -inf is unsupported)")
     if square and z.shape[0] != z.shape[1]:
         raise ValueError(f"square logits required, got shape {z.shape}")
-    return z
+    return z, top
 
 
 def _validate_marginal(mu, n: int, name: str) -> np.ndarray:
@@ -80,6 +86,12 @@ def _validate_tol(tol) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
+def _validate_max_iter(max_iter) -> None:
+    """Raise ``ValueError`` unless the sweep budget is at least one sweep."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def logsumexp(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(x))) along ``axis``, shifted by the maximum so it cannot overflow."""
     top = x.max(axis=axis, keepdims=True)
@@ -95,6 +107,10 @@ class StochasticOperator:
 
     ``check_tol`` is only a construction-time sanity bound on the tagged sums;
     the precise residual contracts belong to the solvers that build operators.
+    Construction reads the matrix once for its minimum and once per tagged
+    axis for its sums: a NaN or -inf reaches the minimum and a +inf the sums,
+    so an entrywise finiteness scan runs only when one of them is not finite,
+    to tell a non-finite entry from sums that overflow.
     """
 
     values: np.ndarray
@@ -107,18 +123,19 @@ class StochasticOperator:
             raise ValueError(f"operator must be 2-D, got shape {vals.shape}")
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}, got {self.kind!r}")
-        if not np.all(np.isfinite(vals)):
+        low = vals.min() if vals.size else 0.0
+        tagged = ("row", "column") if self.kind == "bi" else (self.kind,)
+        with np.errstate(over="ignore"):  # an overflowing sum fails its check below
+            sums = {name: vals.sum(axis=1 if name == "row" else 0) for name in tagged}
+        finite = np.isfinite(low) and all(np.isfinite(s).all() for s in sums.values())
+        if not finite and not np.all(np.isfinite(vals)):
             raise ValueError("operator contains non-finite entries")
-        if np.any(vals < 0.0):
+        if low < 0.0:
             raise ValueError("operator entries must be nonnegative")
-        if self.kind in ("row", "bi"):
-            err = float(np.abs(vals.sum(axis=1) - 1.0).max())
+        for name, total in sums.items():
+            err = float(np.abs(total - 1.0).max())
             if err > self.check_tol:
-                raise ValueError(f"row sums deviate from 1 by {err:.3e}")
-        if self.kind in ("column", "bi"):
-            err = float(np.abs(vals.sum(axis=0) - 1.0).max())
-            if err > self.check_tol:
-                raise ValueError(f"column sums deviate from 1 by {err:.3e}")
+                raise ValueError(f"{name} sums deviate from 1 by {err:.3e}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -154,20 +171,25 @@ class ScalingPotentials:
         object.__setattr__(self, "v", v)
 
 
+def _softmax(z, axis: int, kind: str, out=None) -> StochasticOperator:
+    """exp(z) shifted by its maxima along ``axis`` and normalized there, all in
+    one array: a new one, or ``out`` (``out=z`` overwrites logits the caller
+    owns)."""
+    z, top = _validate_logits(z, axis=axis)
+    e = np.subtract(z, top, out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return StochasticOperator(e, kind)
+
+
 def softmax_rows(z) -> StochasticOperator:
     """Row-normalized exponential of the log-scores, max-subtracted for stability."""
-    z = _validate_logits(z)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return StochasticOperator(e / e.sum(axis=1, keepdims=True), "row")
+    return _softmax(z, 1, "row")
 
 
 def softmax_cols(z) -> StochasticOperator:
     """Column-normalized exponential of the log-scores; mirror of ``softmax_rows``."""
-    z = _validate_logits(z)
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return StochasticOperator(e / e.sum(axis=0, keepdims=True), "column")
+    return _softmax(z, 0, "column")
 
 
 def poe_combine(a: StochasticOperator, b: StochasticOperator) -> StochasticOperator:
@@ -241,22 +263,43 @@ def _phase_rate(history, omega):
     return (history[-1] / history[-1 - _RATE_WINDOW]) ** (1.0 / _RATE_WINDOW)
 
 
-def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
-    """(log u, log v, sweeps, residual): diag(u) exp(log_kernel) diag(v) has row
-    sums a and column sums b within ``tol`` (sup norm); log u has zero mean.
+class _Scaling(NamedTuple):
+    """What the scaling core found: diag(u) K diag(v) meets the marginals,
+    where K is the kernel the residual was measured on (the given one, or its
+    last absorption), and log_u, log_v are the potentials of the given kernel."""
 
-    Sweep 1 runs in the log domain and absorbs most of the answer into f, g;
-    later sweeps are u <- a / (K v), v <- b / (K^T u) on the absorbed kernel K,
-    so the columns are exact and the residual is the row violation, read off
-    the K v the next sweep needs.  A sweep whose u or v leaves the safe range
-    is redone in the log domain.  ``symmetric`` (b = a, symmetric kernel) keeps
-    u = v with the damped update u <- sqrt(u * a / (K u)), whose error modes
-    shrink by (1 - lambda) / 2, so a nearly decomposable kernel does not stall it.
+    kernel: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    log_u: np.ndarray
+    log_v: np.ndarray
+    sweeps: int
+    residual: float
+
+
+def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling:
+    """Scale the positive ``kernel`` K to row sums a and column sums b within
+    ``tol`` (sup norm).  ``log_kernel()`` returns log K; it is called only if a
+    sweep has to absorb.
+
+    Sweeps run in the linear domain from the start: u <- a / (K v),
+    v <- b / (K^T u), so the columns are exact and the residual is the row
+    violation, read off the K v the next sweep needs.  A sweep whose u or v
+    leaves e^{+-115} (or turns non-finite) is redone in the log domain from
+    the potentials so far (Schmitzer, "Stabilized sparse scaling algorithms
+    for entropy regularized transport problems", 2019): it absorbs them into
+    log potentials f, g and the kernel exp(log K + f_i + g_j), whose columns
+    sum to b, and the sweeps go on from u = v = 1 on that kernel.  A kernel
+    that stays in range is never absorbed.  ``symmetric`` (b = a, symmetric
+    kernel) keeps u = v with the damped update u <- sqrt(u * a / (K u)), whose
+    error modes shrink by (1 - lambda) / 2, so a nearly decomposable kernel
+    does not stall it.
 
     Alternating sweeps over-relax once their rate rho is known (Thibault,
     Chizat, Dossal & Papadakis, "Overrelaxed Sinkhorn-Knopp", 2017): when the
-    residual ratios of the last few sweeps since the absorption agree and more
-    than that many sweeps would remain, the updates become
+    residual ratios of the last few sweeps agree (counted from the second
+    sweep, or from the sweep after an absorption) and more than that many
+    sweeps would remain, the updates become
     u <- u (a / (u K v))^omega and v <- v (b / (v K^T u))^omega with
     omega = min(_OMEGA_MAX, 2 / (1 + sqrt(1 - rho))).  The columns are then
     inexact, so the residual is the larger of the row and column violations
@@ -270,37 +313,38 @@ def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
     max_iter below 1, before any sweep.
     """
     _validate_tol(tol)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _validate_max_iter(max_iter)
     log_a = np.log(a)
-    g = np.zeros_like(log_a)
+    f = g = np.zeros_like(log_a)
     u = v = np.ones_like(log_a)
+    log_k = None  # log_kernel(), made at the first absorption
+    kv = kernel @ v
     residual = np.inf
     omega = engaged = 1.0
     relax = not symmetric  # whether over-relaxation may still engage
     history = []  # residuals of the current phase: plain since absorption, or over-relaxed
     absorptions = 0
     for sweep in range(1, max_iter + 1):
-        absorb = sweep == 1
-        if not absorb:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                if symmetric:
-                    u_next = v_next = np.sqrt(v * a / kv)
-                elif omega == 1.0:
-                    u_next = a / kv
-                    v_next = b / (u_next @ kernel)
-                else:
-                    u_next = u * (a / (u * kv)) ** omega
-                    ktu = u_next @ kernel
-                    v_next = v * (b / (v * ktu)) ** omega
-                absorb = not np.all(np.abs(np.log([u_next, v_next])) < _LOG_SAFE_RANGE)
-            if not absorb:
-                u, v = u_next, v_next
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if symmetric:
+                u_next = v_next = np.sqrt(v * a / kv)
+            elif omega == 1.0:
+                u_next = a / kv
+                v_next = b / (u_next @ kernel)
+            else:
+                u_next = u * (a / (u * kv)) ** omega
+                ktu = u_next @ kernel
+                v_next = v * (b / (v * ktu)) ** omega
+            absorb = not np.all(np.abs(np.log([u_next, v_next])) < _LOG_SAFE_RANGE)
         if absorb:
-            f, g, kernel = _log_sweep(log_kernel, log_a, b, g + np.log(v), symmetric)
+            if log_k is None:
+                log_k = log_kernel()
+            f, g, kernel = _log_sweep(log_k, log_a, b, g + np.log(v), symmetric)
             u = v = np.ones_like(log_a)
             absorptions += 1
             omega, relax, history = 1.0, not symmetric, []
+        else:
+            u, v = u_next, v_next
         kv = kernel @ v
         residual = float(np.abs(u * kv - a).max())
         if omega != 1.0:
@@ -308,11 +352,9 @@ def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
         if residual <= tol:
             log.debug("scaling converged: %d sweeps, %d absorptions, omega %.3f, "
                       "residual %.3e", sweep, absorptions, engaged, residual)
-            log_u = f + np.log(u)
-            shift = log_u.mean()
-            return log_u - shift, g + np.log(v) + shift, sweep, residual
-        if absorb:
-            continue  # the absorbing sweep is no plain sweep: keep it out of the rate
+            return _Scaling(kernel, u, v, f + np.log(u), g + np.log(v), sweep, residual)
+        if absorb or sweep == 1:
+            continue  # the first sweep of a phase is no contraction step: keep it out of the rate
         history.append(residual)
         if omega != 1.0 and len(history) > _RATE_WINDOW and residual > max(history[:_RATE_WINDOW]):
             omega, relax, history = 1.0, False, []
@@ -337,10 +379,21 @@ def _scale(log_kernel, a, b, tol, max_iter, symmetric=False):
     )
 
 
+def _gauged(log_u, log_v, sweeps, residual) -> ScalingPotentials:
+    """The potentials exp(log_u), exp(log_v) with u at unit geometric mean."""
+    shift = log_u.mean()
+    return ScalingPotentials(np.exp(log_u - shift), np.exp(log_v + shift), sweeps, residual)
+
+
 def sinkhorn(
     z, tol: float = 1e-10, max_iter: int = 10_000
 ) -> tuple[StochasticOperator, ScalingPotentials]:
     """Scale exp(z) to a bistochastic matrix.
+
+    The sweeps start on exp(z - max_j z_ij): each row peaks at exactly 1, so
+    the kernel cannot overflow and no row vanishes; a column that underflows
+    makes the core absorb in the log domain.  The operator is diag(u) K diag(v)
+    on the kernel K whose marginals the core measured.
 
     Parameters
     ----------
@@ -356,13 +409,15 @@ def sinkhorn(
     invariance), so only the scaled matrix is canonical; the potentials are
     reported with u normalized to unit geometric mean.
     """
-    z = _validate_logits(z, square=True)
+    z, top = _validate_logits(z, square=True)
+    kernel = np.subtract(z, top)
+    np.exp(kernel, out=kernel)
     ones = np.ones(z.shape[0])
-    log_u, log_v, sweeps, residual = _scale(z, ones, ones, tol, max_iter)
-    scaled = z + log_u[:, None]
-    scaled += log_v
-    np.exp(scaled, out=scaled)
-    potentials = ScalingPotentials(np.exp(log_u), np.exp(log_v), sweeps, residual)
+    found = _scale(kernel, lambda: z - top, ones, ones, tol, max_iter)
+    scaled = found.kernel
+    scaled *= found.u[:, None]
+    scaled *= found.v
+    potentials = _gauged(found.log_u - top[:, 0], found.log_v, found.sweeps, found.residual)
     # the contract is tol, so the construction bound must not be tighter; the
     # factor 2 covers rounding between the core's residual and a fresh sum
     return StochasticOperator(scaled, "bi", check_tol=max(1e-6, 2.0 * tol)), potentials
@@ -376,7 +431,8 @@ def schrodinger_solve(
     Convergence is declared when both constraints
     u_i * (K v)_i = mu_plus_i and v_j * (K^T u)_j = mu_minus_j hold within
     ``tol`` (sup norm).  Bistochastic scaling is the special case of uniform
-    marginals, up to an overall factor of n.
+    marginals, up to an overall factor of n.  The sweeps run on K itself;
+    log K is formed only if a sweep has to absorb.
 
     Raises
     ------
@@ -386,10 +442,11 @@ def schrodinger_solve(
     k = np.asarray(kernel, dtype=float)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError(f"kernel must be square, got shape {k.shape}")
-    if not np.all(np.isfinite(k)) or np.any(k <= 0.0):
+    # a NaN fails both comparisons, -inf the first and +inf the second
+    if k.size and not (k.min() > 0.0 and k.max() < np.inf):
         raise ValueError("kernel must be strictly positive and finite")
     n = k.shape[0]
     mu_plus = _validate_marginal(mu_plus, n, "mu_plus")
     mu_minus = _validate_marginal(mu_minus, n, "mu_minus")
-    log_u, log_v, sweeps, residual = _scale(np.log(k), mu_plus, mu_minus, tol, max_iter)
-    return ScalingPotentials(np.exp(log_u), np.exp(log_v), sweeps, residual)
+    found = _scale(k, lambda: np.log(k), mu_plus, mu_minus, tol, max_iter)
+    return _gauged(found.log_u, found.log_v, found.sweeps, found.residual)

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Bidivergence, _validate_beta
+from .geometry import Bidivergence, _all_finite, _validate_beta
 from .normalize import (
     ConvergenceError,
     StochasticOperator,
     _marginal_violation,
     _scale,
+    _softmax,
     sinkhorn,
-    softmax_cols,
-    softmax_rows,
 )
 
 
@@ -36,7 +35,8 @@ class KernelMatrix:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
             raise ValueError(f"kernel must be square, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
+        # a NaN fails both comparisons, -inf the first and +inf the second
+        if vals.size and not (vals.min() > 0.0 and vals.max() < np.inf):
             raise ValueError("kernel entries must be strictly positive and finite")
         _validate_beta(self.beta)
         object.__setattr__(self, "values", vals)
@@ -72,7 +72,7 @@ class ComplexOperator:
                 f"phase shape {theta.shape} does not match operator shape "
                 f"{self.magnitudes.shape}"
             )
-        if not np.all(np.isfinite(theta)):
+        if not _all_finite(theta):
             raise ValueError("phases contain non-finite entries")
         asym = _max_hermitian_gap(theta, antisymmetric=True)
         if asym > 1e-12:
@@ -99,14 +99,17 @@ def _polar(magnitude, theta: np.ndarray) -> np.ndarray:
 # tile edge of the Hermiticity scan: two tiles stay cache-resident
 _TILE = 256
 
+# rows per block of the symmetric outer-product scaling in dmap_bistochastic
+_ROW_BLOCK = 32
+
 
 def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float:
     """max |A - A^H| over all entries (|A - A^T| for a real matrix), or
     max |A + A^H| when ``antisymmetric``.
 
     Each tile on or above the diagonal is compared with its mirror tile, so
-    no transposed n^2 copy is made; a NaN entry gives NaN, as the full
-    difference would.
+    no transposed n^2 copy is made and one tile-sized difference is the only
+    temporary; a NaN entry gives NaN, as the full difference would.
     """
     n = matrix.shape[0]
     gaps = [0.0]
@@ -118,37 +121,44 @@ def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float
             if np.iscomplexobj(mirror):
                 mirror = mirror.conj()
             block = matrix[rows, cols]
-            gaps.append(np.abs(block + mirror if antisymmetric else block - mirror).max())
+            diff = block + mirror if antisymmetric else block - mirror
+            gaps.append(np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max())
     return float(np.max(gaps))
 
 
-def _validate_squared_distance(d2) -> np.ndarray:
+def _validate_squared_distance(d2) -> tuple[np.ndarray, float]:
+    """d2 as a float matrix and its symmetry gap max |d2 - d2^T| (0 exactly
+    when d2 is bitwise symmetric).  Its minimum and maximum, which a NaN or
+    an infinity reaches, give both the finiteness check and max |d2|."""
     d2 = np.asarray(d2, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise ValueError(f"squared distances must form a square matrix, got {d2.shape}")
-    if not np.all(np.isfinite(d2)):
+    low, high = float(d2.min()), float(d2.max())
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("squared distances contain non-finite entries")
-    scale = max(1.0, float(np.abs(d2).max()))
-    if _max_hermitian_gap(d2) > 1e-12 * scale:
+    scale = max(1.0, -low, high)
+    gap = _max_hermitian_gap(d2)
+    if gap > 1e-12 * scale:
         raise ValueError("squared-distance matrix must be symmetric")
     if float(np.abs(np.diag(d2)).max()) > 1e-12 * scale:
         raise ValueError("squared-distance matrix must have a zero diagonal")
-    return d2
+    return d2, gap
 
 
 def rbf_kernel(d2, beta: float) -> KernelMatrix:
     """Gaussian kernel exp(-beta * d2): unit diagonal, symmetric, positive."""
     beta = _validate_beta(beta)
-    d2 = _validate_squared_distance(d2)
+    d2, _ = _validate_squared_distance(d2)
+    values = d2 * -beta
     with np.errstate(over="ignore"):
-        values = np.exp(-beta * d2)
+        np.exp(values, out=values)
     if np.isinf(values.max()):
         # negative "squared distances" come from indefinite weighted geometry
         raise ValueError(
             f"kernel overflowed: beta={beta:g} times the most negative squared "
             f"distance {float(d2.min()):g} exceeds the exponential range; reduce beta"
         )
-    if np.any(values == 0.0):
+    if values.min() == 0.0:
         raise ValueError(
             f"kernel underflowed to zero: beta={beta:g} times the largest "
             f"squared distance {float(d2.max()):g} exceeds the exponential "
@@ -165,9 +175,10 @@ def directional_kernels(bidiv: Bidivergence, beta: float) -> tuple[np.ndarray, n
     The backward kernel is the view ``fwd.T``; overflow raises ``ValueError``.
     """
     beta = _validate_beta(beta)
+    k = bidiv.fwd * -beta
     with np.errstate(over="ignore"):
-        k = np.exp(-beta * bidiv.fwd)
-    if np.isinf(k).any():
+        np.exp(k, out=k)
+    if np.isinf(k.max()):
         raise ValueError(f"directional kernel overflowed at beta={beta:g}; reduce beta")
     return k, k.T
 
@@ -180,13 +191,15 @@ def attention_forward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
     divergence is constant along each row.
     """
     beta = _validate_beta(beta)
-    return softmax_rows(-beta * bidiv.fwd)
+    z = bidiv.fwd * -beta
+    return _softmax(z, 1, "row", out=z)
 
 
 def attention_backward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
     """Column-softmax attention over the backward divergence."""
     beta = _validate_beta(beta)
-    return softmax_cols(-beta * bidiv.bwd)
+    z = bidiv.bwd * -beta
+    return _softmax(z, 0, "column", out=z)
 
 
 def attention_bistochastic(
@@ -215,8 +228,9 @@ def dmap(d2, beta: float) -> StochasticOperator:
     Identical (to rounding) to normalizing the Gaussian kernel by its row sums.
     """
     beta = _validate_beta(beta)
-    d2 = _validate_squared_distance(d2)
-    return softmax_rows(-beta * d2)
+    d2, _ = _validate_squared_distance(d2)
+    z = d2 * -beta
+    return _softmax(z, 1, "row", out=z)
 
 
 def laplacians(kernel: KernelMatrix) -> LaplacianPair:
@@ -234,25 +248,37 @@ def dmap_bistochastic(
     """Bistochastic diffusion operator, exactly symmetric.
 
     Scales the symmetrized logits z = -beta * d2 to unit marginals with the
-    damped symmetric update of the scaling core and returns exp(z_ij + w_i +
-    w_j), w = (log u + log v) / 2, after rechecking its marginals against ``tol``.
+    damped symmetric update of the scaling core, on the kernel
+    K = exp(z - max z): one scalar shift, so K cannot overflow and stays
+    exactly symmetric.  Returns K o (u u^T) on the kernel the core measured,
+    bitwise symmetric since each u_i u_j is, after rechecking its marginals
+    against ``tol``.
     """
     beta = _validate_beta(beta)
-    d2 = _validate_squared_distance(d2)
-    z = -beta * d2
-    z = (z + z.T) / 2.0  # exact symmetry; a no-op for bitwise-symmetric input
-    ones = np.ones(z.shape[0])
-    log_u, log_v, sweeps, _ = _scale(z, ones, ones, tol, max_iter, symmetric=True)
-    w = (log_u + log_v) / 2.0
-    z += w[:, None] + w[None, :]
-    scaled = np.exp(z, out=z)
+    d2, gap = _validate_squared_distance(d2)
+
+    def shifted_logits():
+        z = d2 * -beta
+        if gap:  # exact symmetry for a matrix that is symmetric only to rounding
+            z = (z + z.T) / 2.0
+        z -= z.max()
+        return z
+
+    kernel = shifted_logits()
+    np.exp(kernel, out=kernel)
+    ones = np.ones(kernel.shape[0])
+    found = _scale(kernel, shifted_logits, ones, ones, tol, max_iter, symmetric=True)
+    scaled, u = found.kernel, found.u
+    for lo in range(0, u.shape[0], _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        scaled[rows] *= np.multiply.outer(u[rows], u)
     residual = _marginal_violation(scaled, 1.0, 1.0)
     if residual > tol:
         raise ConvergenceError(
             f"symmetrized bistochastic operator misses tol: residual {residual:.3e} "
-            f"> tol {tol:.3e} after {sweeps} iterations",
+            f"> tol {tol:.3e} after {found.sweeps} iterations",
             residual=residual,
-            iterations=sweeps,
+            iterations=found.sweeps,
         )
     # residual <= tol was just checked on these sums; a looser tol must not
     # trip the tighter default construction bound

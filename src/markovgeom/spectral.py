@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridges import currents
 from .normalize import StochasticOperator
 from .operators import ComplexOperator, _max_hermitian_gap, _polar
 
@@ -66,19 +65,25 @@ def conjugate_symmetrize(
 
     Requires (P, pi) to satisfy detailed balance within ``db_tol``; otherwise
     the conjugated matrix would not be symmetric, which signals that a
-    non-reversible (steady-state-circulating) operator was passed.
+    non-reversible (steady-state-circulating) operator was passed.  The
+    residual is the largest probability current, max |F - F^T| of the flux
+    F = diag(pi) P, read tile by tile; the conjugated matrix then reuses F's
+    memory.
     """
     if p_plus.kind not in ("row", "bi"):
         raise ValueError("conjugate_symmetrize expects a row-stochastic operator")
     pi = _validate_measure(pi, p_plus.shape[0])
-    db_residual = float(np.abs(currents(p_plus, pi)).max())
+    flux = pi[:, None] * p_plus.values
+    db_residual = _max_hermitian_gap(flux)
     if db_residual > db_tol:
         raise ValueError(
             f"detailed balance violated (residual {db_residual:.3e} > "
             f"{db_tol:.1e}); the operator/measure pair is not reversible"
         )
     root = np.sqrt(pi)
-    return (root[:, None] * p_plus.values) / root[None, :]
+    conjugated = np.multiply(p_plus.values, root[:, None], out=flux)
+    conjugated /= root
+    return conjugated
 
 
 def conjugate_hermitize(op: ComplexOperator, pi, db_tol: float = 1e-8) -> np.ndarray:
@@ -93,14 +98,27 @@ def conjugate_hermitize(op: ComplexOperator, pi, db_tol: float = 1e-8) -> np.nda
 
 def _fix_leading_phase(vectors: np.ndarray) -> None:
     """In place: make the first significantly nonzero component of each column
-    real positive (a sign flip in the real case)."""
-    significant = np.abs(vectors) > _LEAD_COMPONENT_FLOOR
-    first = significant.argmax(axis=0)
-    columns = np.arange(vectors.shape[1])
-    lead = vectors[first, columns]
+    real positive (a sign flip in the real case).
+
+    Rows are scanned from the top in blocks that double in height, each over
+    the columns still without a significant entry, so a typical basis is
+    settled by its first few rows; a column with none is left unchanged."""
+    n, m = vectors.shape
+    first = np.zeros(m, dtype=np.intp)
+    found = np.zeros(m, dtype=bool)
+    pending = np.arange(m)
+    lo, height = 0, 8
+    while pending.size and lo < n:
+        significant = np.abs(vectors[lo:lo + height, pending]) > _LEAD_COMPONENT_FLOOR
+        hit = significant.any(axis=0)
+        first[pending[hit]] = lo + significant[:, hit].argmax(axis=0)
+        found[pending[hit]] = True
+        pending = pending[~hit]
+        lo, height = lo + height, 2 * height
+    lead = vectors[first, np.arange(m)]
     with np.errstate(invalid="ignore"):  # 0/0 only in columns left unchanged
         phase = np.conj(lead) / np.abs(lead)
-    np.multiply(vectors, phase, out=vectors, where=significant[first, columns])
+    np.multiply(vectors, phase, out=vectors, where=found)
 
 
 def decompose(conjugated, pi) -> SpectralDecomposition:

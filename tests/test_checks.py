@@ -1,0 +1,191 @@
+"""Construction checks that read finiteness and sign off a few reductions.
+
+The constructors no longer scan every entry with ``isfinite``: a minimum and
+a maximum (which a NaN reaches), or the sums an operator is tagged with, tell
+them whether anything is wrong, and a full scan runs only to pick the message.
+Each planted bad cell must still raise the message of an entrywise scan, and
+an input with several faults must still report the one checked first.
+"""
+
+import numpy as np
+import pytest
+
+from markovgeom.bridges import attention_gauge, solve_bridge, stationary_distribution
+from markovgeom.geometry import (
+    Bidivergence,
+    DataCloud,
+    GramMatrix,
+    HermitianPartition,
+    InteractionWeights,
+    bidivergence,
+    gram,
+    squared_distance,
+)
+from markovgeom.normalize import (
+    StochasticOperator,
+    schrodinger_solve,
+    sinkhorn,
+    softmax_cols,
+    softmax_rows,
+)
+from markovgeom.operators import (
+    ComplexOperator,
+    KernelMatrix,
+    dmap,
+    dmap_bistochastic,
+    rbf_kernel,
+)
+
+N = 5
+_POINTS = np.random.default_rng(150).standard_normal((N, 3))
+_GRAM = gram(DataCloud(_POINTS)).values
+_FWD = bidivergence(GramMatrix(_GRAM)).fwd
+_D2 = squared_distance(Bidivergence(_FWD))
+_KERNEL = np.exp(-0.25 * _D2)  # well inside what the scalers converge on
+_LOGITS = np.random.default_rng(151).standard_normal((N, N))
+_UNIFORM = np.full((N, N), 1.0 / N)
+_MU = np.full(N, 1.0 / N)
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+
+def _cells(shape):
+    rows, cols = shape
+    return {"first": (0, 0), "middle": (rows // 2, cols // 2), "last": (rows - 1, cols - 1)}
+
+
+def planted(matrix, cell, value):
+    out = np.array(matrix, dtype=float)
+    out[cell] = value
+    return out
+
+
+# each input a folded check validates: (clean matrix, constructor, message
+# of a non-finite entry)
+FINITE_CHECKS = {
+    **{f"operator-{kind}": (_UNIFORM, lambda m, kind=kind: StochasticOperator(m, kind),
+                            "operator contains non-finite entries")
+       for kind in ("row", "column", "bi")},
+    "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0),
+                     "kernel entries must be strictly positive and finite"),
+    "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU),
+                          "kernel must be strictly positive and finite"),
+    "solve_bridge": (_KERNEL, lambda m: solve_bridge(m, _MU, _MU),
+                     "kernel must be strictly positive and finite"),
+    "softmax_rows": (_LOGITS, softmax_rows,
+                     "logits must be finite (masking with -inf is unsupported)"),
+    "softmax_cols": (_LOGITS, softmax_cols,
+                     "logits must be finite (masking with -inf is unsupported)"),
+    "sinkhorn": (_LOGITS, sinkhorn, "logits must be finite (masking with -inf is unsupported)"),
+    "rbf_kernel": (_D2, lambda m: rbf_kernel(m, 1.0),
+                   "squared distances contain non-finite entries"),
+    "dmap": (_D2, lambda m: dmap(m, 1.0), "squared distances contain non-finite entries"),
+    "dmap_bistochastic": (_D2, lambda m: dmap_bistochastic(m, 1.0),
+                          "squared distances contain non-finite entries"),
+    "GramMatrix": (_GRAM, GramMatrix, "gram values contains non-finite entries"),
+    "Bidivergence": (_FWD, Bidivergence, "forward divergence contains non-finite entries"),
+    "DataCloud": (_POINTS, DataCloud, "points contains non-finite entries"),
+    "InteractionWeights": (np.eye(3), InteractionWeights,
+                           "weight matrix contains non-finite entries"),
+    "HermitianPartition": (np.eye(3), lambda m: HermitianPartition(m, np.zeros((3, 3))),
+                           "symmetric part contains non-finite entries"),
+    "ComplexOperator phases": (np.zeros((N, N)), lambda m: ComplexOperator(
+        StochasticOperator(_UNIFORM, "row"), m), "phases contain non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("value", list(NON_FINITE))
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("check", list(FINITE_CHECKS))
+def test_non_finite_cell_is_rejected(check, where, value):
+    clean, build, message = FINITE_CHECKS[check]
+    build(clean)  # the clean input passes
+    bad = planted(clean, _cells(clean.shape)[where], NON_FINITE[value])
+    with pytest.raises(ValueError) as excinfo:
+        build(bad)
+    assert str(excinfo.value) == message
+
+
+def _row_operator(m):
+    return StochasticOperator(m / m.sum(axis=1, keepdims=True), "row")
+
+
+# inputs that must also be positive or nonnegative: (clean matrix,
+# constructor, message of a bad sign, the bad values; a negative entry of an
+# operator is already refused by StochasticOperator, so the strictly positive
+# checks on operators see zeros)
+SIGN_CHECKS = {
+    **{f"operator-{kind}": (_UNIFORM, lambda m, kind=kind: StochasticOperator(m, kind),
+                            "operator entries must be nonnegative", (-0.1,))
+       for kind in ("row", "column", "bi")},
+    "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0),
+                     "kernel entries must be strictly positive and finite", (-0.1, 0.0)),
+    "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU),
+                          "kernel must be strictly positive and finite", (-0.1, 0.0)),
+    "stationary_distribution": (_UNIFORM, lambda m: stationary_distribution(_row_operator(m)),
+                                "operator must be strictly positive for a unique fixed point",
+                                (0.0,)),
+    "attention_gauge": (_UNIFORM, lambda m: attention_gauge(_MU, _row_operator(m)),
+                        "operator and stationary vector must be strictly positive", (0.0,)),
+}
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("check", list(SIGN_CHECKS))
+def test_bad_sign_cell_is_rejected(check, where):
+    clean, build, message, bad_values = SIGN_CHECKS[check]
+    build(clean)  # the clean input passes
+    cell = _cells(clean.shape)[where]
+    for value in bad_values:
+        with pytest.raises(ValueError) as excinfo:
+            build(planted(clean, cell, value))
+        assert str(excinfo.value) == message
+
+
+class TestOrderOfChecks:
+    """With several faults, the message is that of the check run first."""
+
+    @pytest.mark.parametrize("kind", ["row", "column", "bi"])
+    def test_non_finite_before_negative(self, kind):
+        # the +inf is seen only through a sum: the minimum is the finite -0.1
+        bad = planted(planted(_UNIFORM, (0, 0), -0.1), (N - 1, N - 1), np.inf)
+        with pytest.raises(ValueError, match="operator contains non-finite entries"):
+            StochasticOperator(bad, kind)
+
+    @pytest.mark.parametrize("kind", ["row", "column", "bi"])
+    def test_negative_before_sums(self, kind):
+        with pytest.raises(ValueError, match="operator entries must be nonnegative"):
+            StochasticOperator(planted(_UNIFORM, (1, 1), -0.1), kind)
+
+    def test_rows_before_columns(self):
+        with pytest.raises(ValueError, match="^row sums deviate"):
+            StochasticOperator(2.0 * _UNIFORM, "bi")
+
+    @pytest.mark.parametrize("kind, axis", [("row", "row"), ("column", "column"), ("bi", "row")])
+    def test_overflowing_sums_of_finite_entries(self, kind, axis):
+        # every entry is finite, so the scan clears them and the sum check speaks
+        with pytest.raises(ValueError, match=f"^{axis} sums deviate from 1 by inf"):
+            StochasticOperator(np.full((2, 2), 1e308), kind)
+
+    def test_logits_finite_before_square(self):
+        with pytest.raises(ValueError, match="logits must be finite"):
+            sinkhorn(planted(np.zeros((2, 3)), (1, 2), np.nan))
+
+    def test_squared_distances_finite_before_symmetry(self):
+        bad = planted(planted(_D2, (0, 1), 7.0), (3, 2), -np.inf)
+        with pytest.raises(ValueError, match="squared distances contain non-finite entries"):
+            rbf_kernel(bad, 1.0)
+
+    def test_schrodinger_square_before_kernel_before_marginals(self):
+        with pytest.raises(ValueError, match="kernel must be square"):
+            schrodinger_solve(np.full((2, 3), np.nan), _MU, _MU)
+        with pytest.raises(ValueError, match="kernel must be strictly positive and finite"):
+            schrodinger_solve(planted(_KERNEL, (2, 2), np.nan), np.zeros(N), _MU)
+
+    def test_cloud_finite_before_size(self):
+        with pytest.raises(ValueError, match="points contains non-finite entries"):
+            DataCloud(np.array([[np.nan, 1.0]]))
+
+    def test_bidivergence_finite_before_diagonal(self):
+        with pytest.raises(ValueError, match="forward divergence contains non-finite entries"):
+            Bidivergence(planted(_FWD, (2, 2), np.nan))

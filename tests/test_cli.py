@@ -571,7 +571,18 @@ _BAD_SOLVER_ARGS = {
     "tol-0": (["--tol", "0"], "tol must be finite and positive"),
     "tol-neg": (["--tol", "-1"], "tol must be finite and positive"),
     "tol-nan": (["--tol", "nan"], "tol must be finite and positive"),
+    "tol-inf": (["--tol", "inf"], "tol must be finite and positive"),
     "max-iter-0": (["--max-iter", "0"], "max_iter must be at least 1"),
+    "max-iter-neg": (["--max-iter", "-3"], "max_iter must be at least 1"),
+    # both bad: the tol is reported, as the library checks it first
+    "both": (["--tol", "-5", "--max-iter", "0"], "tol must be finite and positive, got -5.0"),
+}
+# paths that take --tol (and --max-iter where the flag says so) but run no
+# solver with them: the values are checked all the same, before any input is read
+_NO_SOLVER_PATHS = {
+    "attention-forward": (["attention"], True),
+    "attention-json": (["attention", "--format", "json"], True),
+    "classify-rbf": (["classify", "--mu-plus", "stationary", "--mu-minus", "stationary"], False),
 }
 
 
@@ -617,7 +628,7 @@ class TestArgumentChecks:
         pytest.param(argv, solver_args, message, id=f"{name}-{case}")
         for name, (argv, takes_max_iter) in _SOLVER_COMMANDS.items()
         for case, (solver_args, message) in _BAD_SOLVER_ARGS.items()
-        if takes_max_iter or solver_args[0] == "--tol"
+        if takes_max_iter or "--max-iter" not in solver_args
     ])
     def test_solver_arguments_are_usage_errors(self, tmp_path, cloud_csv, capsys, argv,
                                                solver_args, message):
@@ -626,6 +637,22 @@ class TestArgumentChecks:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, solver_args, message", [
+        pytest.param(argv, solver_args, message, id=f"{name}-{case}")
+        for name, (argv, takes_max_iter) in _NO_SOLVER_PATHS.items()
+        for case, (solver_args, message) in _BAD_SOLVER_ARGS.items()
+        if takes_max_iter or "--max-iter" not in solver_args
+    ])
+    def test_solver_arguments_are_checked_where_no_solver_runs(
+            self, tmp_path, cloud_csv, capsys, argv, solver_args, message):
+        cloud_path, _ = cloud_csv
+        out = tmp_path / "out"
+        code = main([*argv, "--input", str(cloud_path), "--beta", "1", *solver_args,
+                     "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _contract_files(tmp_path):

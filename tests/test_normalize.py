@@ -444,9 +444,53 @@ class TestScalingCore:
             with pytest.raises(ConvergenceError):
                 sinkhorn(_Z, tol=1e-30, max_iter=16)
         converged, stalled = [r.getMessage() for r in caplog.records]
-        assert converged.startswith(f"scaling converged: {potentials.iterations} sweeps, 1 absorptions")
+        # a well-scaled kernel is swept in the linear domain throughout
+        assert converged.startswith(f"scaling converged: {potentials.iterations} sweeps, 0 absorptions")
         assert f"residual {potentials.residual:.3e}" in converged
         assert stalled.startswith("scaling stalled: 16 sweeps")
+
+    @pytest.mark.parametrize("scaler", list(SCALERS))
+    def test_well_scaled_kernel_is_never_absorbed(self, scaler, caplog):
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            SCALERS[scaler]()
+        [converged] = [r.getMessage() for r in caplog.records]
+        assert " 0 absorptions" in converged
+
+    def test_underflowing_column_absorbs_and_converges(self, caplog):
+        # exp(z - row max) of a column 600 nats below the rest is about 1e-262,
+        # so its scaling factor leaves e^115 in the first sweep
+        z = np.random.default_rng(70).standard_normal((8, 8))
+        shifted = z.copy()
+        shifted[:, 0] -= 600.0
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            operator, _ = sinkhorn(shifted)
+        [converged] = [r.getMessage() for r in caplog.records]
+        assert " 1 absorptions" in converged
+        assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-10
+        # a column shift is a gauge: the operator is that of the unshifted logits
+        np.testing.assert_allclose(operator.values, sinkhorn_oracle(np.exp(z)), rtol=0, atol=1e-10)
+
+    def test_tiny_kernel_column_absorbs_and_converges(self, caplog):
+        rng = np.random.default_rng(71)
+        kernel = np.exp(rng.standard_normal((8, 8)))
+        tiny = kernel.copy()
+        tiny[:, 2] *= 1e-300
+        mu_plus, mu_minus = rng.dirichlet(np.ones(8), size=2)
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            potentials = schrodinger_solve(tiny, mu_plus, mu_minus)
+        [converged] = [r.getMessage() for r in caplog.records]
+        assert " 1 absorptions" in converged
+        coupling = potentials.u[:, None] * tiny * potentials.v[None, :]
+        assert marginal_violation(coupling, mu_plus, mu_minus) <= 1e-10
+        np.testing.assert_allclose(
+            coupling, schrodinger_oracle(kernel, mu_plus, mu_minus, 2000), rtol=0, atol=1e-10)
+
+    # sinkhorn and schrodinger_solve sweeps on the two-cluster cloud: sweeping
+    # in the linear domain from the first sweep on must not change them
+    @pytest.mark.parametrize("beta, sweeps", [(0.5, (24, 32)), (1.0, (40, 54)), (1.5, (40, 88))])
+    def test_two_cluster_sweep_counts(self, beta, sweeps):
+        _, potentials, _, bridge = two_cluster_scalings(beta)
+        assert (potentials.iterations, bridge.iterations) == sweeps
 
     @pytest.mark.parametrize("n, d, seed, beta, attention_converges", [
         (60, 2, 0, 10.0, True),    # logits span about 200 nats
