@@ -3,8 +3,11 @@
 Matrices are written as plain CSV at 17 significant digits (lossless for
 float64), reports as JSON with insertion-ordered keys, complex operators as
 paired magnitude/phase CSVs.  Identical configuration and inputs produce
-byte-identical output files.  Large matrices are formatted in row chunks on
-every available CPU; the bytes do not depend on how many there are.
+byte-identical output files.  CSV cells are converted by an exact numpy
+kernel with the bytes of ``'%.17g' % x``; cells outside its range, such as
+nan, inf and subnormals, are formatted by ``%`` itself.  Large matrices are
+formatted in row chunks on every available CPU; the bytes do not depend on
+how many there are.
 
 Exit codes: 0 success (or all identities pass), 1 verification failure,
 2 usage/input error, 3 numerical non-convergence.  The MG_LOG_LEVEL
@@ -176,17 +179,165 @@ def load_marginal(path, n: int, skip_header: bool = False) -> np.ndarray:
 
 # Matrices of at least this many cells are formatted on every available CPU,
 # with at least _MIN_ROWS_PER_WORKER rows per process; smaller ones, and
-# platforms without os.fork, take the same formatter serially.
-_PARALLEL_MIN_CELLS = 1 << 16
+# platforms without os.fork, take the same formatter serially.  The CSV
+# kernel formats a cell several times as fast as JSON's %r, so on two CPUs a
+# fork and its pipe first pay off at about 2**17 CSV cells, but below 2**16
+# JSON cells.
+_PARALLEL_MIN_CELLS = 1 << 17
+_PARALLEL_MIN_JSON_CELLS = 1 << 16
 _MIN_ROWS_PER_WORKER = 16
 # cells per formatted text block, and bytes per read of a worker's pipe
 _BLOCK_CELLS = 1 << 14
 _PIPE_READ = 1 << 20
 
 
-def _emit_workers(matrix: np.ndarray) -> int:
-    """Number of processes that format ``matrix``, the caller included."""
-    if matrix.size < _PARALLEL_MIN_CELLS or not hasattr(os, "fork"):
+# The CSV kernel converts |x| in [_G17_MIN, _G17_MAX), whose decimal exponents
+# lie in [_G17_EXP_MIN, _G17_EXP_MAX]; zeros too.  Each cell is written into a
+# slot of _G17_SLOT bytes, NUL-padded:
+#   0      sign                     6      first digit
+#   1-5    "0." and up to 3 zeros   7      point
+#   8-23   digits 2-17              24-27  exponent, "e-05".."e-11"
+#   28     "," or "\n"              29-31  NUL
+_G17_MIN, _G17_MAX = 1e-11, 1e15
+_G17_EXP_MIN, _G17_EXP_MAX = -11, 14
+_G17_SLOT = 32
+_MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _g17_tables():
+    """The kernel's lookup tables, as uint32 words of the slot layout above.
+
+    Returns the text of 0000..9999, the same with trailing zeros as NUL, word
+    0 by (exponent, sign), word 1 by exponent, word 1's first digit and point
+    by ``2 * digit + point``, and word 6 by exponent; then 5**0..5**27.
+    """
+    k = np.arange(10_000, dtype=np.uint32)[:, None]
+    place = np.uint32(10) ** np.arange(3, -1, -1, dtype=np.uint32)
+    group = (k // place % np.uint32(10)).astype(np.uint8) + np.uint8(ord("0"))
+    kept = k % (place * np.uint32(10)) != 0  # a nonzero digit here or after
+    exps = np.arange(_G17_EXP_MIN, _G17_EXP_MAX + 1)
+    small = (exps < 0) & (exps >= -4)  # fixed notation below 1
+    sci = exps < -4                    # exponent notation
+    slot = np.zeros((exps.size, 2, _G17_SLOT), dtype=np.uint8)
+    slot[:, 1, 0] = ord("-")
+    slot[:, :, 1] = (small * ord("0"))[:, None]
+    slot[:, :, 2] = (small * ord("."))[:, None]
+    slot[:, :, 3:6] = ((small[:, None] & (np.arange(3) < -1 - exps[:, None])) * ord("0"))[:, None]
+    slot[:, :, 24] = (sci * ord("e"))[:, None]
+    slot[:, :, 25] = (sci * ord("-"))[:, None]
+    slot[:, :, 26] = (sci * (ord("0") + (-exps) // 10))[:, None]
+    slot[:, :, 27] = (sci * (ord("0") + (-exps) % 10))[:, None]
+    lead = np.zeros((10, 2, 4), dtype=np.uint8)
+    lead[:, :, 2] = (np.arange(10) + ord("0"))[:, None]
+    lead[:, 1, 3] = ord(".")
+    words = slot.view(np.uint32)
+    return (group.view(np.uint32).ravel(), (group * kept).view(np.uint32).ravel(),
+            words[:, :, 0].ravel(), words[:, 0, 1].copy(), lead.view(np.uint32).ravel(),
+            words[:, 0, 6].copy(), np.uint64(5) ** np.arange(28, dtype=np.uint64))
+
+
+(_DIGITS4, _STRIPPED4, _G17_WORD0, _G17_WORD1, _G17_LEAD, _G17_WORD6,
+ _POW5) = _g17_tables()
+
+
+def _g17_fallback(slots: np.ndarray, values: np.ndarray, cells: np.ndarray) -> None:
+    """Write ``'%.17g' % values[i]`` into the slot of each cell the kernel
+    leaves out: nan, inf, subnormals and the cells outside its range."""
+    texts = np.array([b"%.17g" % v for v in values[cells].tolist()], dtype=f"S{_G17_SLOT - 4}")
+    slots[cells, :_G17_SLOT - 4] = texts.view(np.uint8).reshape(cells.size, -1)
+
+
+def _g17_csv(block: np.ndarray) -> bytes:
+    """The CSV text of a 2-D float64 block: every cell as ``'%.17g' % x``,
+    byte for byte, cells joined by ``,`` and each row ended by ``\\n``.
+
+    A cell is converted exactly, with no float arithmetic on its digits.
+    Guess e10 = floor(log10|x|) and write |x| = M * 2**E with M < 2**53.  The
+    17 digits are D = round(M * 5**q * 2**(E + q)) with q = 16 - e10 <= 27,
+    so the product is a 128-bit integer of 32-bit limbs, shifted right by
+    s in [1, 63] and rounded half to even, as ``%.17g`` rounds.  The guess
+    stands only if the shifted value lies in [10**16, 10**17) before and
+    after rounding; any other cell goes to ``_g17_fallback``.  The digits
+    are laid out by ``%g`` rules through a table of 4-digit groups, trailing
+    fraction zeros as NUL, and the NULs are squeezed out in one pass.
+    """
+    rows, cols = block.shape
+    if cols == 0:
+        return b"\n" * rows
+    if cols > _BLOCK_CELLS:
+        # a long row goes in pieces, which bounds the temporaries
+        return b"".join(
+            b",".join(_g17_csv(row[None, i:i + _BLOCK_CELLS])[:-1]
+                      for i in range(0, cols, _BLOCK_CELLS)) + b"\n"
+            for row in block)
+    x = block.ravel()
+    a = np.abs(x)
+    fast = (a >= _G17_MIN) & (a < _G17_MAX)
+    zero = a == 0.0
+    a_fast = np.where(fast, a, 1.0)
+    mantissa, exponent = np.frexp(a_fast)
+    e10 = np.floor(np.log10(a_fast)).astype(np.int64)
+    shift = 37 + e10 - exponent  # 53 - exponent - q
+    fast &= (e10 >= _G17_EXP_MIN) & (shift >= 1) & (shift <= 63)
+    shift = np.clip(shift, 1, 63).astype(np.uint64)
+    # M * 5**q as hi * 2**64 + lo, from four 32 x 32-bit products
+    m = (mantissa * 2.0**53).astype(np.uint64)
+    f = _POW5[np.clip(16 - e10, 0, 27)]
+    m0, m1 = m & _MASK32, m >> _SHIFT32
+    f0, f1 = f & _MASK32, f >> _SHIFT32
+    p00, p01, p10 = m0 * f0, m0 * f1, m1 * f0
+    mid = (p00 >> _SHIFT32) + (p01 & _MASK32) + (p10 & _MASK32)
+    lo = ((mid & _MASK32) << _SHIFT32) | (p00 & _MASK32)
+    hi = m1 * f1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    floor = (lo >> shift) | (hi << (np.uint64(64) - shift))
+    half = np.uint64(1) << (shift - np.uint64(1))
+    rest = lo & ((half << np.uint64(1)) - np.uint64(1))
+    odd = (floor & np.uint64(1)) == np.uint64(1)
+    digits = floor + ((rest > half) | ((rest == half) & odd))
+    fast &= ((hi >> shift) == np.uint64(0)) & (floor >= np.uint64(10**16)) \
+        & (digits < np.uint64(10**17))
+    # zeros, and the cells left to the fallback, take D = 0 at exponent 0
+    digits[~fast] = 0
+    e10 = np.where(fast, e10, 0)
+    index = e10 - _G17_EXP_MIN
+    high = (digits // np.uint64(10**8)).astype(np.uint32)
+    low = (digits - high.astype(np.uint64) * np.uint64(10**8)).astype(np.uint32)
+    ten4 = np.uint32(10**4)
+    groups = (high // np.uint32(10**8), high // ten4 % ten4, high % ten4, low // ten4, low % ten4)
+    words = np.empty((x.size, _G17_SLOT // 4), dtype=np.uint32)
+    words[:, 0] = _G17_WORD0[2 * index + np.signbit(x)]
+    tail_zero = np.ones(x.size, dtype=bool)
+    for k in (4, 3, 2, 1):
+        words[:, k + 1] = np.where(tail_zero, _STRIPPED4[groups[k]], _DIGITS4[groups[k]])
+        tail_zero &= groups[k] == 0
+    # the point follows the first digit except below 1 in fixed notation,
+    # where the prefix holds it
+    point = ~tail_zero & ((e10 < -4) | (e10 >= 0))
+    words[:, 1] = _G17_WORD1[index] | _G17_LEAD[2 * groups[0] + point]
+    words[:, 6] = _G17_WORD6[index]
+    words[:, 7] = 0
+    slots = words.view(np.uint8)
+    ends = slots.reshape(rows, cols, _G17_SLOT)[:, :, _G17_SLOT - 4]
+    ends[:, :-1] = ord(",")
+    ends[:, -1] = ord("\n")
+    # at 10 <= |x| < 1e15 the point moves right past e10 more digits, which
+    # keep their zeros: it is there only if a fraction digit is left
+    wide = np.flatnonzero(e10 > 0)
+    for e in np.unique(e10[wide]):
+        cells = wide[e10[wide] == e]
+        text = np.stack([_DIGITS4[g[cells]] for g in groups[1:]], axis=1).view(np.uint8)
+        slots[cells, 7 + e] = (slots[cells, 8 + e:24] != 0).any(axis=1) * ord(".")
+        slots[cells, 7:7 + e] = text[:, :e]
+    left = np.flatnonzero(~(fast | zero))
+    if left.size:
+        _g17_fallback(slots, x, left)
+    return slots.tobytes().translate(None, b"\0")
+
+
+def _emit_workers(matrix: np.ndarray, min_cells: int = _PARALLEL_MIN_CELLS) -> int:
+    """Number of processes that format ``matrix``, the caller included; one
+    below ``min_cells`` cells."""
+    if matrix.size < min_cells or not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -200,11 +351,16 @@ def _format_rows(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str):
 
     ``row_fmt`` holds one ``%`` field per column.  Rows are joined by ``sep``,
     and the first row of a chunk is led by ``sep`` too unless it is row 0, so
-    the chunks of a matrix concatenate to the text of the whole matrix.
+    the chunks of a matrix concatenate to the text of the whole matrix.  CSV
+    rows (``sep`` empty, every field ``%.17g``) are formatted by ``_g17_csv``,
+    which gives the same bytes.
     """
     step = max(1, _BLOCK_CELLS // max(1, matrix.shape[1]))
     for start in range(lo, hi, step):
         block = matrix[start:min(start + step, hi)]
+        if not sep:
+            yield _g17_csv(block)
+            continue
         fmt = (sep + row_fmt) * len(block)
         if start == 0:
             fmt = fmt[len(sep):]
@@ -296,7 +452,9 @@ def write_matrix_csv(path, matrix) -> None:
     """Row-major CSV at 17 significant digits (round-trips float64 exactly).
 
     Byte-identical to ``np.savetxt(path, matrix, fmt="%.17g", delimiter=",")``
-    whatever the number of CPUs that format it.
+    whatever the number of CPUs that format it.  The cells are converted by
+    the exact kernel ``_g17_csv``; a cell outside its range (nan, inf,
+    subnormal, |x| < 1e-11 or >= 1e15) goes to ``'%.17g' % x``.
     """
     matrix = np.ascontiguousarray(np.atleast_2d(np.asarray(matrix, dtype=float)))
     if matrix.ndim != 2:
@@ -337,7 +495,7 @@ def _write_json_matrix(fh, matrix: np.ndarray, indent: int) -> None:
     else:
         row_fmt = f"\n{rows}[]"
     fh.write(b"[")
-    _write_rows(fh, matrix, row_fmt, ",", _emit_workers(matrix))
+    _write_rows(fh, matrix, row_fmt, ",", _emit_workers(matrix, _PARALLEL_MIN_JSON_CELLS))
     fh.write(f"\n{' ' * indent}]".encode("ascii"))
 
 

@@ -191,7 +191,7 @@ class TestEmit:
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(cli, "_emit_workers", lambda matrix: workers)
+    monkeypatch.setattr(cli, "_emit_workers", lambda matrix, min_cells=None: workers)
 
 
 def _savetxt_bytes(matrix):
@@ -203,10 +203,10 @@ def _savetxt_bytes(matrix):
 # above the parallel threshold: a row count that 2 and 3 do not divide, one
 # row, one column, and the extreme row repeated
 _LARGE = {
-    "301x300": np.random.default_rng(134).dirichlet(np.ones(300), size=301),
-    "1-row": np.random.default_rng(135).standard_normal((1, 70_000)),
-    "1-column": np.random.default_rng(136).standard_normal((70_000, 1)),
-    "extremes": np.tile(_EXTREME_ROW, (280, 20)),
+    "439x300": np.random.default_rng(134).dirichlet(np.ones(300), size=439),
+    "1-row": np.random.default_rng(135).standard_normal((1, 140_000)),
+    "1-column": np.random.default_rng(136).standard_normal((140_000, 1)),
+    "extremes": np.tile(_EXTREME_ROW, (560, 20)),
 }
 
 
@@ -252,9 +252,28 @@ class TestParallelEmit:
     def test_worker_count_follows_cpus_and_rows(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert cli._emit_workers(np.zeros((8, 8))) == 1
-        assert cli._emit_workers(np.zeros((1, 70_000))) == 1
-        assert cli._emit_workers(np.zeros((40, 2000))) == 2
+        assert cli._emit_workers(np.zeros((1, 140_000))) == 1
+        assert cli._emit_workers(np.zeros((300, 300))) == 1
+        assert cli._emit_workers(np.zeros((40, 4000))) == 2
         assert cli._emit_workers(np.zeros((600, 600))) == 3
+        json_min = cli._PARALLEL_MIN_JSON_CELLS
+        assert cli._emit_workers(np.zeros((200, 300)), json_min) == 1
+        assert cli._emit_workers(np.zeros((300, 300)), json_min) == 3
+
+    def test_json_forks_from_fewer_cells_than_csv(self, tmp_path, monkeypatch):
+        # 300 x 300 lies between the two thresholds: JSON forks, CSV does not
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        real, used = cli._write_rows, []
+
+        def record(fh, matrix, row_fmt, sep, workers):
+            used.append(workers)
+            return real(fh, matrix, row_fmt, sep, workers)
+
+        monkeypatch.setattr(cli, "_write_rows", record)
+        matrix = np.full((300, 300), 0.25)
+        write_matrix_csv(tmp_path / "m.csv", matrix)
+        write_report_json(tmp_path / "r.json", {"m": matrix})
+        assert used == [1, 2]
 
     @pytest.mark.parametrize("fmt, output", [("csv", "dmap.csv"), ("json", "dmap_report.json")])
     def test_failing_worker_exits_2_without_output(self, tmp_path, monkeypatch, capsys, fmt, output):
@@ -306,6 +325,80 @@ class TestParallelEmit:
                              capture_output=True, text=True)
         assert out.stdout.split("\n")[:2] == ["raised", "no children left"]
         assert not path.exists()
+
+
+def _g17_reference(block):
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in block).encode()
+
+
+def _with_neighbours(values):
+    values = np.asarray(values, dtype=float)
+    both = np.concatenate([np.nextafter(values, 0.0), values, np.nextafter(values, np.inf)])
+    return np.concatenate([both, -both])
+
+
+def _ties_at_18th_digit():
+    """Odd i / 2**j with exactly 18 significant digits: the last one is a 5,
+    so rounding to 17 digits is an exact tie."""
+    ties = [i / 2.0 ** j for i in range(1, 1024, 2) for j in range(1, 64)
+            if len(str(i * 5 ** j)) == 18]
+    return np.array(ties)
+
+
+_G17_CASES = {
+    "random-bits": np.random.default_rng(140).integers(
+        0, 2**64, 100_000, dtype=np.uint64).view(np.float64).reshape(100, 1000),
+    "powers-of-ten": _with_neighbours(10.0 ** np.arange(-13, 18)).reshape(2, -1),
+    "range-edges": _with_neighbours([cli._G17_MIN, cli._G17_MAX]).reshape(3, 4),
+    "ties": _ties_at_18th_digit().reshape(1, -1),
+    "specials": np.array([[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                           -2.2250738585072014e-308, np.inf, -np.inf, np.nan]]),
+    "extremes": np.atleast_2d(_EXTREME_ROW),
+}
+
+
+class TestExactCsvKernel:
+    """``cli._g17_csv`` against ``format(v, ".17g")``, cell by cell."""
+
+    @pytest.mark.parametrize("name", list(_G17_CASES))
+    def test_same_bytes_as_format(self, name):
+        values = _G17_CASES[name]
+        assert cli._g17_csv(values) == _g17_reference(values)
+
+    def test_tie_case_holds_hundreds_of_ties(self):
+        assert _G17_CASES["ties"].size > 300
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (1, 70_000)],
+                             ids=["0x3", "3x0", "1x1", "1x70000"])
+    def test_shapes(self, shape):
+        values = np.random.default_rng(141).standard_normal(shape)
+        assert cli._g17_csv(values) == _g17_reference(values)
+
+    def test_operator_matrices_take_no_fallback(self, tmp_path, monkeypatch):
+        # the N=600 dmap, magnetic phase and attention currents of one seeded
+        # cloud: every cell, the zero diagonals included, is converted exactly
+        rng = np.random.default_rng(3)
+        cloud = markovgeom.DataCloud(rng.standard_normal((600, 8)))
+        a = rng.standard_normal((8, 8))
+        weights = markovgeom.InteractionWeights(np.eye(8) + 0.5 * (a - a.T))
+        d2 = markovgeom.squared_distance(markovgeom.bidivergence(markovgeom.gram(cloud)))
+        beta = cli._resolve_beta("auto", d2)
+        biv = markovgeom.bidivergence(markovgeom.generalized_gram(cloud, weights))
+        forward = markovgeom.attention_forward(biv, beta)
+        pi = markovgeom.stationary_distribution(forward, tol=1e-10)
+        matrices = {
+            "dmap": markovgeom.dmap(d2, beta).values,
+            "magnetic_phase": markovgeom.magnetic_operator(
+                markovgeom.dmap(markovgeom.squared_distance(biv), beta),
+                markovgeom.edge_phases(cloud, weights, beta)).phases,
+            "currents": markovgeom.classify_regime(forward, pi, pi).currents,
+        }
+        left = []
+        monkeypatch.setattr(cli, "_g17_fallback", lambda slots, values, cells: left.append(cells))
+        _force_workers(monkeypatch, 1)
+        for name, matrix in matrices.items():
+            write_matrix_csv(tmp_path / f"{name}.csv", matrix)
+            assert left == [], name
 
 
 class TestDmapCommand:
@@ -802,3 +895,13 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "False"
+
+    def test_cli_import_loads_neither_numpy_random_nor_scipy(self):
+        # numpy before 2.0 imports numpy.random itself; the CLI must add
+        # neither it nor scipy to what a bare ``import numpy`` loads
+        env = dict(os.environ, PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+        code = ("import sys, numpy; before = set(sys.modules); import markovgeom.cli; "
+                "print(sorted({'numpy.random', 'scipy'} & (set(sys.modules) - before)))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
