@@ -125,10 +125,10 @@ def dmap_as_bridge(d2, beta: float) -> BridgeSolution:
     diag(pi) P_plus, realized by the closed-form potentials u = pi / rowsums
     and v = 1 without running any iterations.
     """
-    kernel = rbf_kernel(d2, beta)
-    k = kernel.values
-    pi = _normalized_degrees(k)
-    u = pi / k.sum(axis=1)
+    k = rbf_kernel(d2, beta).values
+    degrees = k.sum(axis=1)
+    pi = degrees / degrees.sum()
+    u = pi / degrees
     v = np.ones_like(pi)
     coupling = u[:, None] * k
     residual = _marginal_violation(coupling, pi, pi)

@@ -49,6 +49,7 @@ from .geometry import (
 )
 from .normalize import ConvergenceError, _validate_max_iter, _validate_tol
 from .operators import (
+    _diffusion,
     _max_hermitian_gap,
     attention_backward,
     attention_bistochastic,
@@ -759,9 +760,8 @@ def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
 def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
     n = geo.cloud.n_samples
     if args.kernel == "rbf":
-        operator = dmap(geo.d2, beta)
-        mu_plus, mu_minus = _marginals(
-            args, n, lambda: _normalized_degrees(rbf_kernel(geo.d2, beta).values))
+        operator, pi = _diffusion(geo.d2, beta)
+        mu_plus, mu_minus = _marginals(args, n, lambda: pi)
     else:
         operator = attention_forward(geo.biv, beta)
         mu_plus, mu_minus = _marginals(
@@ -776,9 +776,8 @@ def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
-    operator = dmap(geo.d2, beta)
+    operator, pi = _diffusion(geo.d2, beta)
     phased = magnetic_operator(operator, _gram_phases(geo.gram.values, beta))
-    pi = _normalized_degrees(rbf_kernel(geo.d2, beta).values)
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_hermitian_gap(hermitized)
@@ -803,8 +802,7 @@ def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_embed(args, geo: Geometry, beta: float) -> Outcome:
-    operator = dmap(geo.d2, beta)
-    pi = _normalized_degrees(rbf_kernel(geo.d2, beta).values)
+    operator, pi = _diffusion(geo.d2, beta)
     dec = decompose(conjugate_symmetrize(operator, pi), pi)
     embedding = diffusion_embedding(dec, t=args.t, k=args.k)
     return Outcome(

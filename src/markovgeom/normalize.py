@@ -171,25 +171,26 @@ class ScalingPotentials:
         object.__setattr__(self, "v", v)
 
 
-def _softmax(z, axis: int, kind: str, out=None) -> StochasticOperator:
-    """exp(z) shifted by its maxima along ``axis`` and normalized there, all in
+def _softmax(z, axis: int, kind: str, out=None):
+    """exp(z) shifted by its maxima m along ``axis`` and normalized there, all in
     one array: a new one, or ``out`` (``out=z`` overwrites logits the caller
-    owns)."""
+    owns).  Returns the operator, m and the shifted sums s, both kept 2-D."""
     z, top = _validate_logits(z, axis=axis)
     e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
-    return StochasticOperator(e, kind)
+    sums = e.sum(axis=axis, keepdims=True)
+    e /= sums
+    return StochasticOperator(e, kind), top, sums
 
 
 def softmax_rows(z) -> StochasticOperator:
     """Row-normalized exponential of the log-scores, max-subtracted for stability."""
-    return _softmax(z, 1, "row")
+    return _softmax(z, 1, "row")[0]
 
 
 def softmax_cols(z) -> StochasticOperator:
     """Column-normalized exponential of the log-scores; mirror of ``softmax_rows``."""
-    return _softmax(z, 0, "column")
+    return _softmax(z, 0, "column")[0]
 
 
 def poe_combine(a: StochasticOperator, b: StochasticOperator) -> StochasticOperator:

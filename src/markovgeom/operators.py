@@ -126,10 +126,12 @@ def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float
     return float(np.max(gaps))
 
 
-def _validate_squared_distance(d2) -> tuple[np.ndarray, float]:
-    """d2 as a float matrix and its symmetry gap max |d2 - d2^T| (0 exactly
-    when d2 is bitwise symmetric).  Its minimum and maximum, which a NaN or
-    an infinity reaches, give both the finiteness check and max |d2|."""
+def _gaussian_logits(d2, beta: float):
+    """(d2, beta, gap, -beta * d2), validated once for every Gaussian constructor:
+    gap is max |d2 - d2^T| (0 exactly when d2 is bitwise symmetric).  The min
+    and max of d2, which a NaN or an infinity reaches, give both the
+    finiteness check and max |d2|."""
+    beta = _validate_beta(beta)
     d2 = np.asarray(d2, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
         raise ValueError(f"squared distances must form a square matrix, got {d2.shape}")
@@ -142,14 +144,12 @@ def _validate_squared_distance(d2) -> tuple[np.ndarray, float]:
         raise ValueError("squared-distance matrix must be symmetric")
     if float(np.abs(np.diag(d2)).max()) > 1e-12 * scale:
         raise ValueError("squared-distance matrix must have a zero diagonal")
-    return d2, gap
+    return d2, beta, gap, d2 * -beta
 
 
 def rbf_kernel(d2, beta: float) -> KernelMatrix:
     """Gaussian kernel exp(-beta * d2): unit diagonal, symmetric, positive."""
-    beta = _validate_beta(beta)
-    d2, _ = _validate_squared_distance(d2)
-    values = d2 * -beta
+    d2, beta, _, values = _gaussian_logits(d2, beta)
     with np.errstate(over="ignore"):
         np.exp(values, out=values)
     if np.isinf(values.max()):
@@ -192,14 +192,14 @@ def attention_forward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
     """
     beta = _validate_beta(beta)
     z = bidiv.fwd * -beta
-    return _softmax(z, 1, "row", out=z)
+    return _softmax(z, 1, "row", out=z)[0]
 
 
 def attention_backward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
     """Column-softmax attention over the backward divergence."""
     beta = _validate_beta(beta)
     z = bidiv.bwd * -beta
-    return _softmax(z, 0, "column", out=z)
+    return _softmax(z, 0, "column", out=z)[0]
 
 
 def attention_bistochastic(
@@ -223,14 +223,20 @@ def attention_bistochastic(
 
 
 def dmap(d2, beta: float) -> StochasticOperator:
-    """Diffusion operator: row softmax of the negative scaled squared distances.
+    """Diffusion operator: row softmax of the negative scaled squared distances,
+    identical (to rounding) to the Gaussian kernel normalized by its row sums."""
+    return _diffusion(d2, beta)[0]
 
-    Identical (to rounding) to normalizing the Gaussian kernel by its row sums.
-    """
-    beta = _validate_beta(beta)
-    d2, _ = _validate_squared_distance(d2)
-    z = d2 * -beta
-    return _softmax(z, 1, "row", out=z)
+
+def _diffusion(d2, beta: float) -> tuple[StochasticOperator, np.ndarray]:
+    """``dmap(d2, beta)`` and its stationary measure, the normalized kernel
+    degrees: the softmax's row normalizers e^{m_i} s_i (Coifman & Lafon,
+    "Diffusion maps", 2006).  Bitwise the normalized row sums of ``rbf_kernel``
+    when every row max m_i is 0, and defined where that kernel underflows."""
+    _, _, _, z = _gaussian_logits(d2, beta)
+    operator, top, sums = _softmax(z, 1, "row", out=z)
+    degrees = sums[:, 0] * np.exp(top[:, 0] - top.max())
+    return operator, degrees / degrees.sum()
 
 
 def laplacians(kernel: KernelMatrix) -> LaplacianPair:
@@ -254,20 +260,18 @@ def dmap_bistochastic(
     bitwise symmetric since each u_i u_j is, after rechecking its marginals
     against ``tol``.
     """
-    beta = _validate_beta(beta)
-    d2, gap = _validate_squared_distance(d2)
+    d2, beta, gap, z = _gaussian_logits(d2, beta)
 
-    def shifted_logits():
-        z = d2 * -beta
+    def shifted(z):
         if gap:  # exact symmetry for a matrix that is symmetric only to rounding
             z = (z + z.T) / 2.0
         z -= z.max()
         return z
 
-    kernel = shifted_logits()
+    kernel = shifted(z)
     np.exp(kernel, out=kernel)
     ones = np.ones(kernel.shape[0])
-    found = _scale(kernel, shifted_logits, ones, ones, tol, max_iter, symmetric=True)
+    found = _scale(kernel, lambda: shifted(d2 * -beta), ones, ones, tol, max_iter, symmetric=True)
     scaled, u = found.kernel, found.u
     for lo in range(0, u.shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)

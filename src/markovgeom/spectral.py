@@ -134,7 +134,12 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     pi = _validate_measure(pi, mat.shape[0])
-    hermiticity = _max_hermitian_gap(mat)
+    # a non-finite entry makes the gap non-finite (inf - inf is NaN), and a
+    # NaN gap would pass the Hermiticity test
+    with np.errstate(invalid="ignore"):
+        hermiticity = _max_hermitian_gap(mat)
+    if not np.isfinite(hermiticity) and not np.isfinite(mat).all():
+        raise ValueError("conjugated matrix contains non-finite entries")
     if hermiticity > 1e-8:
         raise ValueError(
             f"input deviates from Hermitian by {hermiticity:.3e}; "
@@ -172,8 +177,8 @@ def diffusion_embedding(dec: SpectralDecomposition, t: float, k: int) -> Embeddi
     n = dec.eigenvalues.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k out of range: need 1 <= k <= {n - 1}, got {k}")
-    if t < 0:
-        raise ValueError(f"diffusion time must be nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"diffusion time must be finite and nonnegative, got {t}")
     lam = dec.eigenvalues[1 : k + 1]
     if np.any(lam < 0.0) and not float(t).is_integer():
         raise ValueError(

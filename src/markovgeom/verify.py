@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bridges import (
-    _normalized_degrees,
     attention_bridge,
     attention_gauge,
     classify_regime,
@@ -45,6 +44,7 @@ from .normalize import (
     softmax_rows,
 )
 from .operators import (
+    _diffusion,
     attention_forward,
     dmap,
     dmap_bistochastic,
@@ -232,8 +232,7 @@ def check_poe_factorization(cloud: DataCloud, beta: float) -> CheckResult:
 
 def check_dmap_equilibrium(cloud: DataCloud, beta: float) -> CheckResult:
     _, d2 = _plain_geometry(cloud)
-    operator = dmap(d2, beta)
-    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
+    operator, pi = _diffusion(d2, beta)
     stationarity = _max_abs(pi @ operator.values - pi)
     current_max = _max_abs(currents(operator, pi))
     report = classify_regime(operator, pi, pi)
@@ -377,13 +376,12 @@ def check_magnetic_operators(cloud: DataCloud, beta: float) -> CheckResult:
     weights = InteractionWeights(0.2 * rng.standard_normal((d, d)))
     g = generalized_gram(cloud, weights)
     d2 = squared_distance(bidivergence(g))
-    operator = dmap(d2, beta)
+    operator, pi = _diffusion(d2, beta)
     theta = _gram_phases(g.values, beta)
     phased = magnetic_operator(operator, theta)
     magnitude_dev = _max_abs(phased.magnitudes.values - operator.values)
     assembled_dev = _max_abs(np.abs(phased.matrix) - operator.values)
 
-    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_abs(hermitized - hermitized.conj().T)
     eigenvalues = np.linalg.eig(hermitized)[0]
@@ -425,8 +423,7 @@ def _spectrum_parts(label: str, operator, pi) -> list[dict]:
 
 def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     _, d2 = _plain_geometry(cloud)
-    operator = dmap(d2, beta)
-    pi = _normalized_degrees(rbf_kernel(d2, beta).values)
+    operator, pi = _diffusion(d2, beta)
     parts = _spectrum_parts("diffusion operator", operator, pi)
 
     # the bistochastic variant runs on a seeded cloud: uniform-marginal scaling
@@ -460,8 +457,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
         )
     )
 
-    two_point = dmap(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
-    two_pi = _normalized_degrees(rbf_kernel(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0).values)
+    two_point, two_pi = _diffusion(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0)
     two_dec = decompose(conjugate_symmetrize(two_point, two_pi), two_pi)
     q = np.exp(-1.0)
     analytic = (1.0 - q) / (1.0 + q)
@@ -476,8 +472,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     base = np.array([[0.0, 0.0], [0.1, 0.05], [-0.07, 0.09], [0.05, -0.08]])
     clusters = DataCloud(np.vstack([base, base + np.array([6.0, 0.0])]))
     _, cd2 = _plain_geometry(clusters)
-    cop = dmap(cd2, 1.0)
-    cpi = _normalized_degrees(rbf_kernel(cd2, 1.0).values)
+    cop, cpi = _diffusion(cd2, 1.0)
     cdec = decompose(conjugate_symmetrize(cop, cpi), cpi)
     coord = diffusion_embedding(cdec, t=1.0, k=1).coordinates[:, 0]
     separated = bool(

@@ -35,6 +35,7 @@ from markovgeom.operators import (
     dmap_bistochastic,
     rbf_kernel,
 )
+from markovgeom.spectral import decompose
 
 N = 5
 _POINTS = np.random.default_rng(150).standard_normal((N, 3))
@@ -91,6 +92,10 @@ FINITE_CHECKS = {
                            "symmetric part contains non-finite entries"),
     "ComplexOperator phases": (np.zeros((N, N)), lambda m: ComplexOperator(
         StochasticOperator(_UNIFORM, "row"), m), "phases contain non-finite entries"),
+    # the planted cells lie on the diagonal, where a NaN or inf leaves the
+    # Hermiticity gap NaN rather than large
+    "decompose": (_KERNEL, lambda m: decompose(m, _MU),
+                  "conjugated matrix contains non-finite entries"),
 }
 
 

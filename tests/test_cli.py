@@ -643,12 +643,90 @@ class TestExitCodes:
         assert main(["--help"]) == EXIT_OK
         capsys.readouterr()
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_diffusion_time_is_usage_error(self, tmp_path, cloud_csv, capsys, t):
+        cloud_path, _ = cloud_csv
+        out = tmp_path / "out"
+        code = main(["embed", "--input", str(cloud_path), "--beta", "1", "--t", t,
+                     "--out-dir", str(out)])
+        assert code == EXIT_USAGE
+        assert "diffusion time must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_auto_beta_undefined_for_coincident_points(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("1,1\n1,1\n1,1\n")
         code = main(["dmap", "--input", str(path), "--out-dir", str(tmp_path)])
         assert code == EXIT_USAGE
         assert "beta" in capsys.readouterr().err
+
+
+class TestUnderflowingKernel:
+    """At beta=200 on a 50-point cloud exp(-beta d2) underflows to zero.  The
+    diffusion operator and its stationary measure are still defined there, so
+    the commands that need only them run; those that need the kernel itself
+    exit 2."""
+
+    BETA = 200.0
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(140)
+        files = {"cloud": tmp_path / "cloud.csv", "weights": tmp_path / "w.csv"}
+        write_matrix_csv(files["cloud"], rng.standard_normal((50, 2)))
+        # positive definite symmetric part, so d2 >= 0 and only underflow can occur
+        write_matrix_csv(files["weights"], np.array([[1.0, 0.5], [-0.5, 1.0]]))
+        return files
+
+    def _library(self, files, weighted):
+        cloud = load_cloud(files["cloud"])
+        weights = cli.load_weights(files["weights"]) if weighted else None
+        gram = (markovgeom.generalized_gram(cloud, weights) if weighted
+                else markovgeom.gram(cloud))
+        d2 = markovgeom.squared_distance(markovgeom.bidivergence(gram))
+        with pytest.raises(ValueError, match="kernel underflowed to zero"):
+            markovgeom.rbf_kernel(d2, self.BETA)
+        operator, pi = markovgeom.operators._diffusion(d2, self.BETA)
+        return cloud, weights, operator, pi
+
+    def _expected(self, command, files):
+        if command == "magnetic":
+            cloud, weights, operator, pi = self._library(files, weighted=True)
+            phased = markovgeom.magnetic_operator(
+                operator, markovgeom.edge_phases(cloud, weights, self.BETA))
+            return {"magnetic_magnitude": phased.magnitudes.values,
+                    "magnetic_phase": phased.phases,
+                    "magnetic_current": markovgeom.magnetic_flux(pi, phased)[1]}
+        _, _, operator, pi = self._library(files, weighted=False)
+        if command == "embed":
+            dec = markovgeom.decompose(markovgeom.conjugate_symmetrize(operator, pi), pi)
+            return {"embedding": markovgeom.diffusion_embedding(dec, t=1.0, k=2).coordinates}
+        return {"currents": markovgeom.classify_regime(operator, pi, pi).currents}
+
+    @pytest.mark.parametrize("command, argv", [
+        ("embed", ["--k", "2"]),
+        ("magnetic", ["--weights", "{weights}"]),
+        ("classify", ["--kernel", "rbf", "--mu-plus", "stationary", "--mu-minus", "stationary"]),
+    ])
+    def test_diffusion_commands_run(self, tmp_path, files, capsys, command, argv):
+        out = tmp_path / "out"
+        code = main([command, "--input", str(files["cloud"]), "--beta", str(self.BETA),
+                     *[a.format(**files) for a in argv], "--out-dir", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        for name, matrix in self._expected(command, files).items():
+            write_matrix_csv(tmp_path / f"{name}.csv", matrix)
+            assert (out / f"{name}.csv").read_bytes() == (tmp_path / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel"],
+        ["bridge", "--kernel", "rbf", "--mu-plus", "stationary", "--mu-minus", "stationary"],
+    ])
+    def test_kernel_commands_exit_2(self, tmp_path, files, capsys, argv):
+        code = main([*argv, "--input", str(files["cloud"]), "--beta", str(self.BETA),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "kernel underflowed to zero" in capsys.readouterr().err
 
 
 # commands whose solvers take --tol, and whether they take --max-iter
@@ -861,17 +939,25 @@ class TestSolverLogging:
         write_matrix_csv(tmp_path / "expected.csv", expected)
         assert (out / output).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
-    @pytest.mark.parametrize("counted, argv", [
-        ("generalized_gram", ["magnetic"]),
-        ("rbf_kernel", ["bridge", "--kernel", "rbf", "--mu-plus", "stationary",
-                        "--mu-minus", "stationary"]),
+    @pytest.mark.parametrize("counted, argv, times", [
+        pytest.param("generalized_gram", ["magnetic"], 1, id="generalized_gram-argv0"),
+        pytest.param("rbf_kernel", ["bridge", "--kernel", "rbf", "--mu-plus", "stationary",
+                                    "--mu-minus", "stationary"], 1, id="rbf_kernel-argv1"),
+        # the diffusion operator brings its stationary measure: one pass over
+        # d2 and beta, and no Gaussian kernel
+        *[pytest.param(counted, argv, times, id=f"{counted}-{argv[0]}") for argv in (
+            ["magnetic"], ["embed"],
+            ["classify", "--kernel", "rbf", "--mu-plus", "stationary", "--mu-minus", "stationary"],
+        ) for counted, times in (("_gaussian_logits", 1), ("rbf_kernel", 0))],
     ])
-    def test_each_intermediate_is_built_once(self, tmp_path, monkeypatch, counted, argv):
+    def test_each_intermediate_is_built_once(self, tmp_path, monkeypatch, counted, argv, times):
         rng = np.random.default_rng(134)
         cloud_path, weights_path = tmp_path / "cloud.csv", tmp_path / "w.csv"
         write_matrix_csv(cloud_path, rng.standard_normal((6, 3)))
         write_matrix_csv(weights_path, rng.standard_normal((3, 3)))
-        original, calls = getattr(markovgeom, counted), []
+        # a private helper is found in the module that defines it
+        original = getattr(markovgeom, counted, None) or getattr(markovgeom.operators, counted)
+        calls = []
 
         def counting(*args, **kwargs):
             calls.append(counted)
@@ -885,7 +971,7 @@ class TestSolverLogging:
         code = main([*argv, "--input", str(cloud_path), "--weights", str(weights_path),
                      "--beta", "1", "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_OK
-        assert calls == [counted]
+        assert calls == [counted] * times
 
 
 class TestImports:

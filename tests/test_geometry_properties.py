@@ -1,13 +1,17 @@
 """Property tests of the geometry invariants on drawn clouds, weights and betas.
 
 Every drawn case must meet the pinned tolerance of checks C1 and C4, or fail
-with a clean ``ValueError``; the draw profile is set in ``conftest.py``.
+with a clean ``ValueError``; so must the diffusion operator with its
+stationary measure.  The draw profile is set in ``conftest.py``.
 """
 
 import re
 
 import numpy as np
 from hypothesis import given, strategies as st
+from scipy.special import logsumexp
+
+from markovgeom.bridges import _normalized_degrees
 
 from markovgeom.geometry import (
     DataCloud,
@@ -17,7 +21,7 @@ from markovgeom.geometry import (
     gram,
     squared_distance,
 )
-from markovgeom.operators import directional_kernels, rbf_kernel
+from markovgeom.operators import _diffusion, directional_kernels, dmap, rbf_kernel
 
 
 @st.composite
@@ -104,3 +108,43 @@ def test_kernel_factorizes_or_leaves_range_cleanly(case):
     # squared distances give entries above 1, rounded relative to their size
     scale = max(1.0, float(kernel.max()))
     assert float(np.abs(kernel - fwd * bwd).max()) <= 1e-12 * scale
+
+
+@st.composite
+def diffusion_cases(draw):
+    """(d2, beta): a drawn geometry, and beta log-uniform in [1e-3, 1e3] times
+    the auto bandwidth 1 / median |off-diagonal d2|."""
+    points, weights, _ = draw(geometries())
+    d2 = squared_distance(_geometry(points, weights))
+    scale = float(np.median(np.abs(d2[~np.eye(d2.shape[0], dtype=bool)])))
+    return d2, 10.0 ** draw(st.floats(-3.0, 3.0)) / (scale or 1.0)
+
+
+# pi against the logsumexp oracle, relative, in units of eps: the oracle's
+# log-degrees L_i carry an absolute rounding error of about eps * |L_i|, so the
+# bound grows with max |L| (the worst of 5000 draws used 5.4 of these 16
+# units).  Below the smallest normal float no relative precision is
+# representable, so that is the absolute floor.
+MEASURE_ULPS = 16.0
+
+
+@given(diffusion_cases())
+def test_diffusion_brings_its_stationary_measure(case):
+    d2, beta = case
+    try:
+        operator, pi = _diffusion(d2, beta)
+    except ValueError as exc:
+        assert re.search("beta|logits|squared", str(exc))
+        return
+    np.testing.assert_array_equal(operator.values, dmap(d2, beta).values)
+    log_degrees = logsumexp(-beta * d2, axis=1)
+    oracle = np.exp(log_degrees - logsumexp(log_degrees))
+    rtol = MEASURE_ULPS * np.finfo(float).eps * max(1.0, float(np.abs(log_degrees).max()))
+    np.testing.assert_allclose(pi, oracle, rtol=rtol, atol=np.finfo(float).tiny)
+    if np.all((-beta * d2).max(axis=1) == 0.0):
+        try:
+            kernel = rbf_kernel(d2, beta).values
+        except ValueError as exc:
+            assert "underflow" in str(exc)
+            return
+        np.testing.assert_array_equal(pi, _normalized_degrees(kernel))

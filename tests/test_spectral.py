@@ -261,6 +261,14 @@ class TestDiffusionEmbedding:
         with pytest.raises(ValueError, match="k out of range"):
             diffusion_embedding(dec, t=1.0, k=pi.shape[0])
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    def test_time_must_be_finite_and_nonnegative(self, t):
+        # NaN would give all-NaN coordinates and inf all +-0
+        operator, pi, _ = dmap_with_measure(127)
+        dec = decompose(conjugate_symmetrize(operator, pi), pi)
+        with pytest.raises(ValueError, match="diffusion time must be finite and nonnegative"):
+            diffusion_embedding(dec, t=t, k=2)
+
     def test_fractional_time_with_negative_eigenvalue_rejected(self):
         # two well-separated points at large beta push the second eigenvalue
         # toward +1, so build a small operator with a negative mode directly
