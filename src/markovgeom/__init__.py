@@ -6,121 +6,55 @@ yield every operator in the family, plus the exact algebraic identities
 connecting them and a verification suite that checks each one numerically.
 """
 
-from .bridges import (
-    BridgeSolution,
-    RegimeReport,
-    attention_bridge,
-    attention_gauge,
-    classify_regime,
-    currents,
-    dmap_as_bridge,
-    doob_transform,
-    magnetic_flux,
-    poe_factorization,
-    sb_factorization_check,
-    solve_bridge,
-    stationary_distribution,
-)
-from .geometry import (
-    Bidivergence,
-    DataCloud,
-    GramMatrix,
-    HermitianPartition,
-    InteractionWeights,
-    bidivergence,
-    edge_phases,
-    generalized_gram,
-    gram,
-    hermitian_partition,
-    squared_distance,
-)
-from .normalize import (
-    ConvergenceError,
-    ScalingPotentials,
-    StochasticOperator,
-    poe_combine,
-    schrodinger_solve,
-    sinkhorn,
-    softmax_cols,
-    softmax_rows,
-)
-from .operators import (
-    ComplexOperator,
-    KernelMatrix,
-    LaplacianPair,
-    attention_backward,
-    attention_bistochastic,
-    attention_forward,
-    dmap,
-    dmap_bistochastic,
-    directional_kernels,
-    laplacians,
-    magnetic_operator,
-    rbf_kernel,
-)
-from .spectral import (
-    Embedding,
-    SpectralDecomposition,
-    conjugate_hermitize,
-    conjugate_symmetrize,
-    decompose,
-    diffusion_embedding,
-)
-from .verify import CheckResult, run_identity_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bidivergence",
-    "BridgeSolution",
-    "CheckResult",
-    "ComplexOperator",
-    "ConvergenceError",
-    "DataCloud",
-    "Embedding",
-    "GramMatrix",
-    "HermitianPartition",
-    "InteractionWeights",
-    "KernelMatrix",
-    "LaplacianPair",
-    "RegimeReport",
-    "ScalingPotentials",
-    "SpectralDecomposition",
-    "StochasticOperator",
-    "attention_backward",
-    "attention_bistochastic",
-    "attention_bridge",
-    "attention_forward",
-    "attention_gauge",
-    "bidivergence",
-    "classify_regime",
-    "conjugate_hermitize",
-    "conjugate_symmetrize",
-    "currents",
-    "decompose",
-    "diffusion_embedding",
-    "directional_kernels",
-    "dmap",
-    "dmap_as_bridge",
-    "dmap_bistochastic",
-    "doob_transform",
-    "edge_phases",
-    "generalized_gram",
-    "gram",
-    "hermitian_partition",
-    "laplacians",
-    "magnetic_flux",
-    "magnetic_operator",
-    "poe_combine",
-    "poe_factorization",
-    "rbf_kernel",
-    "run_identity_checks",
-    "sb_factorization_check",
-    "schrodinger_solve",
-    "sinkhorn",
-    "softmax_cols",
-    "softmax_rows",
-    "solve_bridge",
-    "squared_distance",
-    "stationary_distribution",
-]
+# Each submodule and the public names it defines.  A name is imported from
+# its submodule on first use (PEP 562), so a program loads only the modules it
+# runs.  Nothing is cached in this namespace: every lookup reads the
+# submodule's current binding, so a name rebound there (by a tracer or a test
+# double) is seen here too.
+_PUBLIC = {
+    "bridges": (
+        "BridgeSolution", "RegimeReport", "attention_bridge", "attention_gauge",
+        "classify_regime", "currents", "dmap_as_bridge", "doob_transform", "magnetic_flux",
+        "poe_factorization", "sb_factorization_check", "solve_bridge",
+        "stationary_distribution",
+    ),
+    "geometry": (
+        "Bidivergence", "DataCloud", "GramMatrix", "HermitianPartition", "InteractionWeights",
+        "bidivergence", "edge_phases", "generalized_gram", "gram", "hermitian_partition",
+        "squared_distance",
+    ),
+    "normalize": (
+        "ConvergenceError", "ScalingPotentials", "StochasticOperator", "poe_combine",
+        "schrodinger_solve", "sinkhorn", "softmax_cols", "softmax_rows",
+    ),
+    "operators": (
+        "ComplexOperator", "KernelMatrix", "LaplacianPair", "attention_backward",
+        "attention_bistochastic", "attention_forward", "dmap", "dmap_bistochastic",
+        "directional_kernels", "laplacians", "magnetic_operator", "rbf_kernel",
+    ),
+    "spectral": (
+        "Embedding", "SpectralDecomposition", "conjugate_hermitize", "conjugate_symmetrize",
+        "decompose", "diffusion_embedding",
+    ),
+    "verify": ("CheckResult", "run_identity_checks"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is not None:
+        return getattr(importlib.import_module(f".{module}", __name__), name)
+    if name in _PUBLIC:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_PUBLIC})

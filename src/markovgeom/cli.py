@@ -3,11 +3,11 @@
 Matrices are written as plain CSV at 17 significant digits (lossless for
 float64), reports as JSON with insertion-ordered keys, complex operators as
 paired magnitude/phase CSVs.  Identical configuration and inputs produce
-byte-identical output files.  CSV cells are converted by an exact numpy
-kernel with the bytes of ``'%.17g' % x``; cells outside its range, such as
-nan, inf and subnormals, are formatted by ``%`` itself.  Large matrices are
-formatted in row chunks on every available CPU; the bytes do not depend on
-how many there are.
+byte-identical output files.  Cells are converted by an exact numpy kernel:
+CSV cells with the bytes of ``'%.17g' % x``, JSON cells with those of
+``repr(x)``; cells outside its range, such as nan, inf and subnormals, are
+formatted by ``%`` or ``repr`` itself.  Large matrices are formatted in row
+chunks on every available CPU; the bytes do not depend on how many there are.
 
 Exit codes: 0 success (or all identities pass), 1 verification failure,
 2 usage/input error, 3 numerical non-convergence.  The MG_LOG_LEVEL
@@ -27,14 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bridges import (
-    _normalized_degrees,
-    attention_bridge,
-    classify_regime,
-    magnetic_flux,
-    solve_bridge,
-    stationary_distribution,
-)
 from .geometry import (
     Bidivergence,
     DataCloud,
@@ -58,8 +50,9 @@ from .operators import (
     magnetic_operator,
     rbf_kernel,
 )
-from .spectral import conjugate_hermitize, conjugate_symmetrize, decompose, diffusion_embedding
-from .verify import run_identity_checks
+
+# bridges, spectral and verify are imported by the commands that use them, so
+# a command loads (and, without cached bytecode, compiles) only what it runs
 
 log = logging.getLogger("markovgeom")
 
@@ -180,37 +173,40 @@ def load_marginal(path, n: int, skip_header: bool = False) -> np.ndarray:
 
 # Matrices of at least this many cells are formatted on every available CPU,
 # with at least _MIN_ROWS_PER_WORKER rows per process; smaller ones, and
-# platforms without os.fork, take the same formatter serially.  The CSV
-# kernel formats a cell several times as fast as JSON's %r, so on two CPUs a
-# fork and its pipe first pay off at about 2**17 CSV cells, but below 2**16
-# JSON cells.
+# platforms without os.fork, take the same formatter serially.  On two CPUs a
+# fork and its pipe first pay off at about 2**17 CSV cells, but at about 2**16
+# JSON cells, whose text is some 40 % longer and costs as much more to write.
 _PARALLEL_MIN_CELLS = 1 << 17
 _PARALLEL_MIN_JSON_CELLS = 1 << 16
 _MIN_ROWS_PER_WORKER = 16
-# cells per formatted text block, and bytes per read of a worker's pipe
-_BLOCK_CELLS = 1 << 14
+# cells per formatted text block, small enough that a block's temporaries
+# (about 20 arrays of 8 bytes per cell) stay in a 2 MB L2 cache; and bytes
+# per read of a worker's pipe
+_BLOCK_CELLS = 1 << 13
 _PIPE_READ = 1 << 20
 
 
-# The CSV kernel converts |x| in [_G17_MIN, _G17_MAX), whose decimal exponents
+# The kernels convert |x| in [_G17_MIN, _G17_MAX), whose decimal exponents
 # lie in [_G17_EXP_MIN, _G17_EXP_MAX]; zeros too.  Each cell is written into a
-# slot of _G17_SLOT bytes, NUL-padded:
+# slot of _G17_TEXT bytes and its terminator, NUL-padded:
 #   0      sign                     6      first digit
 #   1-5    "0." and up to 3 zeros   7      point
 #   8-23   digits 2-17              24-27  exponent, "e-05".."e-11"
-#   28     "," or "\n"              29-31  NUL
+#   28-    terminator, to a multiple of 4 bytes
 _G17_MIN, _G17_MAX = 1e-11, 1e15
 _G17_EXP_MIN, _G17_EXP_MAX = -11, 14
-_G17_SLOT = 32
+_G17_TEXT = 28
 _MASK32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_ONE = np.uint64(1)
 
 
 def _g17_tables():
-    """The kernel's lookup tables, as uint32 words of the slot layout above.
+    """The kernels' lookup tables, as uint32 words of the slot layout above.
 
-    Returns the text of 0000..9999, the same with trailing zeros as NUL, word
-    0 by (exponent, sign), word 1 by exponent, word 1's first digit and point
-    by ``2 * digit + point``, and word 6 by exponent; then 5**0..5**27.
+    Returns the text of 0000..9999 followed by the same with trailing zeros
+    as NUL, word 0 by (exponent, sign), word 1 by exponent, word 1's first
+    digit and point by ``2 * digit + point``, and word 6 by exponent; then
+    5**0..5**27 and 10**0..10**2.
     """
     k = np.arange(10_000, dtype=np.uint32)[:, None]
     place = np.uint32(10) ** np.arange(3, -1, -1, dtype=np.uint32)
@@ -219,7 +215,7 @@ def _g17_tables():
     exps = np.arange(_G17_EXP_MIN, _G17_EXP_MAX + 1)
     small = (exps < 0) & (exps >= -4)  # fixed notation below 1
     sci = exps < -4                    # exponent notation
-    slot = np.zeros((exps.size, 2, _G17_SLOT), dtype=np.uint8)
+    slot = np.zeros((exps.size, 2, _G17_TEXT), dtype=np.uint8)
     slot[:, 1, 0] = ord("-")
     slot[:, :, 1] = (small * ord("0"))[:, None]
     slot[:, :, 2] = (small * ord("."))[:, None]
@@ -232,46 +228,84 @@ def _g17_tables():
     lead[:, :, 2] = (np.arange(10) + ord("0"))[:, None]
     lead[:, 1, 3] = ord(".")
     words = slot.view(np.uint32)
-    return (group.view(np.uint32).ravel(), (group * kept).view(np.uint32).ravel(),
+    return (np.concatenate([group.view(np.uint32).ravel(), (group * kept).view(np.uint32).ravel()]),
             words[:, :, 0].ravel(), words[:, 0, 1].copy(), lead.view(np.uint32).ravel(),
-            words[:, 0, 6].copy(), np.uint64(5) ** np.arange(28, dtype=np.uint64))
+            words[:, 0, 6].copy(), np.uint64(5) ** np.arange(28, dtype=np.uint64),
+            np.uint64(10) ** np.arange(3, dtype=np.uint64))
 
 
-(_DIGITS4, _STRIPPED4, _G17_WORD0, _G17_WORD1, _G17_LEAD, _G17_WORD6,
- _POW5) = _g17_tables()
+(_DIGITS4, _G17_WORD0, _G17_WORD1, _G17_LEAD, _G17_WORD6,
+ _POW5, _POW10) = _g17_tables()
 
 
-def _g17_fallback(slots: np.ndarray, values: np.ndarray, cells: np.ndarray) -> None:
-    """Write ``'%.17g' % values[i]`` into the slot of each cell the kernel
-    leaves out: nan, inf, subnormals and the cells outside its range."""
-    texts = np.array([b"%.17g" % v for v in values[cells].tolist()], dtype=f"S{_G17_SLOT - 4}")
-    slots[cells, :_G17_SLOT - 4] = texts.view(np.uint8).reshape(cells.size, -1)
+def _g17_fallback(slots: np.ndarray, values: np.ndarray, cells: np.ndarray,
+                  fmt: bytes = b"%.17g") -> None:
+    """Write ``fmt % values[i]`` into the slot of each cell a kernel leaves
+    out: nan, inf, subnormals and the cells outside its range."""
+    texts = np.array([fmt % v for v in values[cells].tolist()], dtype=f"S{_G17_TEXT}")
+    slots[cells, :_G17_TEXT] = texts.view(np.uint8).reshape(cells.size, -1)
 
 
-def _g17_csv(block: np.ndarray) -> bytes:
-    """The CSV text of a 2-D float64 block: every cell as ``'%.17g' % x``,
-    byte for byte, cells joined by ``,`` and each row ended by ``\\n``.
+def _shorten(floor, rest, shift, f) -> np.ndarray:
+    """The fewest digits that read back as x, as a 17-digit integer with
+    trailing zeros: V = floor + rest / 2**shift correctly rounded, half to
+    even, to a unit 10**j of which a multiple lies inside the rounding
+    interval (V - w, V + w), w = f / 2**(shift + 1) < 12.  Cells outside the
+    kernel's range get digits that mean nothing.
+
+    With h = (f - 1) / 2 the integers in the interval are [bottom, top], and
+    a multiple of 10**j lies among them iff top % 10**j <= top - bottom.  The
+    largest such j need not be found: once j >= 2, the multiple inside is
+    within 12 of V and every other multiple of 100 is more than 88 away, so
+    rounding to 10**2 gives the same integer as rounding to any coarser unit
+    with a multiple inside.
+    """
+    h = f >> _ONE
+    top = floor + ((rest + h) >> shift)
+    width = top - floor - _ONE + ((h + (_ONE << shift) - rest) >> shift)
+    tens = top // np.uint64(10)
+    hundreds = tens // np.uint64(10)
+    j = (top - tens * np.uint64(10) <= width).astype(np.intp) \
+        + (top - hundreds * np.uint64(100) <= width)
+    # in halves of a unit: 2V = doubled + a fraction, nonzero if inexact
+    unit = _POW10[j]
+    doubled = (floor << _ONE) | (rest >> (shift - _ONE))
+    inexact = (rest & ((_ONE << (shift - _ONE)) - _ONE)) != 0
+    quotient = doubled // (unit << _ONE)
+    left = doubled - quotient * (unit << _ONE)
+    up = (left > unit) | ((left == unit) & (inexact | ((quotient & _ONE) == _ONE)))
+    return (quotient + up) * unit
+
+
+def _decimal_slots(x: np.ndarray, shortest: bool, room: int) -> np.ndarray:
+    """The text of each cell of the 1-D float64 ``x`` in a slot of the layout
+    above, with ``room`` NUL bytes (a multiple of 4) for its terminator:
+    ``'%.17g' % x`` or, if ``shortest``, ``repr(x)``, byte for byte.
 
     A cell is converted exactly, with no float arithmetic on its digits.
-    Guess e10 = floor(log10|x|) and write |x| = M * 2**E with M < 2**53.  The
-    17 digits are D = round(M * 5**q * 2**(E + q)) with q = 16 - e10 <= 27,
-    so the product is a 128-bit integer of 32-bit limbs, shifted right by
-    s in [1, 63] and rounded half to even, as ``%.17g`` rounds.  The guess
-    stands only if the shifted value lies in [10**16, 10**17) before and
-    after rounding; any other cell goes to ``_g17_fallback``.  The digits
-    are laid out by ``%g`` rules through a table of 4-digit groups, trailing
-    fraction zeros as NUL, and the NULs are squeezed out in one pass.
+    Guess e10 = floor(log10|x|) and write |x| = M * 2**E with M < 2**53.  At
+    the 17-digit scale x is V = M * 5**q * 2**(E + q) with q = 16 - e10 <= 27,
+    so the product is a 128-bit integer of 32-bit limbs, split at bit s in
+    [1, 63] into floor(V) and a remainder.
+
+    ``%.17g`` takes D = round(V), half to even.  ``repr`` takes the fewest
+    digits that read back as x (the exact-interval method of Adams, "Ryu",
+    PLDI 2018): the rounding interval of x at this scale is
+    (2M +- 1) * 5**q / 2**(s + 1), and D is V correctly rounded to the
+    coarsest unit 10**j of which a multiple lies inside it (``_shorten``).
+    The interval is symmetric, so that rounded value is the closest such
+    multiple and lies inside too.  Its ends are odd multiples of
+    2**-(s + 1), never on the integer grid, so whether an end counts as
+    inside (when M is even) never decides.  A mantissa that is a power of
+    two has an asymmetric interval and is left out.  The guess stands only
+    if floor(V) >= 10**16 and D < 10**17; D = 10**17, a value next to a
+    power of ten that reads back from it, is left out too.
+
+    D is laid out by ``%g`` rules through a table of 4-digit groups, trailing
+    fraction zeros as NUL; ``repr`` keeps the point and writes ".0" after an
+    integral value in fixed notation.  Left-out cells are formatted one by
+    one by ``_g17_fallback``.
     """
-    rows, cols = block.shape
-    if cols == 0:
-        return b"\n" * rows
-    if cols > _BLOCK_CELLS:
-        # a long row goes in pieces, which bounds the temporaries
-        return b"".join(
-            b",".join(_g17_csv(row[None, i:i + _BLOCK_CELLS])[:-1]
-                      for i in range(0, cols, _BLOCK_CELLS)) + b"\n"
-            for row in block)
-    x = block.ravel()
     a = np.abs(x)
     fast = (a >= _G17_MIN) & (a < _G17_MAX)
     zero = a == 0.0
@@ -291,10 +325,14 @@ def _g17_csv(block: np.ndarray) -> bytes:
     lo = ((mid & _MASK32) << _SHIFT32) | (p00 & _MASK32)
     hi = m1 * f1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
     floor = (lo >> shift) | (hi << (np.uint64(64) - shift))
-    half = np.uint64(1) << (shift - np.uint64(1))
-    rest = lo & ((half << np.uint64(1)) - np.uint64(1))
-    odd = (floor & np.uint64(1)) == np.uint64(1)
-    digits = floor + ((rest > half) | ((rest == half) & odd))
+    half = _ONE << (shift - _ONE)
+    rest = lo & ((half << _ONE) - _ONE)
+    if shortest:
+        fast &= m != np.uint64(1 << 52)
+        digits = _shorten(floor, rest, shift, f)
+    else:
+        odd = (floor & _ONE) == _ONE
+        digits = floor + ((rest > half) | ((rest == half) & odd))
     fast &= ((hi >> shift) == np.uint64(0)) & (floor >= np.uint64(10**16)) \
         & (digits < np.uint64(10**17))
     # zeros, and the cells left to the fallback, take D = 0 at exponent 0
@@ -304,35 +342,79 @@ def _g17_csv(block: np.ndarray) -> bytes:
     high = (digits // np.uint64(10**8)).astype(np.uint32)
     low = (digits - high.astype(np.uint64) * np.uint64(10**8)).astype(np.uint32)
     ten4 = np.uint32(10**4)
-    groups = (high // np.uint32(10**8), high // ten4 % ten4, high % ten4, low // ten4, low % ten4)
-    words = np.empty((x.size, _G17_SLOT // 4), dtype=np.uint32)
+    first = high // np.uint32(10**8)
+    high -= first * np.uint32(10**8)
+    second, fourth = high // ten4, low // ten4
+    groups = (first, second, high - second * ten4, fourth, low - fourth * ten4)
+    words = np.empty((x.size, (_G17_TEXT + room) // 4), dtype=np.uint32)
     words[:, 0] = _G17_WORD0[2 * index + np.signbit(x)]
-    tail_zero = np.ones(x.size, dtype=bool)
+    # a group in the zero tail is read from the stripped half of the table
+    stripped = np.full(x.size, 10_000, dtype=np.uint32)
     for k in (4, 3, 2, 1):
-        words[:, k + 1] = np.where(tail_zero, _STRIPPED4[groups[k]], _DIGITS4[groups[k]])
-        tail_zero &= groups[k] == 0
+        words[:, k + 1] = _DIGITS4[groups[k] + stripped]
+        stripped *= groups[k] == 0
+    tail_zero = stripped != 0
     # the point follows the first digit except below 1 in fixed notation,
-    # where the prefix holds it
+    # where the prefix holds it; when no digit follows, %g drops it, and
+    # repr drops it in exponent notation only
     point = ~tail_zero & ((e10 < -4) | (e10 >= 0))
+    if shortest:
+        point |= e10 >= 0
     words[:, 1] = _G17_WORD1[index] | _G17_LEAD[2 * groups[0] + point]
     words[:, 6] = _G17_WORD6[index]
-    words[:, 7] = 0
+    words[:, _G17_TEXT // 4:] = 0
     slots = words.view(np.uint8)
-    ends = slots.reshape(rows, cols, _G17_SLOT)[:, :, _G17_SLOT - 4]
-    ends[:, :-1] = ord(",")
-    ends[:, -1] = ord("\n")
     # at 10 <= |x| < 1e15 the point moves right past e10 more digits, which
-    # keep their zeros: it is there only if a fraction digit is left
+    # keep their zeros: %g writes it only if a fraction digit is left
     wide = np.flatnonzero(e10 > 0)
-    for e in np.unique(e10[wide]):
+    for e in np.flatnonzero(np.bincount(e10[wide])):
         cells = wide[e10[wide] == e]
         text = np.stack([_DIGITS4[g[cells]] for g in groups[1:]], axis=1).view(np.uint8)
-        slots[cells, 7 + e] = (slots[cells, 8 + e:24] != 0).any(axis=1) * ord(".")
+        if shortest:
+            slots[cells, 7 + e] = ord(".")
+        else:
+            slots[cells, 7 + e] = (slots[cells, 8 + e:24] != 0).any(axis=1) * ord(".")
         slots[cells, 7:7 + e] = text[:, :e]
+    if shortest:
+        # no fraction digit left after the point: repr writes a 0 there
+        fixed = np.flatnonzero(e10 >= 0)
+        after = 8 + e10[fixed]
+        slots[fixed, after] |= (slots[fixed, after] == 0) * np.uint8(ord("0"))
     left = np.flatnonzero(~(fast | zero))
     if left.size:
-        _g17_fallback(slots, x, left)
+        _g17_fallback(slots, x, left, b"%r" if shortest else b"%.17g")
+    return slots
+
+
+def _cell_text(block: np.ndarray, shortest: bool, sep: bytes, end: bytes,
+               last: bytes) -> bytes:
+    """The cells of a 2-D float64 block as ``_decimal_slots`` writes them,
+    each followed by ``sep``, the last of a row by ``end`` and the last of
+    the block by ``last``."""
+    rows, cols = block.shape
+    if not rows:
+        return b""
+    if cols > _BLOCK_CELLS:
+        # a long row goes in pieces, which bounds the temporaries
+        return b"".join(
+            _cell_text(row[None, i:i + _BLOCK_CELLS], shortest, sep,
+                       *((sep, sep) if i + _BLOCK_CELLS < cols
+                         else (end, last if r == rows - 1 else end)))
+            for r, row in enumerate(block) for i in range(0, cols, _BLOCK_CELLS))
+    width = max(len(sep), len(end), len(last))
+    slots = _decimal_slots(block.ravel(), shortest, -(-width // 4) * 4)
+    tails = slots.reshape(rows, cols, -1)[:, :, _G17_TEXT:_G17_TEXT + width]
+    for cells, text in ((tails[:, :-1], sep), (tails[:-1, -1], end), (tails[-1, -1], last)):
+        cells[...] = np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint8)
     return slots.tobytes().translate(None, b"\0")
+
+
+def _g17_csv(block: np.ndarray) -> bytes:
+    """The CSV text of a 2-D float64 block: every cell as ``'%.17g' % x``,
+    byte for byte, cells joined by ``,`` and each row ended by ``\\n``."""
+    if block.shape[1] == 0:
+        return b"\n" * block.shape[0]
+    return _cell_text(block, False, b",", b"\n", b"\n")
 
 
 def _emit_workers(matrix: np.ndarray, min_cells: int = _PARALLEL_MIN_CELLS) -> int:
@@ -347,28 +429,36 @@ def _emit_workers(matrix: np.ndarray, min_cells: int = _PARALLEL_MIN_CELLS) -> i
     return max(1, min(cpus, matrix.shape[0] // _MIN_ROWS_PER_WORKER))
 
 
-def _format_rows(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str):
+def _format_rows(matrix: np.ndarray, lo: int, hi: int, indent):
     """Yield the text of rows ``lo:hi`` as ASCII blocks.
 
-    ``row_fmt`` holds one ``%`` field per column.  Rows are joined by ``sep``,
-    and the first row of a chunk is led by ``sep`` too unless it is row 0, so
-    the chunks of a matrix concatenate to the text of the whole matrix.  CSV
-    rows (``sep`` empty, every field ``%.17g``) are formatted by ``_g17_csv``,
-    which gives the same bytes.
+    ``indent`` is None for CSV rows (``_g17_csv``), or the indentation of the
+    JSON line that holds the matrix: each row is then a list, one
+    ``float.__repr__`` cell per line, as ``json.dumps(matrix.tolist(),
+    indent=2)`` writes it there, and rows are joined by ``,``.  The chunks of
+    a matrix concatenate to the text of the whole matrix.
     """
-    step = max(1, _BLOCK_CELLS // max(1, matrix.shape[1]))
+    n, cols = matrix.shape
+    step = max(1, _BLOCK_CELLS // max(1, cols))
+    if indent is None:
+        for start in range(lo, hi, step):
+            yield _g17_csv(matrix[start:min(start + step, hi)])
+        return
+    row, cell = b"\n" + b" " * (indent + 2), b"\n" + b" " * (indent + 4)
+    if cols == 0:
+        yield (b"," if lo else b"") + b",".join([row + b"[]"] * (hi - lo))
+        return
+    # a row ends in the opening of the next one: only row 0 is opened here
+    opening, closing = row + b"[" + cell, row + b"]"
+    if lo == 0:
+        yield opening
     for start in range(lo, hi, step):
-        block = matrix[start:min(start + step, hi)]
-        if not sep:
-            yield _g17_csv(block)
-            continue
-        fmt = (sep + row_fmt) * len(block)
-        if start == 0:
-            fmt = fmt[len(sep):]
-        yield (fmt % tuple(block.ravel().tolist())).encode("ascii")
+        stop = min(start + step, hi)
+        yield _cell_text(matrix[start:stop], True, b"," + cell, closing + b"," + opening,
+                         closing if stop == n else closing + b"," + opening)
 
 
-def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str):
+def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, indent):
     """Fork a worker that formats rows ``lo:hi`` and writes them to a pipe.
 
     The worker holds its chunk's text until it is done, so it never waits on
@@ -387,7 +477,7 @@ def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str
         status = 1
         try:
             os.close(read_fd)
-            for block in list(_format_rows(matrix, lo, hi, row_fmt, sep)):
+            for block in list(_format_rows(matrix, lo, hi, indent)):
                 view = memoryview(block)
                 while view:
                     view = view[os.write(write_fd, view):]
@@ -398,7 +488,7 @@ def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, row_fmt: str, sep: str
     return pid, read_fd
 
 
-def _write_rows(fh, matrix: np.ndarray, row_fmt: str, sep: str, workers: int) -> None:
+def _write_rows(fh, matrix: np.ndarray, indent, workers: int) -> None:
     """Write the text of every row of ``matrix`` to the binary file ``fh``.
 
     The rows are split into ``workers`` contiguous chunks.  The caller formats
@@ -414,8 +504,8 @@ def _write_rows(fh, matrix: np.ndarray, row_fmt: str, sep: str, workers: int) ->
     failed = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_formatter(matrix, lo, hi, row_fmt, sep))
-        for block in _format_rows(matrix, 0, bounds[1], row_fmt, sep):
+            children.append(_fork_formatter(matrix, lo, hi, indent))
+        for block in _format_rows(matrix, 0, bounds[1], indent):
             fh.write(block)
         for _, read_fd in children:
             while piece := os.read(read_fd, _PIPE_READ):
@@ -460,8 +550,7 @@ def write_matrix_csv(path, matrix) -> None:
     matrix = np.ascontiguousarray(np.atleast_2d(np.asarray(matrix, dtype=float)))
     if matrix.ndim != 2:
         raise ValueError(f"expected a 1-D or 2-D matrix, got shape {matrix.shape}")
-    row_fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    _write_file(path, lambda fh: _write_rows(fh, matrix, row_fmt, "", _emit_workers(matrix)))
+    _write_file(path, lambda fh: _write_rows(fh, matrix, None, _emit_workers(matrix)))
 
 
 def _placeholder(index: int) -> str:
@@ -486,17 +575,13 @@ def _stub_matrices(value, matrices: list):
 
 def _write_json_matrix(fh, matrix: np.ndarray, indent: int) -> None:
     """The ``indent=2`` JSON of ``matrix.tolist()`` for a value whose line is
-    indented by ``indent`` spaces; floats are written by ``float.__repr__``."""
+    indented by ``indent`` spaces; floats are written as ``float.__repr__``
+    writes them, by the exact kernel ``_decimal_slots``."""
     if matrix.shape[0] == 0:
         fh.write(b"[]")
         return
-    rows, cells = " " * (indent + 2), " " * (indent + 4)
-    if matrix.shape[1]:
-        row_fmt = f"\n{rows}[" + ",".join([f"\n{cells}%r"] * matrix.shape[1]) + f"\n{rows}]"
-    else:
-        row_fmt = f"\n{rows}[]"
     fh.write(b"[")
-    _write_rows(fh, matrix, row_fmt, ",", _emit_workers(matrix, _PARALLEL_MIN_JSON_CELLS))
+    _write_rows(fh, matrix, indent, _emit_workers(matrix, _PARALLEL_MIN_JSON_CELLS))
     fh.write(f"\n{' ' * indent}]".encode("ascii"))
 
 
@@ -576,10 +661,25 @@ class Outcome(NamedTuple):
     code: int = EXIT_OK
 
 
+def _auto_median(d2: np.ndarray) -> float:
+    """``np.median`` of the off-diagonal entries of the exactly symmetric
+    ``d2``, bitwise, from its strict upper triangle.
+
+    Each of the m upper entries occurs twice off the diagonal, so the two
+    middle values of all 2m are entries (m - 1) // 2 and m // 2 of the sorted
+    upper ones, and their mean is formed as ``np.median`` forms it.  A
+    partition finds them: ``np.median`` imports numpy.ma to look for NaNs,
+    and d2 holds none.
+    """
+    upper = d2[~np.tri(d2.shape[0], dtype=bool)]
+    middle = [(upper.size - 1) // 2, upper.size // 2]
+    low, high = np.partition(upper, middle)[middle]
+    return float((low + high) / 2)
+
+
 def _resolve_beta(beta_arg: str, d2: np.ndarray) -> float:
     if beta_arg == "auto":
-        off_diagonal = d2[~np.eye(d2.shape[0], dtype=bool)]
-        median = float(np.median(off_diagonal))
+        median = _auto_median(d2)
         if median <= 0.0:
             raise ValueError(
                 "cannot resolve beta automatically: median off-diagonal "
@@ -724,6 +824,14 @@ def cmd_attention(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
+    from .bridges import (
+        _normalized_degrees,
+        attention_bridge,
+        classify_regime,
+        solve_bridge,
+        stationary_distribution,
+    )
+
     n = geo.cloud.n_samples
     if args.kernel == "rbf":
         kernel = rbf_kernel(geo.d2, beta).values
@@ -758,6 +866,8 @@ def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
+    from .bridges import classify_regime, stationary_distribution
+
     n = geo.cloud.n_samples
     if args.kernel == "rbf":
         operator, pi = _diffusion(geo.d2, beta)
@@ -775,8 +885,28 @@ def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
     )
 
 
-def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
+def _reversible_diffusion(geo: Geometry, beta: float):
+    """``_diffusion`` for the commands that conjugate by sqrt(pi), which needs
+    every entry of pi positive.  Entry i is proportional to s_i e^(-beta r_i)
+    with s_i >= 1 and r_i the smallest squared distance from point i less the
+    smallest overall, so an underflowed entry is a beta too large for the
+    spread of r, as the message says."""
     operator, pi = _diffusion(geo.d2, beta)
+    if pi.min() == 0.0:
+        nearest = geo.d2.min(axis=1)
+        raise ValueError(
+            f"stationary measure underflowed to zero: beta={beta:g} times the "
+            f"spread {float(nearest.max() - nearest.min()):g} of each point's "
+            "smallest squared distance exceeds the exponential range; reduce beta"
+        )
+    return operator, pi
+
+
+def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
+    from .bridges import magnetic_flux
+    from .spectral import conjugate_hermitize
+
+    operator, pi = _reversible_diffusion(geo, beta)
     phased = magnetic_operator(operator, _gram_phases(geo.gram.values, beta))
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
@@ -802,7 +932,9 @@ def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_embed(args, geo: Geometry, beta: float) -> Outcome:
-    operator, pi = _diffusion(geo.d2, beta)
+    from .spectral import conjugate_symmetrize, decompose, diffusion_embedding
+
+    operator, pi = _reversible_diffusion(geo, beta)
     dec = decompose(conjugate_symmetrize(operator, pi), pi)
     embedding = diffusion_embedding(dec, t=args.t, k=args.k)
     return Outcome(
@@ -823,6 +955,8 @@ def _format_check_line(check) -> str:
 
 
 def cmd_verify(args, geo: Geometry, beta: float) -> Outcome:
+    from .verify import run_identity_checks
+
     checks = run_identity_checks(geo.cloud, beta)
     passed = sum(1 for c in checks if c.passed)
     all_passed = passed == len(checks)

@@ -86,18 +86,42 @@ class ComplexOperator:
 
 
 def _polar(magnitude, theta: np.ndarray) -> np.ndarray:
-    """magnitude * e^{i theta}, with cos and sin written straight into the real
-    and imaginary parts: no complex exponential and no complex temporaries."""
+    """magnitude * e^{i theta} for a 2-D float64 ``theta``, with cos and sin
+    written straight into the real and imaginary parts: no complex
+    exponential and no complex temporaries.
+
+    Phases are antisymmetric, cos is even and sin is odd, so the trig of half
+    the matrix gives the rest.  Each strip of rows is evaluated from its
+    diagonal block rightwards; the strip of columns below that block takes
+    cos and -sin of the transposed strip if its phases are bitwise the
+    negated transpose (the same bits as evaluating it), and is evaluated
+    where it is not.
+    """
     out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    out.real *= magnitude
-    np.sin(theta, out=out.imag)
-    out.imag *= magnitude
+    re, im = out.real, out.imag
+    n = theta.shape[0]
+    for lo in range(0, n, _POLAR_ROWS):
+        hi = min(lo + _POLAR_ROWS, n)
+        strip = theta[lo:hi, lo:]
+        cos, sin = np.cos(strip), np.sin(strip)
+        re[lo:hi, lo:], im[lo:hi, lo:] = cos, sin
+        below = theta[hi:, lo:hi]
+        if np.array_equal(below.view(np.uint64), (-theta[lo:hi, hi:]).T.view(np.uint64)):
+            re[hi:, lo:hi] = cos[:, hi - lo:].T
+            np.negative(sin[:, hi - lo:].T, out=im[hi:, lo:hi])
+        else:
+            np.cos(below, out=re[hi:, lo:hi])
+            np.sin(below, out=im[hi:, lo:hi])
+    re *= magnitude
+    im *= magnitude
     return out
 
 
 # tile edge of the Hermiticity scan: two tiles stay cache-resident
 _TILE = 256
+
+# rows per strip of _polar, whose trig temporaries then stay cache-resident
+_POLAR_ROWS = 64
 
 # rows per block of the symmetric outer-product scaling in dmap_bistochastic
 _ROW_BLOCK = 32

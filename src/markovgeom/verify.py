@@ -384,7 +384,7 @@ def check_magnetic_operators(cloud: DataCloud, beta: float) -> CheckResult:
 
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_abs(hermitized - hermitized.conj().T)
-    eigenvalues = np.linalg.eig(hermitized)[0]
+    eigenvalues = np.linalg.eigvals(hermitized)
     imag_residue = _max_abs(eigenvalues.imag)
 
     quiet = magnetic_operator(operator, np.zeros_like(theta))
@@ -441,7 +441,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     weights = InteractionWeights(rng.standard_normal((cloud.n_features, cloud.n_features)))
     asym_biv = bidivergence(generalized_gram(cloud, weights))
     a_plus = attention_forward(asym_biv, beta)
-    spectrum = np.linalg.eig(a_plus.values)[0]
+    spectrum = np.linalg.eigvals(a_plus.values)
     parts.append(
         _part(
             "forward attention: spectral radius at most 1",

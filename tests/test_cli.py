@@ -265,9 +265,9 @@ class TestParallelEmit:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         real, used = cli._write_rows, []
 
-        def record(fh, matrix, row_fmt, sep, workers):
+        def record(fh, matrix, indent, workers):
             used.append(workers)
-            return real(fh, matrix, row_fmt, sep, workers)
+            return real(fh, matrix, indent, workers)
 
         monkeypatch.setattr(cli, "_write_rows", record)
         matrix = np.full((300, 300), 0.25)
@@ -281,10 +281,10 @@ class TestParallelEmit:
         write_matrix_csv(cloud, np.random.default_rng(137).standard_normal((300, 2)))
         real = cli._format_rows
 
-        def fail_in_workers(matrix, lo, hi, row_fmt, sep):
+        def fail_in_workers(matrix, lo, hi, indent):
             if lo > 0:
                 raise RuntimeError("injected formatter failure")
-            return real(matrix, lo, hi, row_fmt, sep)
+            return real(matrix, lo, hi, indent)
 
         _force_workers(monkeypatch, 2)
         monkeypatch.setattr(cli, "_format_rows", fail_in_workers)
@@ -305,10 +305,10 @@ class TestParallelEmit:
             import numpy as np
             from markovgeom import cli
             real = cli._format_rows
-            def fail_in_caller(matrix, lo, hi, row_fmt, sep):
+            def fail_in_caller(matrix, lo, hi, indent):
                 if lo == 0:
                     raise RuntimeError("injected")
-                return real(matrix, lo, hi, row_fmt, sep)
+                return real(matrix, lo, hi, indent)
             cli._format_rows = fail_in_caller
             cli._emit_workers = lambda matrix: 3
             try:
@@ -399,6 +399,66 @@ class TestExactCsvKernel:
         for name, matrix in matrices.items():
             write_matrix_csv(tmp_path / f"{name}.csv", matrix)
             assert left == [], name
+
+
+def _repr_text(values):
+    """``values`` through the exact repr kernel, one CSV-like line per row."""
+    return cli._cell_text(np.atleast_2d(values), True, b",", b"\n", b"\n")
+
+
+def _repr_reference(values):
+    return "".join(",".join(repr(float(v)) for v in row) + "\n"
+                   for row in np.atleast_2d(values)).encode()
+
+
+def _ulp_steps(values, k):
+    """Each of the positive ``values`` and its k neighbours on either side."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-k, k + 1)
+    return bits.ravel().view(np.float64)
+
+
+_REPR_CASES = {
+    "random-bits": np.random.default_rng(143).integers(
+        0, 2**64, 100_000, dtype=np.uint64).view(np.float64).reshape(100, 1000),
+    # the double nearest each power of ten, parsed from its decimal
+    "powers-of-ten": _with_neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+    "notation-switches": _with_neighbours(_ulp_steps([1e-4, 1e16], 3)),
+    "integral": np.array([1.0, 100.0, 10.0, 1e14, 123456789012345.0, 999999999999999.0,
+                          2.0**49, 7.0, 1e15, 1e16, 1e22, 1e23]),
+    "short": np.array([0.1, 0.5, 0.3, 0.30000000000000004, 0.2, 0.7, 2.5, 1e-3, 1e-10,
+                       123.456, 1e-5, 1.5e-5, 0.0001, 0.00012]),
+    "powers-of-two": np.ldexp(1.0, np.arange(-1074, 1024)),
+    "specials": np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    "range-edges": np.concatenate([sign * _ulp_steps(
+        [cli._G17_MIN, cli._G17_MAX, 2.2250738585072014e-308, np.finfo(float).max], 1)
+        for sign in (1, -1)]),
+    "ties": _ties_at_18th_digit(),
+}
+
+
+class TestExactReprKernel:
+    """The shortest-digit kernel of JSON emit against ``repr(float(v))``."""
+
+    @pytest.mark.parametrize("name", list(_REPR_CASES))
+    def test_same_bytes_as_repr(self, name):
+        values = _REPR_CASES[name]
+        assert _repr_text(values) == _repr_reference(values)
+
+    def test_attention_matrix_takes_no_fallback(self, tmp_path, monkeypatch):
+        # the N=600 forward attention of a seeded cloud at the auto beta,
+        # as ``attention --format json`` writes it
+        cloud = markovgeom.DataCloud(np.random.default_rng(3).standard_normal((600, 8)))
+        biv = markovgeom.bidivergence(markovgeom.gram(cloud))
+        beta = cli._resolve_beta("auto", markovgeom.squared_distance(biv))
+        matrix = markovgeom.attention_forward(biv, beta).values
+        left = []
+        monkeypatch.setattr(cli, "_g17_fallback",
+                            lambda slots, values, cells, fmt=b"%.17g": left.append(cells))
+        _force_workers(monkeypatch, 1)
+        write_report_json(tmp_path / "r.json", {"m": matrix})
+        assert left == []
+        assert (tmp_path / "r.json").read_text() == json.dumps(
+            {"m": matrix.tolist()}, indent=2) + "\n"
 
 
 class TestDmapCommand:
@@ -729,6 +789,42 @@ class TestUnderflowingKernel:
         assert "kernel underflowed to zero" in capsys.readouterr().err
 
 
+class TestUnderflowingMeasure:
+    """Indefinite weights give negative squared distances; at a large beta an
+    entry of the diffusion operator's stationary measure underflows to zero.
+    The commands that conjugate by its square root exit 2 and say so; classify
+    allows a zero marginal entry and runs."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(5)
+        files = {"cloud": tmp_path / "cloud.csv", "weights": tmp_path / "w.csv"}
+        write_matrix_csv(files["cloud"], rng.standard_normal((30, 3)))
+        write_matrix_csv(files["weights"],
+                         np.diag([1.0, -1.0, 0.5]) + 0.3 * rng.standard_normal((3, 3)))
+        return files
+
+    @pytest.mark.parametrize("beta", ["100", "1000"])
+    @pytest.mark.parametrize("command", ["embed", "magnetic"])
+    def test_reversible_commands_exit_2_naming_beta(self, tmp_path, files, capsys, command,
+                                                    beta):
+        code = main([command, "--input", str(files["cloud"]), "--weights", str(files["weights"]),
+                     "--beta", beta, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"stationary measure underflowed to zero: beta={beta} times" in err
+        assert "reduce beta" in err
+
+    @pytest.mark.parametrize("beta", ["100", "1000"])
+    def test_classify_runs(self, tmp_path, files, capsys, beta):
+        code = main(["classify", "--kernel", "rbf", "--mu-plus", "stationary",
+                     "--mu-minus", "stationary", "--input", str(files["cloud"]),
+                     "--weights", str(files["weights"]), "--beta", beta,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        capsys.readouterr()
+
+
 # commands whose solvers take --tol, and whether they take --max-iter
 _SOLVER_COMMANDS = {
     "bridge-rbf": (["bridge", "--mu-plus", "stationary", "--mu-minus", "stationary"], True),
@@ -964,8 +1060,12 @@ class TestSolverLogging:
             return original(*args, **kwargs)
 
         # patch the name wherever the package binds it, so calls from inside
-        # the library (edge_phases, for one) are counted too
-        for module in vars(markovgeom).values():
+        # the library (edge_phases, for one) are counted too; the package
+        # loads its modules on first use, so every one is loaded here first,
+        # or one loaded by the command would bind the counting double for good
+        modules = [getattr(markovgeom, name) for name in (
+            "geometry", "normalize", "operators", "bridges", "spectral", "verify")]
+        for module in [*modules, cli]:
             if getattr(module, counted, None) is original:
                 monkeypatch.setattr(module, counted, counting)
         code = main([*argv, "--input", str(cloud_path), "--weights", str(weights_path),
@@ -991,3 +1091,121 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True)
         assert out.stdout.strip() == "[]"
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        # after a bare ``import numpy`` (which loads numpy.ma itself on numpy
+        # 1.x), dmap, kernel and inline-JSON attention load none of verify,
+        # bridges and spectral, and no command loads numpy.ma
+        rng = np.random.default_rng(144)
+        cloud, weights = tmp_path / "cloud.csv", tmp_path / "w.csv"
+        write_matrix_csv(cloud, rng.standard_normal((12, 3)))
+        write_matrix_csv(weights, rng.standard_normal((3, 3)))
+        stationary = ["--mu-plus", "stationary", "--mu-minus", "stationary"]
+        runs = [["dmap"], ["kernel"], ["attention", "--format", "json"],
+                ["bridge", *stationary], ["classify", *stationary],
+                ["magnetic", "--weights", str(weights)], ["embed"], ["verify"]]
+        runs = [[*argv, "--input", str(cloud), "--out-dir", str(tmp_path / argv[0])]
+                for argv in runs]
+        code = textwrap.dedent(f"""
+            import json, sys, numpy
+            before = set(sys.modules)
+            from markovgeom import cli
+            loaded = []
+            for argv in {runs!r}:
+                code = cli.main(argv)
+                added = set(sys.modules) - before
+                loaded.append([argv[0], code, sorted(
+                    m for m in added if m.split(".")[:2] == ["numpy", "ma"]
+                    or m in ("markovgeom.verify", "markovgeom.bridges", "markovgeom.spectral"))])
+            print(json.dumps(loaded))
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        loaded = json.loads(out.stdout.splitlines()[-1])
+        assert loaded[:3] == [["dmap", 0, []], ["kernel", 0, []], ["attention", 0, []]]
+        assert [(name, code) for name, code, _ in loaded] == [
+            (argv[0], 0) for argv in runs]
+        assert not [m for m in loaded[-1][2] if m.startswith("numpy")]
+
+    def test_submodules_resolve_from_a_fresh_interpreter(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(markovgeom.__file__).parents[1]))
+        code = ("import markovgeom; "
+                "print(markovgeom.verify.run_identity_checks is markovgeom.run_identity_checks, "
+                "'spectral' in dir(markovgeom), 'decompose' in dir(markovgeom))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["True", "True", "True"]
+
+
+class TestLazyPackage:
+    """The package resolves its public names on first use, from the modules
+    that define them, and caches none of them."""
+
+    def test_each_public_name_is_its_home_module_object(self):
+        for name in markovgeom.__all__:
+            value = getattr(markovgeom, name)
+            home = value.__module__
+            assert home.startswith("markovgeom."), name
+            assert getattr(sys.modules[home], name) is value, name
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from markovgeom import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(markovgeom.__all__)
+        assert namespace["dmap"] is markovgeom.operators.dmap
+
+    def test_lookup_follows_a_rebound_name(self, monkeypatch):
+        # a tracer rebinds names in the defining module; the package must not
+        # keep handing out what it found first
+        original = markovgeom.operators.dmap
+        monkeypatch.setattr(markovgeom.operators, "dmap", "rebound")
+        assert markovgeom.dmap == "rebound"
+        monkeypatch.undo()
+        assert markovgeom.dmap is original
+        assert "dmap" not in vars(markovgeom)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            markovgeom.no_such_name  # noqa: B018
+
+
+class TestAutoBeta:
+    """``--beta auto`` takes the median off-diagonal squared distance from the
+    strict upper triangle of the symmetric d2: bitwise ``np.median`` of all
+    off-diagonal entries, the same beta from half the data."""
+
+    @staticmethod
+    def _check(points):
+        d2 = markovgeom.squared_distance(markovgeom.bidivergence(markovgeom.gram(
+            markovgeom.DataCloud(points))))
+        median = np.float64(np.median(d2[~np.eye(d2.shape[0], dtype=bool)]))
+        assert np.float64(cli._auto_median(d2)).tobytes() == median.tobytes()
+        if median > 0.0:
+            assert cli._resolve_beta("auto", d2) == 1.0 / float(median)
+        return d2, median
+
+    def test_every_size_from_2_to_301(self):
+        # the upper triangle holds an odd number of entries for some sizes and
+        # an even number for others
+        for n in range(2, 302):
+            self._check(np.random.default_rng(n).standard_normal((n, 3)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 50])
+    def test_many_draws(self, n):
+        for seed in range(100):
+            self._check(np.random.default_rng((n, seed)).exponential(size=(n, 1)))
+
+    @pytest.mark.parametrize("n", [3, 20, 101])
+    def test_duplicated_points(self, n):
+        rng = np.random.default_rng(145)
+        points = rng.standard_normal((max(2, n // 3), 2))[rng.integers(0, max(2, n // 3), n)]
+        self._check(points)
+
+    def test_median_zero_is_rejected(self):
+        points = np.zeros((5, 2))
+        points[0] = 1.0
+        d2, median = self._check(points)
+        assert median == 0.0
+        with pytest.raises(ValueError, match="median off-diagonal"):
+            cli._resolve_beta("auto", d2)

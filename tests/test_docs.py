@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+from markovgeom import cli
 from markovgeom.cli import build_parser
 
 README = Path(__file__).parents[1] / "README.md"
@@ -45,3 +46,15 @@ def test_cli_section_lists_each_commands_flags():
         assert COMMON_FLAGS <= flags, name
     for flag in COMMON_FLAGS:
         assert f"`{flag}`" in section
+
+
+def test_cli_section_gives_the_fork_thresholds():
+    found = re.findall(r"2\^(\d+)\s+(CSV|JSON)\s+cells", _section("CLI"))
+    assert {kind: 1 << int(k) for k, kind in found} == {
+        "CSV": cli._PARALLEL_MIN_CELLS, "JSON": cli._PARALLEL_MIN_JSON_CELLS}
+    assert len(found) == 2
+
+
+def test_cli_section_gives_the_kernel_range():
+    found = re.findall(r"([\de.+-]+) ≤ \|x\| < ([\de.+-]+)", _section("CLI"))
+    assert [(float(low), float(high)) for low, high in found] == [(cli._G17_MIN, cli._G17_MAX)]

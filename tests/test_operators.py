@@ -388,3 +388,46 @@ class TestPolar:
         assert out.dtype == complex and out.shape == theta.shape
         for got, want in ((out.real, reference.real), (out.imag, reference.imag)):
             assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+    @staticmethod
+    def _full(magnitude, theta):
+        return magnitude * np.cos(theta), magnitude * np.sin(theta)
+
+    @staticmethod
+    def _antisymmetric(rng, n, scale):
+        g = rng.standard_normal((n, n)) * scale
+        return (g - g.T) / 2.0
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 257])
+    def test_bitwise_full_evaluation_on_antisymmetric_phases(self, n):
+        # the mirrored half takes cos and -sin of its transpose: the same bits
+        rng = np.random.default_rng(74 + n)
+        for scale in (1.0, 1e-8, 1e3):
+            theta = self._antisymmetric(rng, n, scale)
+            if n > 2:
+                theta[0, 1], theta[1, 0] = 0.0, -0.0
+            magnitude = rng.uniform(0.0, 2.0, (n, n))
+            out = _polar(magnitude, theta)
+            real, imag = self._full(magnitude, theta)
+            assert out.real.tobytes() == real.tobytes()
+            assert out.imag.tobytes() == imag.tobytes()
+
+    @pytest.mark.parametrize("n", [65, 200])
+    @pytest.mark.parametrize("flaw", ["ulp", "signed-zero", "random"])
+    def test_bitwise_full_evaluation_on_inexact_phases(self, n, flaw):
+        # a strip whose phases are not bitwise the negated transpose (one ulp
+        # off, +0 mirrored by +0, or no antisymmetry at all) is evaluated
+        rng = np.random.default_rng(75)
+        theta = self._antisymmetric(rng, n, 1.0)
+        if flaw == "ulp":
+            theta[n - 1, 3] = np.nextafter(theta[n - 1, 3], np.inf)
+            theta[n - 1, 64] = np.nextafter(theta[n - 1, 64], -np.inf)
+        elif flaw == "signed-zero":
+            theta[n - 1, 3] = theta[3, n - 1] = 0.0
+        else:
+            theta = rng.uniform(-4.0, 4.0, (n, n))
+        magnitude = rng.uniform(0.0, 2.0, (n, n))
+        out = _polar(magnitude, theta)
+        real, imag = self._full(magnitude, theta)
+        assert out.real.tobytes() == real.tobytes()
+        assert out.imag.tobytes() == imag.tobytes()
