@@ -32,9 +32,9 @@ _PUBLIC = {
         "schrodinger_solve", "sinkhorn", "softmax_cols", "softmax_rows",
     ),
     "operators": (
-        "ComplexOperator", "KernelMatrix", "LaplacianPair", "attention_backward",
-        "attention_bistochastic", "attention_forward", "dmap", "dmap_bistochastic",
-        "directional_kernels", "laplacians", "magnetic_operator", "rbf_kernel",
+        "ComplexOperator", "KernelMatrix", "attention_backward", "attention_bistochastic",
+        "attention_forward", "dmap", "dmap_bistochastic", "directional_kernels",
+        "magnetic_operator", "rbf_kernel",
     ),
     "spectral": (
         "Embedding", "SpectralDecomposition", "conjugate_hermitize", "conjugate_symmetrize",

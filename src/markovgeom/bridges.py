@@ -23,6 +23,7 @@ from .normalize import (
     ScalingPotentials,
     StochasticOperator,
     _marginal_violation,
+    _square_values,
     _validate_tol,
     logsumexp,
     poe_combine,
@@ -62,9 +63,9 @@ class BridgeSolution:
 class RegimeReport:
     """Classification of an operator/marginal pair as EQ, NESS, or NE.
 
-    ``stationary`` is the common marginal when both agree (EQ/NESS) and None
-    for genuine one-step transport (NE).  Residuals are always reported so a
-    borderline call can be audited.
+    ``stationary`` is the common marginal when both agree and the operator
+    preserves it (EQ/NESS), and None for one-step transport (NE).  Residuals
+    are always reported so a borderline call can be audited.
     """
 
     regime: str
@@ -189,7 +190,7 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
     _validate_tol(tol)
     if p.kind not in ("row", "bi"):
         raise ValueError("stationary_distribution expects a row-stochastic operator")
-    values = p.values
+    values = _square_values(p, "stationary_distribution")
     if values.min() <= 0.0:
         raise ValueError("operator must be strictly positive for a unique fixed point")
     n = values.shape[0]
@@ -224,8 +225,9 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
 
 def currents(p: StochasticOperator, rho) -> np.ndarray:
     """Antisymmetric probability currents rho_i P_ij - rho_j P_ji."""
-    rho = _validate_probability(rho, p.shape[0], "rho")
-    flux = rho[:, None] * p.values
+    values = _square_values(p, "currents")
+    rho = _validate_probability(rho, values.shape[0], "rho")
+    flux = rho[:, None] * values
     return flux - flux.T
 
 
@@ -234,22 +236,24 @@ def classify_regime(
 ) -> RegimeReport:
     """Classify an operator with endpoint marginals as EQ, NESS, or NE.
 
-    Distinct marginals (beyond ``tol``) mean one-step transport (NE) and are
-    tested first.  Otherwise the pair is a steady-state candidate: vanishing
-    currents at the common marginal give EQ (detailed balance), circulating
-    currents give NESS.  "Vanishing" is scale-relative: below a fixed fraction
-    of the largest one-step flux.
+    A steady state needs equal marginals that the operator preserves: both
+    the marginal gap and the stationarity residual max |mu_plus P - mu_plus|
+    within ``tol``.  Otherwise the pair is one-step transport (NE).  At a
+    steady state, vanishing currents give EQ (detailed balance) and
+    circulating currents NESS.  "Vanishing" is scale-relative: below a fixed
+    fraction of the largest one-step flux.
     """
-    n = p.shape[0]
+    values = _square_values(p, "classify_regime")
+    n = values.shape[0]
     mu_plus = _validate_probability(mu_plus, n, "mu_plus")
     mu_minus = _validate_probability(mu_minus, n, "mu_minus")
     marginal_gap = float(np.abs(mu_plus - mu_minus).max())
-    flux = mu_plus[:, None] * p.values
+    flux = mu_plus[:, None] * values
     j = flux - flux.T
     max_current = float(np.abs(j).max())
     threshold = CURRENT_ZERO_FRACTION * float(flux.max())
-    stationarity_residual = float(np.abs(mu_plus @ p.values - mu_plus).max())
-    if marginal_gap > tol:
+    stationarity_residual = float(np.abs(mu_plus @ values - mu_plus).max())
+    if marginal_gap > tol or stationarity_residual > tol:
         regime = "NE"
         stationary = None
     elif max_current <= threshold:
@@ -297,6 +301,7 @@ def poe_factorization(bidiv: Bidivergence, beta: float) -> StochasticOperator:
 
     Both experts use row normalization, so their combination is the row
     softmax of the summed divergences, i.e. the diffusion operator itself.
+    Far above the bandwidth the experts can barely overlap (see poe_combine).
     """
     beta = _validate_beta(beta)
     forward_expert = softmax_rows(-beta * bidiv.fwd)
@@ -346,7 +351,7 @@ def attention_gauge(pi_plus, a_plus: StochasticOperator) -> np.ndarray:
     to a reversible operator via ``magnetic_operator``.  Values are reported
     unwrapped (phases are only meaningful mod 2 pi).
     """
-    values = a_plus.values
+    values = _square_values(a_plus, "attention_gauge")
     pi_plus = _validate_probability(pi_plus, values.shape[0], "pi_plus")
     flux = pi_plus[:, None] * values
     if flux.min() <= 0.0:

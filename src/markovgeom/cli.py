@@ -842,7 +842,9 @@ def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
             attention_forward(geo.biv, beta), tol=args.tol))
         bridge = attention_bridge(geo.biv, beta, mu_plus, mu_minus, tol=args.tol,
                                   max_iter=args.max_iter)
-    regime = classify_regime(bridge.forward, mu_plus, mu_minus)
+    # the bridge meets each marginal within --tol, so mu_plus P may miss
+    # mu_plus by twice that
+    regime = classify_regime(bridge.forward, mu_plus, mu_minus, tol=max(1e-10, 2.0 * args.tol))
     potentials = bridge.potentials
     results = {
         "iterations": potentials.iterations,
@@ -876,7 +878,8 @@ def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
         operator = attention_forward(geo.biv, beta)
         mu_plus, mu_minus = _marginals(
             args, n, lambda: stationary_distribution(operator, tol=args.tol))
-    regime = classify_regime(operator, mu_plus, mu_minus)
+    # no tighter than the tol a 'stationary' marginal was solved to, as in bridge
+    regime = classify_regime(operator, mu_plus, mu_minus, tol=max(1e-10, 2.0 * args.tol))
     return Outcome(
         _regime_results(regime),
         {"currents": regime.currents},

@@ -143,6 +143,13 @@ class StochasticOperator:
         return self.values.shape
 
 
+def _square_values(p: StochasticOperator, caller: str) -> np.ndarray:
+    """The values of an operator on a state space, which must be square."""
+    if p.shape[0] != p.shape[1]:
+        raise ValueError(f"{caller} expects a square operator, got shape {p.shape}")
+    return p.values
+
+
 @dataclass(frozen=True, eq=False)
 class ScalingPotentials:
     """Positive scaling vectors with convergence metadata.
@@ -198,7 +205,8 @@ def poe_combine(a: StochasticOperator, b: StochasticOperator) -> StochasticOpera
 
     Both operands must share shape and kind (row or column).  The result is
     exactly the softmax of summed log-scores: combining ``softmax_rows(z)``
-    with ``softmax_rows(s)`` reproduces ``softmax_rows(z + s)``.
+    with ``softmax_rows(s)`` reproduces ``softmax_rows(z + s)``.  A product
+    mass below the normal range has too few bits to renormalize: ``ValueError``.
     """
     if a.kind != b.kind:
         raise ValueError(f"expert kinds differ: {a.kind!r} vs {b.kind!r}")
@@ -209,8 +217,10 @@ def poe_combine(a: StochasticOperator, b: StochasticOperator) -> StochasticOpera
     prod = a.values * b.values
     axis = 1 if a.kind == "row" else 0
     norm = prod.sum(axis=axis, keepdims=True)
-    if np.any(norm == 0.0):
-        raise ValueError("experts have disjoint support along the stochastic axis")
+    low = float(norm.min(initial=np.inf))
+    if low < np.finfo(float).tiny:
+        raise ValueError(f"experts have (nearly) disjoint support along the stochastic "
+                         f"axis: the product's mass {low:.3e} is below the normal float range")
     return StochasticOperator(prod / norm, a.kind)
 
 

@@ -19,6 +19,7 @@ from .normalize import (
     _marginal_violation,
     _scale,
     _softmax,
+    _square_values,
     sinkhorn,
 )
 
@@ -43,15 +44,6 @@ class KernelMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class LaplacianPair:
-    """Combinatorial and random-walk Laplacians plus the degree vector."""
-
-    combinatorial: np.ndarray
-    random_walk: np.ndarray
-    degrees: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class ComplexOperator:
     """Row-stochastic magnitudes with a unit-modulus antisymmetric phase field.
 
@@ -66,6 +58,7 @@ class ComplexOperator:
     def __post_init__(self):
         if self.magnitudes.kind not in ("row", "bi"):
             raise ValueError("magnitudes must be a row-stochastic operator")
+        _square_values(self.magnitudes, "ComplexOperator")
         theta = np.asarray(self.phases, dtype=float)
         if theta.shape != self.magnitudes.shape:
             raise ValueError(
@@ -261,15 +254,6 @@ def _diffusion(d2, beta: float) -> tuple[StochasticOperator, np.ndarray]:
     operator, top, sums = _softmax(z, 1, "row", out=z)
     degrees = sums[:, 0] * np.exp(top[:, 0] - top.max())
     return operator, degrees / degrees.sum()
-
-
-def laplacians(kernel: KernelMatrix) -> LaplacianPair:
-    """Combinatorial Laplacian diag(z) - P and random-walk Laplacian I - P/z."""
-    p = kernel.values
-    degrees = p.sum(axis=1)
-    combinatorial = np.diag(degrees) - p
-    random_walk = np.eye(p.shape[0]) - p / degrees[:, None]
-    return LaplacianPair(combinatorial, random_walk, degrees)
 
 
 def dmap_bistochastic(

@@ -4,8 +4,8 @@ A reversible row-stochastic operator is similar to a symmetric matrix through
 conjugation by the square root of its stationary measure; a phased operator
 with reversible magnitudes is likewise similar to a Hermitian matrix.  The
 dense symmetric/Hermitian eigensolver is then exact enough to map eigenpairs
-back to left/right eigenvectors of the original operator and to build
-eigenvalue-damped embedding coordinates.
+back to eigenvectors of the original operator and to build eigenvalue-damped
+embedding coordinates.
 """
 
 from __future__ import annotations
@@ -14,28 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalize import StochasticOperator
+from .normalize import StochasticOperator, _square_values
 from .operators import ComplexOperator, _max_hermitian_gap, _polar
 
 # adjacent eigenvalues closer than this are flagged as a degenerate block;
 # coordinates inside such a block are solver-ordered and not canonicalized
 DEGENERACY_GAP = 1e-10
 
+# largest probability current max |F - F^T| of the flux F = diag(pi) P that
+# the conjugation transforms accept as detailed balance
+DETAILED_BALANCE_TOL = 1e-8
+
 _LEAD_COMPONENT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (descending) with left/right eigenvectors of the operator.
+    """Eigenvalues (descending) with the right eigenvectors of the operator.
 
-    ``degenerate`` warns that at least two adjacent eigenvalues are closer
-    than the degeneracy gap, in which case the vectors within that block are
-    reported in solver order.
+    The left eigenvectors are ``pi[:, None] * right_vectors`` for the measure
+    ``pi`` the operator was conjugated by, biorthonormal to the right ones
+    (left^H right = I), so they are not stored.  ``degenerate`` warns that at
+    least two adjacent eigenvalues are closer than the degeneracy gap, in
+    which case the vectors within that block are reported in solver order.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
     is_complex: bool
     degenerate: bool
 
@@ -58,41 +63,40 @@ def _validate_measure(pi, n: int) -> np.ndarray:
     return pi
 
 
-def conjugate_symmetrize(
-    p_plus: StochasticOperator, pi, db_tol: float = 1e-8
-) -> np.ndarray:
+def conjugate_symmetrize(p_plus: StochasticOperator, pi) -> np.ndarray:
     """Similarity transform diag(sqrt(pi)) P diag(1/sqrt(pi)).
 
-    Requires (P, pi) to satisfy detailed balance within ``db_tol``; otherwise
-    the conjugated matrix would not be symmetric, which signals that a
-    non-reversible (steady-state-circulating) operator was passed.  The
-    residual is the largest probability current, max |F - F^T| of the flux
-    F = diag(pi) P, read tile by tile; the conjugated matrix then reuses F's
-    memory.
+    Requires (P, pi) to satisfy detailed balance within
+    ``DETAILED_BALANCE_TOL``; otherwise the conjugated matrix would not be
+    symmetric, which signals that a non-reversible (steady-state-circulating)
+    operator was passed.  The residual is the largest probability current,
+    max |F - F^T| of the flux F = diag(pi) P, read tile by tile; the
+    conjugated matrix then reuses F's memory.
     """
     if p_plus.kind not in ("row", "bi"):
         raise ValueError("conjugate_symmetrize expects a row-stochastic operator")
-    pi = _validate_measure(pi, p_plus.shape[0])
-    flux = pi[:, None] * p_plus.values
+    values = _square_values(p_plus, "conjugate_symmetrize")
+    pi = _validate_measure(pi, values.shape[0])
+    flux = pi[:, None] * values
     db_residual = _max_hermitian_gap(flux)
-    if db_residual > db_tol:
+    if db_residual > DETAILED_BALANCE_TOL:
         raise ValueError(
             f"detailed balance violated (residual {db_residual:.3e} > "
-            f"{db_tol:.1e}); the operator/measure pair is not reversible"
+            f"{DETAILED_BALANCE_TOL:.1e}); the operator/measure pair is not reversible"
         )
     root = np.sqrt(pi)
-    conjugated = np.multiply(p_plus.values, root[:, None], out=flux)
+    conjugated = np.multiply(values, root[:, None], out=flux)
     conjugated /= root
     return conjugated
 
 
-def conjugate_hermitize(op: ComplexOperator, pi, db_tol: float = 1e-8) -> np.ndarray:
+def conjugate_hermitize(op: ComplexOperator, pi) -> np.ndarray:
     """Hermitian conjugation of a phased operator with reversible magnitudes.
 
     Symmetric magnitudes conjugation combined with antisymmetric phases yields
     a Hermitian matrix, whose eigenvalues are real.
     """
-    symmetric = conjugate_symmetrize(op.magnitudes, pi, db_tol=db_tol)
+    symmetric = conjugate_symmetrize(op.magnitudes, pi)
     return _polar(symmetric, op.phases)
 
 
@@ -126,9 +130,9 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
 
     The input must be (numerically) symmetric or Hermitian, i.e. come from one
     of the conjugation transforms.  Right eigenvectors of the original
-    operator are the conjugated eigenvectors divided by sqrt(pi), left
-    eigenvectors multiplied by it; the two sets are biorthonormal and the top
-    right eigenvector is constant.
+    operator are the conjugated eigenvectors divided by sqrt(pi), and the top
+    one is constant; the left eigenvectors, the conjugated ones multiplied by
+    sqrt(pi), are ``pi[:, None] * right_vectors``.
     """
     mat = np.asarray(conjugated)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -147,24 +151,17 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
         )
     eigenvalues, vectors = np.linalg.eigh(mat)
     # eigh returns ascending eigenvalues, so descending order is the reversed
-    # view; the left vectors then reuse eigh's buffer
+    # view; the right vectors are then eigh's own buffer, scaled in place
     eigenvalues = eigenvalues[::-1]
     vectors = vectors[:, ::-1]
     _fix_leading_phase(vectors)
-    root = np.sqrt(pi)
-    right = vectors / root[:, None]
-    left = vectors
-    left *= root[:, None]
-    if eigenvalues.size > 1:
-        degenerate = bool(np.abs(np.diff(eigenvalues)).min() < DEGENERACY_GAP)
-    else:
-        degenerate = False
+    vectors /= np.sqrt(pi)[:, None]
+    gaps = np.abs(np.diff(eigenvalues))
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
-        right_vectors=right,
-        left_vectors=left,
+        right_vectors=vectors,
         is_complex=bool(np.iscomplexobj(vectors)),
-        degenerate=degenerate,
+        degenerate=bool(gaps.size and gaps.min() < DEGENERACY_GAP),
     )
 
 

@@ -330,9 +330,10 @@ def check_doob_transform(cloud: DataCloud, beta: float) -> CheckResult:
 
 def check_attention_bridge(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 11)
-    if cloud.n_features < 2:
-        # a 1x1 weight matrix is necessarily symmetric, so a one-feature cloud
-        # cannot carry the non-reversible instance this check probes
+    # a 1x1 weight matrix is necessarily symmetric, and every chain on two
+    # states is reversible, so neither cloud can carry the non-reversible
+    # instance this check probes (np.unique with an axis would load numpy.ma)
+    if cloud.n_features < 2 or len({tuple(row) for row in cloud.points.tolist()}) < 3:
         cloud = _random_cloud(rng, 8, 2)
     d = cloud.n_features
     weights = InteractionWeights(rng.standard_normal((d, d)))

@@ -404,6 +404,18 @@ class TestClassifyRegime:
         assert report.stationary is None
         assert report.marginal_gap > 0.0
 
+    def test_equal_marginals_the_operator_moves_are_nonstationary(self):
+        # uniform is not the diffusion operator's stationary measure: equal
+        # marginals alone do not make a steady state
+        _, _, d2 = random_geometry(89)
+        n = d2.shape[0]
+        uniform = np.full(n, 1.0 / n)
+        report = classify_regime(dmap(d2, 1.0), uniform, uniform)
+        assert report.marginal_gap == 0.0
+        assert report.stationarity_residual > 1e-3
+        assert report.regime == "NE"
+        assert report.stationary is None
+
     def test_classification_is_total(self):
         rng = np.random.default_rng(88)
         _, _, d2 = random_geometry(88)

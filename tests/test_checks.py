@@ -10,7 +10,14 @@ an input with several faults must still report the one checked first.
 import numpy as np
 import pytest
 
-from markovgeom.bridges import attention_gauge, solve_bridge, stationary_distribution
+from markovgeom.bridges import (
+    attention_gauge,
+    classify_regime,
+    currents,
+    doob_transform,
+    solve_bridge,
+    stationary_distribution,
+)
 from markovgeom.geometry import (
     Bidivergence,
     DataCloud,
@@ -35,7 +42,7 @@ from markovgeom.operators import (
     dmap_bistochastic,
     rbf_kernel,
 )
-from markovgeom.spectral import decompose
+from markovgeom.spectral import conjugate_symmetrize, decompose
 
 N = 5
 _POINTS = np.random.default_rng(150).standard_normal((N, 3))
@@ -145,6 +152,33 @@ def test_bad_sign_cell_is_rejected(check, where):
         with pytest.raises(ValueError) as excinfo:
             build(planted(clean, cell, value))
         assert str(excinfo.value) == message
+
+
+_WIDE = StochasticOperator(np.full((2, 3), 1.0 / 3.0), "row")
+_HALF = np.full(2, 0.5)
+
+# the functions that read an operator as a chain on its states, each on the
+# 2 x 3 row operator
+SQUARE_CHECKS = {
+    "stationary_distribution": lambda: stationary_distribution(_WIDE),
+    "classify_regime": lambda: classify_regime(_WIDE, _HALF, _HALF),
+    "currents": lambda: currents(_WIDE, _HALF),
+    "attention_gauge": lambda: attention_gauge(_HALF, _WIDE),
+    "conjugate_symmetrize": lambda: conjugate_symmetrize(_WIDE, _HALF),
+    "ComplexOperator": lambda: ComplexOperator(_WIDE, np.zeros((2, 3))),
+}
+
+
+@pytest.mark.parametrize("check", list(SQUARE_CHECKS))
+def test_non_square_operator_is_rejected(check):
+    with pytest.raises(ValueError) as excinfo:
+        SQUARE_CHECKS[check]()
+    assert str(excinfo.value) == f"{check} expects a square operator, got shape (2, 3)"
+
+
+def test_doob_transform_accepts_a_rectangular_operator():
+    transformed = doob_transform(_WIDE, np.array([1.0, 2.0, 1.0]))
+    np.testing.assert_allclose(transformed.values, np.tile([0.25, 0.5, 0.25], (2, 1)))
 
 
 class TestOrderOfChecks:

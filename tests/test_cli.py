@@ -561,6 +561,26 @@ class TestBridgeCommand:
         assert report["results"]["max_current"] > report["results"]["current_threshold"]
 
 
+    def test_loose_tol_bridge_keeps_its_steady_state(self, tmp_path):
+        # over-relaxed sweeps leave the columns inexact, so mu_plus P misses
+        # mu_plus by about half the 1e-4 solver tolerance
+        n = 40
+        cloud_path = tmp_path / "cloud.csv"
+        write_matrix_csv(cloud_path, np.random.default_rng(0).standard_normal((n, 3)))
+        mu_path = tmp_path / "uniform.csv"
+        write_matrix_csv(mu_path, np.full((1, n), 1.0 / n))
+        out = tmp_path / "loose"
+        code = main([
+            "bridge", "--input", str(cloud_path), "--beta", "4", "--kernel", "attention",
+            "--tol", "1e-4", "--mu-plus", str(mu_path), "--mu-minus", str(mu_path),
+            "--out-dir", str(out),
+        ])
+        assert code == EXIT_OK
+        results = json.loads((out / "bridge_report.json").read_text())["results"]
+        assert 1e-10 < results["stationarity_residual"] <= 2e-4
+        assert results["regime"] == "NESS"
+
+
 class TestOtherCommands:
     def test_kernel_command(self, tmp_path, cloud_csv):
         cloud_path, _ = cloud_csv
@@ -654,6 +674,17 @@ class TestVerifyCommand:
             assert check["passed"] is True
             for part in check["parts"]:
                 assert "residual" in part and "tolerance" in part
+
+    @pytest.mark.parametrize("points", [
+        [[0.0, 0.0], [1.0, 0.5]],
+        [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
+    ], ids=["two-points", "two-distinct-of-three"])
+    def test_cloud_of_two_distinct_points_passes(self, tmp_path, points):
+        # every chain on two states is reversible, so C11 probes its own cloud
+        cloud_path = tmp_path / "cloud.csv"
+        write_matrix_csv(cloud_path, np.array(points))
+        code = main(["verify", "--input", str(cloud_path), "--out-dir", str(tmp_path / "v")])
+        assert code == EXIT_OK
 
     def test_rerun_is_byte_identical(self, tmp_path, cloud_csv):
         cloud_path, _ = cloud_csv

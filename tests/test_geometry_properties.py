@@ -1,7 +1,7 @@
 """Property tests of the geometry invariants on drawn clouds, weights and betas.
 
-Every drawn case must meet the pinned tolerance of checks C1 and C4, or fail
-with a clean ``ValueError``; so must the diffusion operator with its
+Every drawn case must meet the pinned tolerance of checks C1, C3, C4 and C6,
+or fail with a clean ``ValueError``; so must the diffusion operator with its
 stationary measure.  The draw profile is set in ``conftest.py``.
 """
 
@@ -11,8 +11,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 from scipy.special import logsumexp
 
-from markovgeom.bridges import _normalized_degrees
-
+from markovgeom.bridges import _normalized_degrees, poe_factorization
 from markovgeom.geometry import (
     DataCloud,
     InteractionWeights,
@@ -21,6 +20,7 @@ from markovgeom.geometry import (
     gram,
     squared_distance,
 )
+from markovgeom.normalize import poe_combine, softmax_cols, softmax_rows
 from markovgeom.operators import _diffusion, directional_kernels, dmap, rbf_kernel
 
 
@@ -112,12 +112,13 @@ def test_kernel_factorizes_or_leaves_range_cleanly(case):
 
 @st.composite
 def diffusion_cases(draw):
-    """(d2, beta): a drawn geometry, and beta log-uniform in [1e-3, 1e3] times
-    the auto bandwidth 1 / median |off-diagonal d2|."""
+    """(bidivergence, d2, beta): a drawn geometry, and beta log-uniform in
+    [1e-3, 1e3] times the auto bandwidth 1 / median |off-diagonal d2|."""
     points, weights, _ = draw(geometries())
-    d2 = squared_distance(_geometry(points, weights))
+    biv = _geometry(points, weights)
+    d2 = squared_distance(biv)
     scale = float(np.median(np.abs(d2[~np.eye(d2.shape[0], dtype=bool)])))
-    return d2, 10.0 ** draw(st.floats(-3.0, 3.0)) / (scale or 1.0)
+    return biv, d2, 10.0 ** draw(st.floats(-3.0, 3.0)) / (scale or 1.0)
 
 
 # pi against the logsumexp oracle, relative, in units of eps: the oracle's
@@ -130,7 +131,7 @@ MEASURE_ULPS = 16.0
 
 @given(diffusion_cases())
 def test_diffusion_brings_its_stationary_measure(case):
-    d2, beta = case
+    _, d2, beta = case
     try:
         operator, pi = _diffusion(d2, beta)
     except ValueError as exc:
@@ -148,3 +149,45 @@ def test_diffusion_brings_its_stationary_measure(case):
             assert "underflow" in str(exc)
             return
         np.testing.assert_array_equal(pi, _normalized_degrees(kernel))
+
+
+@given(diffusion_cases())
+def test_expert_factorization_is_the_diffusion_operator(case):
+    biv, d2, beta = case
+    try:
+        factorized = poe_factorization(biv, beta).values
+    except ValueError as exc:
+        # far above the auto bandwidth the two experts' rows can put all
+        # their mass on different points
+        assert "disjoint support" in str(exc)
+        return
+    # C6 pins the factorization absolutely
+    assert float(np.abs(factorized - dmap(d2, beta).values).max()) <= 1e-12
+
+
+@st.composite
+def expert_logits(draw):
+    """(z, s, softmax): two m x n logit matrices with entries up to a few
+    hundred nats, s independent of z or opposed to it (so that the experts
+    barely overlap), and the row or column softmax."""
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.5))
+    z = scale * rng.standard_normal((m, n))
+    s = scale * rng.standard_normal((m, n))
+    if draw(st.booleans()):
+        s -= z
+    return z, s, draw(st.sampled_from([softmax_rows, softmax_cols]))
+
+
+@given(expert_logits())
+def test_expert_product_is_the_softmax_of_summed_logits(case):
+    z, s, softmax = case
+    try:
+        combined = poe_combine(softmax(z), softmax(s)).values
+    except ValueError as exc:
+        # a product mass below the normal range has lost its precision
+        assert "disjoint support" in str(exc)
+        return
+    # C3 pins the product of experts absolutely
+    assert float(np.abs(combined - softmax(z + s).values).max()) <= 1e-12

@@ -199,6 +199,17 @@ class TestPoeCombine:
             col_combined.values, softmax_cols(z + s).values, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("gap", [744.0, 800.0])
+    def test_product_mass_below_normal_range_rejected(self, gap):
+        # at 744 nats, e^-744 and e^-744.5 keep one or two significant bits,
+        # and the product would read 1/3 where softmax(z + s) has 0.378; at
+        # 800 both underflow to 0
+        z = np.array([[0.0, -gap], [0.0, 0.0]])
+        s = np.array([[-gap - 0.5, 0.0], [0.0, 0.0]])
+        message = r"disjoint support .*: the product's mass \S+ is below the normal float range"
+        with pytest.raises(ValueError, match=message):
+            poe_combine(softmax_rows(z), softmax_rows(s))
+
     def test_kind_mismatch_rejected(self):
         a = softmax_rows(np.zeros((2, 2)))
         b = softmax_cols(np.zeros((2, 2)))

@@ -33,7 +33,6 @@ from markovgeom.operators import (
     dmap,
     dmap_bistochastic,
     directional_kernels,
-    laplacians,
     magnetic_operator,
     rbf_kernel,
 )
@@ -275,30 +274,6 @@ class TestDmap:
         kernel = rbf_kernel(d2, beta).values
         degree_path = kernel / kernel.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(softmax_path, degree_path, rtol=0, atol=1e-12)
-
-
-class TestLaplacians:
-    def test_flat_kernel(self):
-        kernel = rbf_kernel(np.zeros((2, 2)), beta=1.0)
-        pair = laplacians(kernel)
-        np.testing.assert_array_equal(pair.combinatorial, [[1.0, -1.0], [-1.0, 1.0]])
-        np.testing.assert_array_equal(pair.degrees, [2.0, 2.0])
-
-    def test_null_vectors(self):
-        _, _, d2 = random_geometry(63)
-        pair = laplacians(rbf_kernel(d2, beta=0.9))
-        ones = np.ones(d2.shape[0])
-        np.testing.assert_allclose(pair.combinatorial @ ones, 0.0, atol=1e-12)
-        np.testing.assert_allclose(pair.random_walk @ ones, 0.0, atol=1e-12)
-
-    def test_random_walk_matches_dmap(self):
-        _, _, d2 = random_geometry(64)
-        beta = 1.2
-        pair = laplacians(rbf_kernel(d2, beta))
-        identity = np.eye(d2.shape[0])
-        np.testing.assert_allclose(
-            pair.random_walk, identity - dmap(d2, beta).values, rtol=0, atol=1e-15
-        )
 
 
 class TestDmapBistochastic:

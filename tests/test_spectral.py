@@ -138,10 +138,9 @@ class TestDecompose:
         operator, pi, _ = dmap_with_measure(117)
         dec = decompose(conjugate_symmetrize(operator, pi), pi)
         n = pi.shape[0]
-        np.testing.assert_allclose(
-            dec.left_vectors.T @ dec.right_vectors, np.eye(n), atol=1e-8
-        )
-        rebuilt = dec.right_vectors @ np.diag(dec.eigenvalues) @ dec.left_vectors.T
+        left = pi[:, None] * dec.right_vectors
+        np.testing.assert_allclose(left.T @ dec.right_vectors, np.eye(n), atol=1e-8)
+        rebuilt = dec.right_vectors @ np.diag(dec.eigenvalues) @ left.T
         assert np.abs(rebuilt - operator.values).max() <= 1e-8
 
     def test_eigenvalues_within_unit_interval(self):
@@ -158,7 +157,6 @@ class TestDecompose:
         second = decompose(sym, pi)
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
         np.testing.assert_array_equal(first.right_vectors, second.right_vectors)
-        np.testing.assert_array_equal(first.left_vectors, second.left_vectors)
 
     def test_leading_component_sign_convention(self):
         operator, pi, _ = dmap_with_measure(122)
@@ -208,7 +206,6 @@ class TestDecompose:
         dec = decompose(mat, pi)
         np.testing.assert_array_equal(dec.eigenvalues, eigenvalues[order])
         np.testing.assert_array_equal(dec.right_vectors, vectors / root[:, None])
-        np.testing.assert_array_equal(dec.left_vectors, vectors * root[:, None])
 
     def test_rejects_non_hermitian_input(self):
         rng = np.random.default_rng(123)
@@ -223,7 +220,9 @@ class TestDecompose:
         dec = decompose(conjugate_hermitize(op, pi), pi)
         assert dec.is_complex
         assert np.abs(dec.eigenvalues.imag).max() == 0.0  # eigh returns real spectrum
-        rebuilt = dec.right_vectors @ np.diag(dec.eigenvalues) @ dec.left_vectors.conj().T
+        left = pi[:, None] * dec.right_vectors
+        np.testing.assert_allclose(left.conj().T @ dec.right_vectors, np.eye(5), atol=1e-8)
+        rebuilt = dec.right_vectors @ np.diag(dec.eigenvalues) @ left.conj().T
         assert np.abs(rebuilt - op.matrix).max() <= 1e-8
 
 
