@@ -22,18 +22,19 @@ from .normalize import (
     ConvergenceError,
     ScalingPotentials,
     StochasticOperator,
+    _chain_values,
     _marginal_violation,
-    _square_values,
     _validate_tol,
     logsumexp,
     poe_combine,
     schrodinger_solve,
     softmax_rows,
 )
-from .operators import ComplexOperator, _polar, directional_kernels, dmap, rbf_kernel
+from .operators import ComplexOperator, _diffusion, _polar, directional_kernels, dmap
 
-# currents below this fraction of the largest flux count as zero when
-# separating equilibrium from steady-state circulation
+# currents below this fraction of the largest flux, or below the tol the
+# marginals hold to, count as zero when separating equilibrium from
+# steady-state circulation
 CURRENT_ZERO_FRACTION = 1e-9
 
 # pseudo-random sign vectors whose solves estimate the norm of the bordered
@@ -86,13 +87,6 @@ def _validate_probability(vec, n: int, name: str) -> np.ndarray:
     return vec
 
 
-def _normalized_degrees(k: np.ndarray) -> np.ndarray:
-    """Stationary measure of the diffusion operator over a symmetric kernel:
-    its row sums (degrees) normalized to a probability vector."""
-    degrees = k.sum(axis=1)
-    return degrees / degrees.sum()
-
-
 def solve_bridge(
     kernel,
     mu_plus,
@@ -121,20 +115,17 @@ def solve_bridge(
 def dmap_as_bridge(d2, beta: float) -> BridgeSolution:
     """The diffusion operator as an equilibrium bridge, in closed form.
 
-    The Gaussian kernel's normalized row sums give the intrinsic stationary
-    distribution pi; with both marginals equal to pi the bridge coupling is
-    diag(pi) P_plus, realized by the closed-form potentials u = pi / rowsums
-    and v = 1 without running any iterations.
+    With both marginals equal to the stationary distribution pi of the
+    diffusion operator P_plus (the normalized kernel degrees), the coupling
+    is diag(pi) P_plus and the forward operator P_plus itself; the kernel's
+    diagonal is exactly 1, so the potentials are u = pi diag(P_plus) and
+    v = 1.  No iterations run and the kernel is never formed, so this is
+    defined wherever ``dmap`` is.
     """
-    k = rbf_kernel(d2, beta).values
-    degrees = k.sum(axis=1)
-    pi = degrees / degrees.sum()
-    u = pi / degrees
-    v = np.ones_like(pi)
-    coupling = u[:, None] * k
-    residual = _marginal_violation(coupling, pi, pi)
-    potentials = ScalingPotentials(u, v, iterations=0, residual=residual)
-    forward = StochasticOperator(coupling / pi[:, None], "row")
+    forward, pi = _diffusion(d2, beta)
+    coupling = pi[:, None] * forward.values
+    potentials = ScalingPotentials(pi * np.diag(forward.values), np.ones_like(pi), iterations=0,
+                                   residual=_marginal_violation(coupling, pi, pi))
     return BridgeSolution(coupling, potentials, pi, pi, forward)
 
 
@@ -185,12 +176,12 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
     probes solved with pi; a nearly decomposable chain has a huge one, and
     there a tiny residual certifies nothing.  At most one refinement step;
     raises ``ConvergenceError`` when the bound still exceeds ``tol``, and
-    ``ValueError`` for a tol that is not finite and positive.
+    ``ValueError`` for a tol that is not finite and positive.  Entries that
+    round below 0 are clipped to 0, not renormalized: that moves them closer
+    to the nonnegative fixed point, so the certified bound still holds.
     """
     _validate_tol(tol)
-    if p.kind not in ("row", "bi"):
-        raise ValueError("stationary_distribution expects a row-stochastic operator")
-    values = _square_values(p, "stationary_distribution")
+    values = _chain_values(p, "stationary_distribution")
     if values.min() <= 0.0:
         raise ValueError("operator must be strictly positive for a unique fixed point")
     n = values.shape[0]
@@ -220,12 +211,12 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
             residual=bound,
             iterations=1,
         )
-    return pi
+    return np.maximum(pi, 0.0, out=pi)
 
 
 def currents(p: StochasticOperator, rho) -> np.ndarray:
     """Antisymmetric probability currents rho_i P_ij - rho_j P_ji."""
-    values = _square_values(p, "currents")
+    values = _chain_values(p, "currents")
     rho = _validate_probability(rho, values.shape[0], "rho")
     flux = rho[:, None] * values
     return flux - flux.T
@@ -240,10 +231,13 @@ def classify_regime(
     the marginal gap and the stationarity residual max |mu_plus P - mu_plus|
     within ``tol``.  Otherwise the pair is one-step transport (NE).  At a
     steady state, vanishing currents give EQ (detailed balance) and
-    circulating currents NESS.  "Vanishing" is scale-relative: below a fixed
-    fraction of the largest one-step flux.
+    circulating currents NESS.  A current vanishes below a fixed fraction of
+    the largest one-step flux, or below ``tol``: a flux whose marginals hold
+    only to ``tol`` can carry currents of that size from solver error alone.
+    Raises ``ValueError`` for a tol that is not finite and positive.
     """
-    values = _square_values(p, "classify_regime")
+    _validate_tol(tol)
+    values = _chain_values(p, "classify_regime")
     n = values.shape[0]
     mu_plus = _validate_probability(mu_plus, n, "mu_plus")
     mu_minus = _validate_probability(mu_minus, n, "mu_minus")
@@ -251,7 +245,7 @@ def classify_regime(
     flux = mu_plus[:, None] * values
     j = flux - flux.T
     max_current = float(np.abs(j).max())
-    threshold = CURRENT_ZERO_FRACTION * float(flux.max())
+    threshold = max(CURRENT_ZERO_FRACTION * float(flux.max()), tol)
     stationarity_residual = float(np.abs(mu_plus @ values - mu_plus).max())
     if marginal_gap > tol or stationarity_residual > tol:
         regime = "NE"
@@ -351,7 +345,7 @@ def attention_gauge(pi_plus, a_plus: StochasticOperator) -> np.ndarray:
     to a reversible operator via ``magnetic_operator``.  Values are reported
     unwrapped (phases are only meaningful mod 2 pi).
     """
-    values = _square_values(a_plus, "attention_gauge")
+    values = _chain_values(a_plus, "attention_gauge")
     pi_plus = _validate_probability(pi_plus, values.shape[0], "pi_plus")
     flux = pi_plus[:, None] * values
     if flux.min() <= 0.0:

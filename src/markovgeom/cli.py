@@ -683,7 +683,7 @@ def _resolve_beta(beta_arg: str, d2: np.ndarray) -> float:
         if median <= 0.0:
             raise ValueError(
                 "cannot resolve beta automatically: median off-diagonal "
-                "squared distance is zero"
+                f"squared distance is not positive (got {median:g})"
             )
         return _validate_beta(1.0 / median)
     try:
@@ -716,9 +716,9 @@ def _marginals(args, n: int, intrinsic):
     """Resolve --mu-plus and --mu-minus, each a CSV path or 'stationary'.
 
     'stationary' is ``intrinsic()``, the intrinsic distribution of the
-    selected kernel: the normalized kernel row sums for the distance kernel,
-    the stationary measure of forward attention for the directional kernel.
-    Equal arguments are resolved once.
+    selected kernel: the stationary measure of the diffusion operator (the
+    normalized kernel degrees) for the distance kernel, that of forward
+    attention for the directional kernel.  Equal arguments are resolved once.
     """
     def resolve(source):
         if source == "stationary":
@@ -824,22 +824,22 @@ def cmd_attention(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
-    from .bridges import (
-        _normalized_degrees,
-        attention_bridge,
-        classify_regime,
-        solve_bridge,
-        stationary_distribution,
-    )
+    from .bridges import attention_bridge, classify_regime, solve_bridge, stationary_distribution
+
+    def positive(pi):  # a stationary entry can underflow, or round to 0 and be clipped
+        if pi.min() <= 0.0:
+            raise ValueError(f"stationary marginal has entries that are zero at beta={beta:g}: "
+                             "a bridge needs strictly positive marginals; reduce beta")
+        return pi
 
     n = geo.cloud.n_samples
     if args.kernel == "rbf":
         kernel = rbf_kernel(geo.d2, beta).values
-        mu_plus, mu_minus = _marginals(args, n, lambda: _normalized_degrees(kernel))
+        mu_plus, mu_minus = _marginals(args, n, lambda: positive(_diffusion(geo.d2, beta)[1]))
         bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
     else:
-        mu_plus, mu_minus = _marginals(args, n, lambda: stationary_distribution(
-            attention_forward(geo.biv, beta), tol=args.tol))
+        mu_plus, mu_minus = _marginals(args, n, lambda: positive(stationary_distribution(
+            attention_forward(geo.biv, beta), tol=args.tol)))
         bridge = attention_bridge(geo.biv, beta, mu_plus, mu_minus, tol=args.tol,
                                   max_iter=args.max_iter)
     # the bridge meets each marginal within --tol, so mu_plus P may miss

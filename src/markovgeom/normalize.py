@@ -80,6 +80,17 @@ def _validate_marginal(mu, n: int, name: str) -> np.ndarray:
     return mu
 
 
+def _reference_kernel(kernel) -> np.ndarray:
+    """A reference kernel as a square, strictly positive, finite float matrix."""
+    k = np.asarray(kernel, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError(f"kernel must be square, got shape {k.shape}")
+    # a NaN fails both comparisons, -inf the first and +inf the second
+    if k.size and not (k.min() > 0.0 and k.max() < np.inf):
+        raise ValueError("kernel must be strictly positive and finite")
+    return k
+
+
 def _validate_tol(tol) -> None:
     """Raise ``ValueError`` unless the solver tolerance is finite and positive."""
     if not (np.isfinite(tol) and tol > 0.0):
@@ -143,8 +154,10 @@ class StochasticOperator:
         return self.values.shape
 
 
-def _square_values(p: StochasticOperator, caller: str) -> np.ndarray:
-    """The values of an operator on a state space, which must be square."""
+def _chain_values(p: StochasticOperator, caller: str) -> np.ndarray:
+    """The values of an operator read as a chain: row-stochastic and square."""
+    if p.kind not in ("row", "bi"):
+        raise ValueError(f"{caller} expects a row-stochastic operator")
     if p.shape[0] != p.shape[1]:
         raise ValueError(f"{caller} expects a square operator, got shape {p.shape}")
     return p.values
@@ -450,12 +463,7 @@ def schrodinger_solve(
     ConvergenceError if the residual stays above ``tol`` for ``max_iter``
     sweeps; ValueError for non-positive kernels or invalid marginals.
     """
-    k = np.asarray(kernel, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError(f"kernel must be square, got shape {k.shape}")
-    # a NaN fails both comparisons, -inf the first and +inf the second
-    if k.size and not (k.min() > 0.0 and k.max() < np.inf):
-        raise ValueError("kernel must be strictly positive and finite")
+    k = _reference_kernel(kernel)
     n = k.shape[0]
     mu_plus = _validate_marginal(mu_plus, n, "mu_plus")
     mu_minus = _validate_marginal(mu_minus, n, "mu_minus")

@@ -16,10 +16,11 @@ from .geometry import Bidivergence, _all_finite, _validate_beta
 from .normalize import (
     ConvergenceError,
     StochasticOperator,
+    _chain_values,
     _marginal_violation,
+    _reference_kernel,
     _scale,
     _softmax,
-    _square_values,
     sinkhorn,
 )
 
@@ -33,12 +34,7 @@ class KernelMatrix:
     beta: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"kernel must be square, got shape {vals.shape}")
-        # a NaN fails both comparisons, -inf the first and +inf the second
-        if vals.size and not (vals.min() > 0.0 and vals.max() < np.inf):
-            raise ValueError("kernel entries must be strictly positive and finite")
+        vals = _reference_kernel(self.values)
         _validate_beta(self.beta)
         object.__setattr__(self, "values", vals)
 
@@ -56,9 +52,7 @@ class ComplexOperator:
     phases: np.ndarray
 
     def __post_init__(self):
-        if self.magnitudes.kind not in ("row", "bi"):
-            raise ValueError("magnitudes must be a row-stochastic operator")
-        _square_values(self.magnitudes, "ComplexOperator")
+        _chain_values(self.magnitudes, "ComplexOperator")
         theta = np.asarray(self.phases, dtype=float)
         if theta.shape != self.magnitudes.shape:
             raise ValueError(
@@ -144,10 +138,12 @@ def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float
 
 
 def _gaussian_logits(d2, beta: float):
-    """(d2, beta, gap, -beta * d2), validated once for every Gaussian constructor:
-    gap is max |d2 - d2^T| (0 exactly when d2 is bitwise symmetric).  The min
-    and max of d2, which a NaN or an infinity reaches, give both the
-    finiteness check and max |d2|."""
+    """(d2, beta, -beta * d2), validated once for every Gaussian constructor.
+    The min and max of d2, which a NaN or an infinity reaches, give both the
+    finiteness check and max |d2|.  A d2 that is symmetric with a zero
+    diagonal only to within 1e-12 of that scale is replaced by its exact
+    projection, (d2 + d2^T) / 2 with a zero diagonal, so every constructor
+    sees one exactly symmetric matrix; an exact d2 is returned as given."""
     beta = _validate_beta(beta)
     d2 = np.asarray(d2, dtype=float)
     if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
@@ -159,14 +155,18 @@ def _gaussian_logits(d2, beta: float):
     gap = _max_hermitian_gap(d2)
     if gap > 1e-12 * scale:
         raise ValueError("squared-distance matrix must be symmetric")
-    if float(np.abs(np.diag(d2)).max()) > 1e-12 * scale:
+    diagonal = float(np.abs(np.diag(d2)).max())
+    if diagonal > 1e-12 * scale:
         raise ValueError("squared-distance matrix must have a zero diagonal")
-    return d2, beta, gap, d2 * -beta
+    if gap or diagonal:
+        d2 = (d2 + d2.T) / 2.0
+        np.fill_diagonal(d2, 0.0)
+    return d2, beta, d2 * -beta
 
 
 def rbf_kernel(d2, beta: float) -> KernelMatrix:
     """Gaussian kernel exp(-beta * d2): unit diagonal, symmetric, positive."""
-    d2, beta, _, values = _gaussian_logits(d2, beta)
+    d2, beta, values = _gaussian_logits(d2, beta)
     with np.errstate(over="ignore"):
         np.exp(values, out=values)
     if np.isinf(values.max()):
@@ -250,7 +250,7 @@ def _diffusion(d2, beta: float) -> tuple[StochasticOperator, np.ndarray]:
     degrees: the softmax's row normalizers e^{m_i} s_i (Coifman & Lafon,
     "Diffusion maps", 2006).  Bitwise the normalized row sums of ``rbf_kernel``
     when every row max m_i is 0, and defined where that kernel underflows."""
-    _, _, _, z = _gaussian_logits(d2, beta)
+    z = _gaussian_logits(d2, beta)[2]
     operator, top, sums = _softmax(z, 1, "row", out=z)
     degrees = sums[:, 0] * np.exp(top[:, 0] - top.max())
     return operator, degrees / degrees.sum()
@@ -261,25 +261,18 @@ def dmap_bistochastic(
 ) -> StochasticOperator:
     """Bistochastic diffusion operator, exactly symmetric.
 
-    Scales the symmetrized logits z = -beta * d2 to unit marginals with the
-    damped symmetric update of the scaling core, on the kernel
-    K = exp(z - max z): one scalar shift, so K cannot overflow and stays
-    exactly symmetric.  Returns K o (u u^T) on the kernel the core measured,
-    bitwise symmetric since each u_i u_j is, after rechecking its marginals
-    against ``tol``.
+    Scales the logits z = -beta * d2 to unit marginals with the damped
+    symmetric update of the scaling core, on the kernel K = exp(z - max z):
+    one scalar shift, so K cannot overflow and stays exactly symmetric.
+    Returns K o (u u^T) on the kernel the core measured, bitwise symmetric
+    since each u_i u_j is, after rechecking its marginals against ``tol``.
     """
-    d2, beta, gap, z = _gaussian_logits(d2, beta)
-
-    def shifted(z):
-        if gap:  # exact symmetry for a matrix that is symmetric only to rounding
-            z = (z + z.T) / 2.0
-        z -= z.max()
-        return z
-
-    kernel = shifted(z)
+    d2, beta, kernel = _gaussian_logits(d2, beta)
+    top = kernel.max()
+    kernel -= top
     np.exp(kernel, out=kernel)
     ones = np.ones(kernel.shape[0])
-    found = _scale(kernel, lambda: shifted(d2 * -beta), ones, ones, tol, max_iter, symmetric=True)
+    found = _scale(kernel, lambda: d2 * -beta - top, ones, ones, tol, max_iter, symmetric=True)
     scaled, u = found.kernel, found.u
     for lo in range(0, u.shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalize import StochasticOperator, _square_values
+from .normalize import StochasticOperator, _chain_values
 from .operators import ComplexOperator, _max_hermitian_gap, _polar
 
 # adjacent eigenvalues closer than this are flagged as a degenerate block;
@@ -73,9 +73,7 @@ def conjugate_symmetrize(p_plus: StochasticOperator, pi) -> np.ndarray:
     max |F - F^T| of the flux F = diag(pi) P, read tile by tile; the
     conjugated matrix then reuses F's memory.
     """
-    if p_plus.kind not in ("row", "bi"):
-        raise ValueError("conjugate_symmetrize expects a row-stochastic operator")
-    values = _square_values(p_plus, "conjugate_symmetrize")
+    values = _chain_values(p_plus, "conjugate_symmetrize")
     pi = _validate_measure(pi, values.shape[0])
     flux = pi[:, None] * values
     db_residual = _max_hermitian_gap(flux)

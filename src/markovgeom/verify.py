@@ -346,22 +346,26 @@ def check_attention_bridge(cloud: DataCloud, beta: float) -> CheckResult:
     matched = attention_bridge(biv, beta, mu_plus, mu_minus, tol=1e-12, max_iter=100_000)
     matched_dev = _max_abs(matched.forward.values - a_plus.values)
 
+    # move mass from the largest entry to the smallest, two distinct states
+    # even when all entries are equal, and at most half of the largest, so
+    # the perturbed vector stays strictly positive
+    smallest, largest = np.argsort(mu_minus, kind="stable")[[0, -1]]
+    shift = min(1e-3, float(mu_minus[largest]) / 2.0)
+    shift_text = "1e-3" if shift == 1e-3 else f"{shift:.3g}"
     perturbed = mu_minus.copy()
-    shift = 1e-3
-    # move mass from the largest entry (always > shift at desk scale) so the
-    # perturbed vector stays strictly positive
-    perturbed[int(np.argmax(perturbed))] -= shift
-    perturbed[int(np.argmin(perturbed))] += shift
+    perturbed[largest] -= shift
+    perturbed[smallest] += shift
     off_bridge = attention_bridge(biv, beta, mu_plus, perturbed, tol=1e-12, max_iter=100_000)
     off_dev = _max_abs(off_bridge.forward.values - a_plus.values)
 
     pi_plus = stationary_distribution(a_plus, tol=1e-12)
     stationary_bridge = attention_bridge(biv, beta, pi_plus, pi_plus, tol=1e-12, max_iter=100_000)
-    report = classify_regime(stationary_bridge.forward, pi_plus, pi_plus)
+    # currents within the tol the bridge was solved to are solver error
+    report = classify_regime(stationary_bridge.forward, pi_plus, pi_plus, tol=1e-12)
 
     parts = [
         _part("matched marginals reproduce plain forward attention", matched_dev, 1e-10),
-        _part("a 1e-3 total-variation sink perturbation moves the forward operator",
+        _part(f"a {shift_text} total-variation sink perturbation moves the forward operator",
               off_dev, 1e-5, ">"),
         _part_bool(f"stationary attention bridge is NESS (got {report.regime})",
                    report.regime == "NESS"),

@@ -201,9 +201,20 @@ class TestDmapAsBridge:
     def test_forward_operator_is_dmap(self):
         _, _, d2 = random_geometry(77)
         bridge = dmap_as_bridge(d2, beta=0.9)
-        np.testing.assert_allclose(
-            bridge.forward.values, dmap(d2, 0.9).values, rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(bridge.forward.values, dmap(d2, 0.9).values)
+
+    def test_defined_where_the_kernel_underflows(self):
+        # exp(-200 d2) underflows to zero for the farthest pairs, so the
+        # kernel cannot be formed; the diffusion operator and its measure can
+        _, _, d2 = random_geometry(79, n=50)
+        with pytest.raises(ValueError, match="kernel underflowed"):
+            rbf_kernel(d2, 200.0)
+        bridge = dmap_as_bridge(d2, beta=200.0)
+        operator = dmap(d2, 200.0).values
+        np.testing.assert_array_equal(bridge.forward.values, operator)
+        np.testing.assert_array_equal(bridge.coupling, bridge.mu_plus[:, None] * operator)
+        np.testing.assert_array_equal(bridge.potentials.u, bridge.mu_plus * np.diag(operator))
+        assert bridge.potentials.residual <= 1e-15
 
 
 class TestDoobTransform:
@@ -250,6 +261,22 @@ class TestStationaryDistribution:
         pi_expected = kernel.sum(axis=1) / kernel.sum()
         pi = stationary_distribution(dmap(d2, 0.3), tol=1e-13)
         np.testing.assert_allclose(pi, pi_expected, rtol=0, atol=1e-10)
+
+    def test_rounding_below_zero_is_clipped(self):
+        # two far clusters under indefinite weights: the exact measure has
+        # entries near 1e-30, which the solve returns as about -8.5e-17
+        points = np.vstack([np.random.default_rng(8).standard_normal((10, 2)),
+                            np.random.default_rng(9).standard_normal((10, 2)) + 12.0])
+        weights = InteractionWeights(np.random.default_rng(1).standard_normal((2, 2)))
+        biv = bidivergence(generalized_gram(DataCloud(points), weights))
+        d2 = squared_distance(biv)
+        beta = 1.0 / float(np.median(d2[~np.eye(20, dtype=bool)]))
+        p = attention_forward(biv, beta)
+        pi = stationary_distribution(p, tol=1e-10)
+        assert pi.min() == 0.0
+        assert float(np.abs(pi @ p.values - pi).max()) <= 1e-10
+        report = classify_regime(p, pi, pi)
+        assert report.regime in ("EQ", "NESS")
 
     def test_two_state_chain_solved_by_hand(self):
         p = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")
@@ -415,6 +442,24 @@ class TestClassifyRegime:
         assert report.stationarity_residual > 1e-3
         assert report.regime == "NE"
         assert report.stationary is None
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.nan, np.inf])
+    def test_invalid_tol_is_rejected(self, tol):
+        _, _, d2 = random_geometry(85)
+        pi = np.full(d2.shape[0], 1.0 / d2.shape[0])
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            classify_regime(dmap(d2, 1.0), pi, pi, tol=tol)
+
+    def test_currents_within_tol_are_solver_error(self):
+        # a symmetric kernel's bridge between equal marginals is EQ in exact
+        # arithmetic; solved to 1e-4, its currents are of that order
+        _, _, d2 = random_geometry(90, n=40)
+        uniform = np.full(40, 1.0 / 40)
+        bridge = solve_bridge(rbf_kernel(d2, 1.0).values, uniform, uniform, tol=1e-4)
+        report = classify_regime(bridge.forward, uniform, uniform, tol=2e-4)
+        assert report.max_current > 1e-9 * float(bridge.coupling.max())
+        assert report.current_threshold == 2e-4
+        assert report.regime == "EQ"
 
     def test_classification_is_total(self):
         rng = np.random.default_rng(88)

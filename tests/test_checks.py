@@ -25,6 +25,7 @@ from markovgeom.geometry import (
     HermitianPartition,
     InteractionWeights,
     bidivergence,
+    generalized_gram,
     gram,
     squared_distance,
 )
@@ -38,6 +39,7 @@ from markovgeom.normalize import (
 from markovgeom.operators import (
     ComplexOperator,
     KernelMatrix,
+    attention_backward,
     dmap,
     dmap_bistochastic,
     rbf_kernel,
@@ -75,7 +77,7 @@ FINITE_CHECKS = {
                             "operator contains non-finite entries")
        for kind in ("row", "column", "bi")},
     "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0),
-                     "kernel entries must be strictly positive and finite"),
+                     "kernel must be strictly positive and finite"),
     "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU),
                           "kernel must be strictly positive and finite"),
     "solve_bridge": (_KERNEL, lambda m: solve_bridge(m, _MU, _MU),
@@ -131,7 +133,7 @@ SIGN_CHECKS = {
                             "operator entries must be nonnegative", (-0.1,))
        for kind in ("row", "column", "bi")},
     "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0),
-                     "kernel entries must be strictly positive and finite", (-0.1, 0.0)),
+                     "kernel must be strictly positive and finite", (-0.1, 0.0)),
     "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU),
                           "kernel must be strictly positive and finite", (-0.1, 0.0)),
     "stationary_distribution": (_UNIFORM, lambda m: stationary_distribution(_row_operator(m)),
@@ -174,6 +176,33 @@ def test_non_square_operator_is_rejected(check):
     with pytest.raises(ValueError) as excinfo:
         SQUARE_CHECKS[check]()
     assert str(excinfo.value) == f"{check} expects a square operator, got shape (2, 3)"
+
+
+# column attention on a 6-point weighted cloud: a square operator whose rows
+# do not sum to 1, which classify_regime once read as a NESS chain
+_WEIGHTED_BIV = bidivergence(generalized_gram(
+    DataCloud(np.random.default_rng(160).standard_normal((6, 3))),
+    InteractionWeights(np.random.default_rng(161).standard_normal((3, 3)))))
+_COLUMN = attention_backward(_WEIGHTED_BIV, 1.0)
+_UNIFORM6 = np.full(6, 1.0 / 6.0)
+
+CHAIN_CHECKS = {
+    "stationary_distribution": lambda: stationary_distribution(_COLUMN),
+    "classify_regime": lambda: classify_regime(_COLUMN, _UNIFORM6, _UNIFORM6),
+    "currents": lambda: currents(_COLUMN, _UNIFORM6),
+    "attention_gauge": lambda: attention_gauge(_UNIFORM6, _COLUMN),
+    "conjugate_symmetrize": lambda: conjugate_symmetrize(_COLUMN, _UNIFORM6),
+    "ComplexOperator": lambda: ComplexOperator(_COLUMN, np.zeros((6, 6))),
+}
+
+
+@pytest.mark.parametrize("check", list(CHAIN_CHECKS))
+def test_column_operator_is_rejected(check):
+    assert _COLUMN.kind == "column"
+    assert float(np.abs(_COLUMN.values.sum(axis=1) - 1.0).max()) > 0.1
+    with pytest.raises(ValueError) as excinfo:
+        CHAIN_CHECKS[check]()
+    assert str(excinfo.value) == f"{check} expects a row-stochastic operator"
 
 
 def test_doob_transform_accepts_a_rectangular_operator():

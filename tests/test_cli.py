@@ -563,7 +563,9 @@ class TestBridgeCommand:
 
     def test_loose_tol_bridge_keeps_its_steady_state(self, tmp_path):
         # over-relaxed sweeps leave the columns inexact, so mu_plus P misses
-        # mu_plus by about half the 1e-4 solver tolerance
+        # mu_plus by about half the 1e-4 solver tolerance; the plain-Gram
+        # attention kernel is diag(a) S with S symmetric, so the uniform pair
+        # is EQ, and its currents of the solver's error are not circulation
         n = 40
         cloud_path = tmp_path / "cloud.csv"
         write_matrix_csv(cloud_path, np.random.default_rng(0).standard_normal((n, 3)))
@@ -578,7 +580,66 @@ class TestBridgeCommand:
         assert code == EXIT_OK
         results = json.loads((out / "bridge_report.json").read_text())["results"]
         assert 1e-10 < results["stationarity_residual"] <= 2e-4
+        assert results["regime"] == "EQ"
+
+    @staticmethod
+    def _uniform_bridge(tmp_path, *args):
+        """Run ``bridge`` on the 40-point default_rng(0) cloud with uniform
+        marginals and the weights default_rng(5); return its results."""
+        n = 40
+        files = {name: tmp_path / f"{name}.csv" for name in ("cloud", "w", "mu")}
+        write_matrix_csv(files["cloud"], np.random.default_rng(0).standard_normal((n, 3)))
+        write_matrix_csv(files["w"], np.random.default_rng(5).standard_normal((3, 3)))
+        write_matrix_csv(files["mu"], np.full((1, n), 1.0 / n))
+        out = tmp_path / "out"
+        code = main([
+            "bridge", "--input", str(files["cloud"]), "--weights", str(files["w"]),
+            "--mu-plus", str(files["mu"]), "--mu-minus", str(files["mu"]),
+            "--out-dir", str(out), *args,
+        ])
+        assert code == EXIT_OK
+        return json.loads((out / "bridge_report.json").read_text())["results"]
+
+    def test_symmetric_kernel_bridge_is_equilibrium_at_its_residual(self, tmp_path):
+        # the rbf kernel is symmetric, so the uniform pair is EQ; its currents
+        # (3.4e-11) are solver error at marginal residual 7.1e-11
+        results = self._uniform_bridge(tmp_path, "--kernel", "rbf")
+        assert 1e-11 < results["max_current"] < results["marginal_residual"]
+        assert results["regime"] == "EQ"
+
+    def test_loose_tol_weighted_attention_bridge_circulates(self, tmp_path):
+        # asymmetric weights make the attention pair circulate, with currents
+        # far above the solver's 1e-4
+        results = self._uniform_bridge(tmp_path, "--kernel", "attention", "--beta", "4",
+                                       "--tol", "1e-4")
+        assert results["max_current"] > 10.0 * results["current_threshold"]
         assert results["regime"] == "NESS"
+
+    @staticmethod
+    def _two_cluster_files(tmp_path):
+        # the stationary measure of forward attention has entries near 1e-30
+        # on one cluster, which the direct solve rounds to about -8.5e-17
+        points = np.vstack([np.random.default_rng(8).standard_normal((10, 2)),
+                            np.random.default_rng(9).standard_normal((10, 2)) + 12.0])
+        cloud_path, weights_path = tmp_path / "cloud.csv", tmp_path / "w.csv"
+        write_matrix_csv(cloud_path, points)
+        write_matrix_csv(weights_path, np.random.default_rng(1).standard_normal((2, 2)))
+        return ["--input", str(cloud_path), "--weights", str(weights_path), "--kernel",
+                "attention", "--mu-plus", "stationary", "--mu-minus", "stationary"]
+
+    def test_stationary_marginal_rounding_below_zero_is_classified(self, tmp_path):
+        out = tmp_path / "c"
+        assert main(["classify", *self._two_cluster_files(tmp_path), "--out-dir", str(out)]) \
+            == EXIT_OK
+        results = json.loads((out / "classify_report.json").read_text())["results"]
+        assert results["regime"] in ("EQ", "NESS")
+
+    def test_stationary_marginal_with_zeros_cannot_bridge(self, tmp_path, capsys):
+        code = main(["bridge", *self._two_cluster_files(tmp_path),
+                     "--out-dir", str(tmp_path / "b")])
+        assert code == EXIT_USAGE
+        assert "stationary marginal has entries that are zero at beta=1.84916" \
+            in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -685,6 +746,26 @@ class TestVerifyCommand:
         write_matrix_csv(cloud_path, np.array(points))
         code = main(["verify", "--input", str(cloud_path), "--out-dir", str(tmp_path / "v")])
         assert code == EXIT_OK
+
+    def test_near_flat_sink_marginal_is_still_perturbed(self, tmp_path):
+        # at beta=1e-6 attention is nearly uniform, and so is the sink
+        # marginal of C11: it spreads by far less than the 1e-3 moved
+        cloud_path = tmp_path / "cloud.csv"
+        write_matrix_csv(cloud_path, np.random.default_rng(12).standard_normal((12, 3)))
+        code = main(["verify", "--input", str(cloud_path), "--beta", "1e-6",
+                     "--out-dir", str(tmp_path / "v")])
+        assert code == EXIT_OK
+
+    def test_large_cloud_sink_marginal_is_still_perturbed(self):
+        # at N=950 every sink-marginal entry is near 1e-3, so moving 1e-3 off
+        # the largest made it the smallest, and it got the mass back
+        from markovgeom.verify import check_attention_bridge
+
+        cloud = markovgeom.DataCloud(np.random.default_rng(950).standard_normal((950, 3)))
+        d2 = markovgeom.squared_distance(markovgeom.bidivergence(markovgeom.gram(cloud)))
+        result = check_attention_bridge(cloud, cli._resolve_beta("auto", d2))
+        assert [part["passed"] for part in result.parts] == [True] * 4
+        assert result.parts[1]["label"].startswith("a 0.000")
 
     def test_rerun_is_byte_identical(self, tmp_path, cloud_csv):
         cloud_path, _ = cloud_csv
@@ -1239,4 +1320,14 @@ class TestAutoBeta:
         d2, median = self._check(points)
         assert median == 0.0
         with pytest.raises(ValueError, match="median off-diagonal"):
+            cli._resolve_beta("auto", d2)
+
+    def test_negative_median_is_named(self):
+        # indefinite weights give negative squared distances, here a median
+        # of -1.11
+        points = np.array([[0.0, 0.0], [1e-9, 0.0], [1.0, 1.0], [2.0, -1.0]])
+        weights = markovgeom.InteractionWeights(np.random.default_rng(1).standard_normal((2, 2)))
+        d2 = markovgeom.squared_distance(markovgeom.bidivergence(markovgeom.generalized_gram(
+            markovgeom.DataCloud(points), weights)))
+        with pytest.raises(ValueError, match=r"squared distance is not positive \(got -1\.11"):
             cli._resolve_beta("auto", d2)

@@ -1,8 +1,8 @@
 """Property tests of the geometry invariants on drawn clouds, weights and betas.
 
-Every drawn case must meet the pinned tolerance of checks C1, C3, C4 and C6,
-or fail with a clean ``ValueError``; so must the diffusion operator with its
-stationary measure.  The draw profile is set in ``conftest.py``.
+Every drawn case must meet the pinned tolerance of checks C1, C3, C4, C6, C7
+and C12, or fail with a clean ``ValueError``; so must the diffusion operator
+with its stationary measure.  The draw profile is set in ``conftest.py``.
 """
 
 import re
@@ -11,17 +11,31 @@ import numpy as np
 from hypothesis import given, strategies as st
 from scipy.special import logsumexp
 
-from markovgeom.bridges import _normalized_degrees, poe_factorization
+from markovgeom.bridges import (
+    attention_gauge,
+    classify_regime,
+    currents,
+    magnetic_flux,
+    poe_factorization,
+)
 from markovgeom.geometry import (
     DataCloud,
     InteractionWeights,
+    _gram_phases,
     bidivergence,
     generalized_gram,
     gram,
     squared_distance,
 )
 from markovgeom.normalize import poe_combine, softmax_cols, softmax_rows
-from markovgeom.operators import _diffusion, directional_kernels, dmap, rbf_kernel
+from markovgeom.operators import (
+    _diffusion,
+    directional_kernels,
+    dmap,
+    magnetic_operator,
+    rbf_kernel,
+)
+from markovgeom.spectral import conjugate_hermitize
 
 
 @st.composite
@@ -59,9 +73,13 @@ def _pairwise_oracle(points, weights):
     return np.einsum("ijk,kl,ijl->ij", diff, sym, diff)
 
 
-def _geometry(points, weights):
+def _gram(points, weights):
     cloud = DataCloud(points)
-    return bidivergence(gram(cloud) if weights is None else generalized_gram(cloud, weights))
+    return gram(cloud) if weights is None else generalized_gram(cloud, weights)
+
+
+def _geometry(points, weights):
+    return bidivergence(_gram(points, weights))
 
 
 @given(geometries())
@@ -112,13 +130,15 @@ def test_kernel_factorizes_or_leaves_range_cleanly(case):
 
 @st.composite
 def diffusion_cases(draw):
-    """(bidivergence, d2, beta): a drawn geometry, and beta log-uniform in
-    [1e-3, 1e3] times the auto bandwidth 1 / median |off-diagonal d2|."""
+    """(Gram values, bidivergence, d2, beta): a drawn geometry, and beta
+    log-uniform in [1e-3, 1e3] times the auto bandwidth 1 / median
+    |off-diagonal d2|."""
     points, weights, _ = draw(geometries())
-    biv = _geometry(points, weights)
+    g = _gram(points, weights)
+    biv = bidivergence(g)
     d2 = squared_distance(biv)
     scale = float(np.median(np.abs(d2[~np.eye(d2.shape[0], dtype=bool)])))
-    return biv, d2, 10.0 ** draw(st.floats(-3.0, 3.0)) / (scale or 1.0)
+    return g.values, biv, d2, 10.0 ** draw(st.floats(-3.0, 3.0)) / (scale or 1.0)
 
 
 # pi against the logsumexp oracle, relative, in units of eps: the oracle's
@@ -131,7 +151,7 @@ MEASURE_ULPS = 16.0
 
 @given(diffusion_cases())
 def test_diffusion_brings_its_stationary_measure(case):
-    _, d2, beta = case
+    _, _, d2, beta = case
     try:
         operator, pi = _diffusion(d2, beta)
     except ValueError as exc:
@@ -148,12 +168,13 @@ def test_diffusion_brings_its_stationary_measure(case):
         except ValueError as exc:
             assert "underflow" in str(exc)
             return
-        np.testing.assert_array_equal(pi, _normalized_degrees(kernel))
+        degrees = kernel.sum(axis=1)
+        np.testing.assert_array_equal(pi, degrees / degrees.sum())
 
 
 @given(diffusion_cases())
 def test_expert_factorization_is_the_diffusion_operator(case):
-    biv, d2, beta = case
+    _, biv, d2, beta = case
     try:
         factorized = poe_factorization(biv, beta).values
     except ValueError as exc:
@@ -163,6 +184,47 @@ def test_expert_factorization_is_the_diffusion_operator(case):
         return
     # C6 pins the factorization absolutely
     assert float(np.abs(factorized - dmap(d2, beta).values).max()) <= 1e-12
+
+
+@given(diffusion_cases())
+def test_diffusion_pair_is_equilibrium(case):
+    _, _, d2, beta = case
+    try:
+        operator, pi = _diffusion(d2, beta)
+    except ValueError as exc:
+        assert re.search("beta|logits|squared", str(exc))
+        return
+    # C7 pins stationarity and the currents absolutely
+    assert float(np.abs(pi @ operator.values - pi).max()) <= 1e-12
+    assert float(np.abs(currents(operator, pi)).max()) <= 1e-12
+    assert classify_regime(operator, pi, pi).regime == "EQ"
+
+
+@given(diffusion_cases())
+def test_magnetic_operator_contracts(case):
+    g, _, d2, beta = case
+    try:
+        operator, pi = _diffusion(d2, beta)
+    except ValueError as exc:
+        assert re.search("beta|logits|squared", str(exc))
+        return
+    phased = magnetic_operator(operator, _gram_phases(g, beta))
+    # C12's exact parts, and the modulus of the assembled entries
+    np.testing.assert_array_equal(phased.magnitudes.values, operator.values)
+    assert float(np.abs(np.abs(phased.matrix) - operator.values).max()) <= 1e-15
+    quiet = magnetic_operator(operator, np.zeros_like(operator.values))
+    assert not np.any(magnetic_flux(pi, quiet)[1])
+    try:
+        hermitized = conjugate_hermitize(phased, pi)
+        gauge = attention_gauge(pi, operator)
+    except ValueError as exc:
+        # a stationary entry or an operator entry that underflowed to zero
+        assert "strictly positive" in str(exc)
+        return
+    assert float(np.abs(hermitized - hermitized.conj().T).max()) <= 1e-10
+    assert float(np.abs(np.linalg.eigvals(hermitized).imag).max()) <= 1e-10
+    assert float(np.abs(gauge + gauge.T).max()) <= 1e-15
+    assert float(np.abs(gauge).max()) <= 1e-12
 
 
 @st.composite

@@ -25,6 +25,7 @@ from markovgeom.normalize import ConvergenceError, StochasticOperator, softmax_r
 from markovgeom.operators import (
     ComplexOperator,
     KernelMatrix,
+    _gaussian_logits,
     _max_hermitian_gap,
     _polar,
     attention_backward,
@@ -107,6 +108,24 @@ class TestRbfKernel:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError, match="symmetric"):
             rbf_kernel(np.array([[0.0, 1.0], [2.0, 0.0]]), beta=1.0)
+
+    def test_near_exact_input_is_projected_for_every_constructor(self):
+        # one ulp off in the upper triangle, and a diagonal entry off by a
+        # rounding: each constructor sees (d2 + d2^T) / 2 with a zero diagonal
+        _, _, d2 = random_geometry(53)
+        exact = d2.copy()
+        d2[0, 3] = np.nextafter(d2[0, 3], np.inf)
+        d2[2, 2] = 1e-15
+        projected = (d2 + d2.T) / 2.0
+        np.fill_diagonal(projected, 0.0)
+        kernel = rbf_kernel(d2, beta=0.5).values
+        np.testing.assert_array_equal(kernel, kernel.T)
+        np.testing.assert_array_equal(np.diag(kernel), np.ones(d2.shape[0]))
+        np.testing.assert_array_equal(kernel, rbf_kernel(projected, beta=0.5).values)
+        np.testing.assert_array_equal(dmap(d2, 0.5).values, dmap(projected, 0.5).values)
+        np.testing.assert_array_equal(dmap_bistochastic(d2, 0.5).values,
+                                      dmap_bistochastic(projected, 0.5).values)
+        assert _gaussian_logits(exact, 0.5)[0] is exact  # an exact d2 is not copied
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
