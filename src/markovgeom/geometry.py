@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# tile edge of the pairwise scans: a tile and its mirror stay cache-resident
+_TILE = 256
+
 
 def _validate_beta(beta) -> float:
     """The inverse temperature as a float; raises ``ValueError`` unless it is
@@ -29,6 +32,14 @@ def _validate_beta(beta) -> float:
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     return beta
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slices of every tile on or above the diagonal of an n x n
+    matrix; ``matrix[cols, rows]`` is the mirror of ``matrix[rows, cols]``."""
+    for lo in range(0, n, _TILE):
+        for lo2 in range(lo, n, _TILE):
+            yield slice(lo, lo + _TILE), slice(lo2, lo2 + _TILE)
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -204,8 +215,19 @@ def bidivergence(gram_matrix: GramMatrix) -> Bidivergence:
 
 
 def squared_distance(bidiv: Bidivergence) -> np.ndarray:
-    """fwd + fwd^T: exactly symmetric with the exactly zero diagonal of fwd."""
-    return bidiv.fwd + bidiv.bwd
+    """fwd + fwd^T: exactly symmetric with the exactly zero diagonal of fwd.
+
+    Each tile pair is summed once and its mirror written as the transpose, so
+    the transpose is read tile by tile rather than with a stride of n; the
+    sum is commutative, so the bits equal those of ``fwd + fwd.T``.
+    """
+    fwd = bidiv.fwd
+    out = np.empty_like(fwd)
+    for rows, cols in _tile_pairs(bidiv.n):
+        block = np.add(fwd[rows, cols], fwd[cols, rows].T, out=out[rows, cols])
+        if rows != cols:
+            out[cols, rows] = block.T
+    return out
 
 
 def edge_phases(cloud: DataCloud, weights: InteractionWeights, beta: float) -> np.ndarray:

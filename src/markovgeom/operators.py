@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Bidivergence, _all_finite, _validate_beta
+from .geometry import Bidivergence, _all_finite, _tile_pairs, _validate_beta
 from .normalize import (
     ConvergenceError,
     StochasticOperator,
@@ -104,9 +104,6 @@ def _polar(magnitude, theta: np.ndarray) -> np.ndarray:
     return out
 
 
-# tile edge of the Hermiticity scan: two tiles stay cache-resident
-_TILE = 256
-
 # rows per strip of _polar, whose trig temporaries then stay cache-resident
 _POLAR_ROWS = 64
 
@@ -122,18 +119,14 @@ def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float
     no transposed n^2 copy is made and one tile-sized difference is the only
     temporary; a NaN entry gives NaN, as the full difference would.
     """
-    n = matrix.shape[0]
     gaps = [0.0]
-    for lo in range(0, n, _TILE):
-        rows = slice(lo, lo + _TILE)
-        for lo2 in range(lo, n, _TILE):
-            cols = slice(lo2, lo2 + _TILE)
-            mirror = matrix[cols, rows].T
-            if np.iscomplexobj(mirror):
-                mirror = mirror.conj()
-            block = matrix[rows, cols]
-            diff = block + mirror if antisymmetric else block - mirror
-            gaps.append(np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max())
+    for rows, cols in _tile_pairs(matrix.shape[0]):
+        mirror = matrix[cols, rows].T
+        if np.iscomplexobj(mirror):
+            mirror = mirror.conj()
+        block = matrix[rows, cols]
+        diff = block + mirror if antisymmetric else block - mirror
+        gaps.append(np.abs(diff, out=None if np.iscomplexobj(diff) else diff).max())
     return float(np.max(gaps))
 
 

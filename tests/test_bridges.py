@@ -1,9 +1,11 @@
 """Bridge solver, Doob transforms, currents, regimes, and the factorizations."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from markovgeom.bridges import (
     attention_bridge,
@@ -327,19 +329,28 @@ class TestStationaryDistribution:
             assert np.abs(pi - gth_stationary(a_plus.values)).max() <= tol
 
     def test_one_debug_record_names_the_path(self, caplog):
+        # a well-mixed attention chain, a two-cluster diffusion operator (EQ), a
+        # two-cluster attention chain (NESS) and a tol below rounding
         fast, _ = two_cluster_geometry(120, seed=3, offset=0.0, weighted=True)
         _, slow = two_cluster_geometry(120)
+        split, _ = two_cluster_geometry(120, seed=0, offset=3.0, weighted=True)
         two_state = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")
         with caplog.at_level(logging.DEBUG, logger="markovgeom"):
-            stationary_distribution(attention_forward(fast, 0.1))
+            stationary_distribution(attention_forward(fast, 0.02))
             stationary_distribution(dmap(slow, 1.0))
+            stationary_distribution(attention_forward(split, 1.0))
             with pytest.raises(ConvergenceError):
                 stationary_distribution(two_state, tol=1e-30)
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 3
-        for message, refined in zip(messages, ("False", "False", "True")):
-            assert message.startswith(f"stationary measure: direct solve, refined {refined}, "
-                                      "error bound ")
+        assert len(messages) == 4
+        for message, rung in zip(messages, (
+                r"Doeblin certificate after \d+ power steps",
+                "reversibility certificate",
+                "direct solve, refined False",
+                "direct solve, refined True")):
+            assert re.fullmatch(f"stationary measure: {rung}, error bound (\\S+)", message)
+        bounds = [float(message.rsplit(" ", 1)[1]) for message in messages]
+        assert max(bounds[:3]) <= 1e-12 and bounds[3] > 1e-30
 
     @pytest.mark.parametrize("seed", [7, 299, 216, 228, 86])
     def test_outlier_chain_meets_tol_or_raises(self, seed):
@@ -355,6 +366,23 @@ class TestStationaryDistribution:
             except ConvergenceError:
                 continue
             assert np.abs(pi - oracle).max() <= tol
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), reversible=st.booleans(),
+           spread=st.floats(0.0, 10.0), tol=st.sampled_from([1e-4, 1e-8, 1e-12]))
+    def test_random_positive_chain_meets_tol_or_raises(self, seed, n, reversible, spread, tol):
+        # log-normal weights, symmetric for an EQ chain (D^-1 W is reversible
+        # for the row sums of a symmetric W) and unconstrained for a NESS one;
+        # a wide spread makes the chain nearly decomposable
+        logits = spread * np.random.default_rng(seed).standard_normal((n, n))
+        if reversible:
+            logits = (logits + logits.T) / 2.0
+        weights = np.exp(logits)
+        p = StochasticOperator(weights / weights.sum(axis=1, keepdims=True), "row")
+        try:
+            pi = stationary_distribution(p, tol=tol)
+        except ConvergenceError:
+            return
+        assert np.abs(pi - gth_stationary(p.values)).max() <= tol
 
     def test_nearly_decomposable_chain_raises(self):
         # two blocks coupled at 1e-9: no residual in double precision pins the

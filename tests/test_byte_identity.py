@@ -3,7 +3,10 @@
 The CLI promises that identical inputs and flags give byte-identical files on
 one machine, numpy/BLAS build and BLAS thread count.  The commands below make
 no LAPACK call and no ``gemm`` whose result depends on how BLAS splits it, so
-their CSVs must also be identical between one and two BLAS threads.  Two child
+their CSVs must also be identical between one and two BLAS threads.  That
+includes the ``stationary`` marginals of ``classify`` and ``bridge --kernel
+attention``: on these inputs the Doeblin rung of ``stationary_distribution``
+answers, with ``gemv`` products only, before its LU rung would run.  Two child
 interpreters run them, one with ``OPENBLAS_NUM_THREADS=1`` and one with
 ``=2``, and compare the sha256 of every CSV.  A bare 400 x 400 ``gemm`` in
 each child shows whether the thread count changed anything BLAS computes; if
@@ -35,6 +38,11 @@ COMMANDS = {
     "bridge": ["bridge", "--kernel", "rbf", "--mu-plus", "{mu_plus}",
                "--mu-minus", "{mu_minus}", "--input", "{cloud}"],
     "magnetic": ["magnetic", "--weights", "{weights}", "--input", "{cloud}"],
+    "classify": ["classify", "--kernel", "attention", "--weights", "{weights}",
+                 "--mu-plus", "stationary", "--mu-minus", "stationary", "--input", "{cloud}"],
+    "bridge_attention": ["bridge", "--kernel", "attention", "--weights", "{weights}",
+                         "--mu-plus", "stationary", "--mu-minus", "stationary",
+                         "--input", "{cloud}"],
 }
 
 CHILD = """
@@ -90,6 +98,6 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     if one["gemm"] == two["gemm"]:
         pytest.skip(f"BLAS ({one['blas']}) gave the same gemm bytes on 1 and 2 threads, "
                     "so the thread count was not exercised")
-    assert len(one["files"]) == 13
+    assert len(one["files"]) == 20
     changed = sorted(name for name in one["files"] if one["files"][name] != two["files"].get(name))
     assert not changed, f"under {one['blas']}, these CSVs depend on the BLAS thread count: {changed}"

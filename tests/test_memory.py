@@ -3,18 +3,21 @@
 numpy reports its array buffers to tracemalloc, so the traced peak of a call
 counts its result and every n^2 temporary it makes.  Each bound is the peak
 reached at N=300 plus a small margin; one more n^2 temporary on any of these
-paths adds about one unit and fails its bound.
+paths adds about one unit and fails its bound.  The stationary measure's two
+certificates keep O(n) vectors and strips beside the operator; its LU rung
+copies the operator into the bordered system.
 """
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from markovgeom.bridges import solve_bridge
+from markovgeom.bridges import solve_bridge, stationary_distribution
 from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
-from markovgeom.normalize import sinkhorn, softmax_rows
-from markovgeom.operators import dmap, dmap_bistochastic, rbf_kernel
+from markovgeom.normalize import StochasticOperator, sinkhorn, softmax_rows
+from markovgeom.operators import attention_forward, dmap, dmap_bistochastic, rbf_kernel
 
 N = 300
 _BIV = bidivergence(gram(DataCloud(np.random.default_rng(0).standard_normal((N, 3)))))
@@ -24,8 +27,19 @@ _Z = -_BETA * _BIV.fwd
 _KERNEL = np.exp(-_BETA * _D2)
 _MU_PLUS, _MU_MINUS = np.random.default_rng(1).dirichlet(np.full(N, 50.0), size=2)
 
+# one chain per rung of stationary_distribution, with the word its debug record
+# names: a well-mixed attention chain, a sharp diffusion operator (reversible),
+# and a random chain whose two halves are weakly coupled (neither)
+_BLOCKS = np.random.default_rng(2).uniform(0.5, 1.5, (N, N))
+_BLOCKS[:N // 2, N // 2:] *= 1e-3
+CHAINS = {
+    "Doeblin": attention_forward(_BIV, 0.5 * _BETA),
+    "reversibility": dmap(_D2, 8.0 * _BETA),
+    "direct": StochasticOperator(_BLOCKS / _BLOCKS.sum(axis=1, keepdims=True), "row"),
+}
+
 # (call, bound in units of N^2 doubles); the peak each reached: 1.11, 2.10,
-# 1.10, 1.10, 1.04 and 1.30
+# 1.10, 1.10, 1.04, 1.30, 0.03, 0.11 and 1.12
 PEAKS = {
     "sinkhorn": (lambda: sinkhorn(_Z), 1.2),
     "solve_bridge": (lambda: solve_bridge(_KERNEL, _MU_PLUS, _MU_MINUS), 2.2),
@@ -33,6 +47,9 @@ PEAKS = {
     "dmap": (lambda: dmap(_D2, _BETA), 1.2),
     "rbf_kernel": (lambda: rbf_kernel(_D2, _BETA), 1.1),
     "dmap_bistochastic": (lambda: dmap_bistochastic(_D2, _BETA), 1.4),
+    "stationary_doeblin": (lambda: stationary_distribution(CHAINS["Doeblin"]), 0.1),
+    "stationary_reversible": (lambda: stationary_distribution(CHAINS["reversibility"]), 0.2),
+    "stationary_lu": (lambda: stationary_distribution(CHAINS["direct"]), 1.2),
 }
 
 
@@ -52,3 +69,10 @@ def peak_units(call) -> float:
 def test_peak_traced_memory(name):
     call, bound = PEAKS[name]
     assert peak_units(call) <= bound
+
+
+def test_each_stationary_chain_takes_its_rung(caplog):
+    with caplog.at_level(logging.DEBUG, logger="markovgeom.bridges"):
+        for chain in CHAINS.values():
+            stationary_distribution(chain)
+    assert [r.getMessage().split()[2] for r in caplog.records] == list(CHAINS)
