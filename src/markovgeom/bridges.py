@@ -24,6 +24,7 @@ from .normalize import (
     StochasticOperator,
     _chain_values,
     _marginal_violation,
+    _state_vector,
     _validate_tol,
     logsumexp,
     poe_combine,
@@ -100,15 +101,6 @@ class RegimeReport:
     marginal_gap: float
 
 
-def _validate_probability(vec, n: int, name: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.shape[0] != n:
-        raise ValueError(f"{name} must be a length-{n} vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
-        raise ValueError(f"{name} must be nonnegative and finite")
-    return vec
-
-
 def solve_bridge(
     kernel,
     mu_plus,
@@ -160,12 +152,7 @@ def doob_transform(p_plus: StochasticOperator, h) -> StochasticOperator:
     """
     if p_plus.kind not in ("row", "bi"):
         raise ValueError("doob_transform expects a row-stochastic operator")
-    h = np.asarray(h, dtype=float)
-    n = p_plus.shape[1]
-    if h.ndim != 1 or h.shape[0] != n:
-        raise ValueError(f"h must be a length-{n} vector, got shape {h.shape}")
-    if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
-        raise ValueError("h must be strictly positive and finite")
+    h = _state_vector(h, p_plus.shape[1], "h", positive=True)
     if np.all(h == h[0]):
         return p_plus
     weighted = p_plus.values * h[None, :]
@@ -404,7 +391,7 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
 def currents(p: StochasticOperator, rho) -> np.ndarray:
     """Antisymmetric probability currents rho_i P_ij - rho_j P_ji."""
     values = _chain_values(p, "currents")
-    rho = _validate_probability(rho, values.shape[0], "rho")
+    rho = _state_vector(rho, values.shape[0], "rho")
     flux = rho[:, None] * values
     return flux - flux.T
 
@@ -426,8 +413,8 @@ def classify_regime(
     _validate_tol(tol)
     values = _chain_values(p, "classify_regime")
     n = values.shape[0]
-    mu_plus = _validate_probability(mu_plus, n, "mu_plus")
-    mu_minus = _validate_probability(mu_minus, n, "mu_minus")
+    mu_plus = _state_vector(mu_plus, n, "mu_plus")
+    mu_minus = _state_vector(mu_minus, n, "mu_minus")
     marginal_gap = float(np.abs(mu_plus - mu_minus).max())
     flux = mu_plus[:, None] * values
     j = flux - flux.T
@@ -519,7 +506,7 @@ def magnetic_flux(pi, op: ComplexOperator) -> tuple[np.ndarray, np.ndarray]:
     classical flux weighted by cos(Theta).
     """
     magnitudes = op.magnitudes.values
-    pi = _validate_probability(pi, magnitudes.shape[0], "pi")
+    pi = _state_vector(pi, magnitudes.shape[0], "pi")
     flux = _polar(pi[:, None] * magnitudes, op.phases)
     return flux, flux.imag.copy()
 
@@ -533,7 +520,7 @@ def attention_gauge(pi_plus, a_plus: StochasticOperator) -> np.ndarray:
     unwrapped (phases are only meaningful mod 2 pi).
     """
     values = _chain_values(a_plus, "attention_gauge")
-    pi_plus = _validate_probability(pi_plus, values.shape[0], "pi_plus")
+    pi_plus = _state_vector(pi_plus, values.shape[0], "pi_plus")
     flux = pi_plus[:, None] * values
     if flux.min() <= 0.0:
         raise ValueError("operator and stationary vector must be strictly positive")

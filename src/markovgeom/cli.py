@@ -729,14 +729,6 @@ def _marginals(args, n: int, intrinsic):
     return mu_plus, mu_plus if args.mu_minus == args.mu_plus else resolve(args.mu_minus)
 
 
-def _row_residual(values: np.ndarray) -> float:
-    return float(np.abs(values.sum(axis=1) - 1.0).max())
-
-
-def _col_residual(values: np.ndarray) -> float:
-    return float(np.abs(values.sum(axis=0) - 1.0).max())
-
-
 def _regime_results(regime) -> dict:
     return {
         "regime": regime.regime,
@@ -777,7 +769,7 @@ def _run(args) -> int:
 
 def cmd_dmap(args, geo: Geometry, beta: float) -> Outcome:
     operator = dmap(geo.d2, beta)
-    residual = _row_residual(operator.values)
+    residual = operator.residuals["row"]
     return Outcome(
         {"row_sum_residual": residual, "row_sum_tolerance": 1e-12},
         {"dmap": operator.values},
@@ -811,11 +803,8 @@ def cmd_attention(args, geo: Geometry, beta: float) -> Outcome:
     else:
         operator = attention_backward(geo.biv, beta)
         variant = "bwd"
-    results = {"variant": variant, "kind": operator.kind}
-    if operator.kind in ("row", "bi"):
-        results["row_sum_residual"] = _row_residual(operator.values)
-    if operator.kind in ("column", "bi"):
-        results["column_sum_residual"] = _col_residual(operator.values)
+    results = {"variant": variant, "kind": operator.kind,
+               **{f"{axis}_sum_residual": r for axis, r in operator.residuals.items()}}
     return Outcome(
         results,
         {"attention": operator.values},

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -67,14 +68,9 @@ def _validate_logits(z, *, square: bool = False, axis: int = 1):
 
 
 def _validate_marginal(mu, n: int, name: str) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.shape[0] != n:
-        raise ValueError(f"{name} must be a length-{n} vector, got shape {mu.shape}")
-    if not np.all(np.isfinite(mu)):
-        raise ValueError(f"{name} contains non-finite entries")
-    if np.any(mu <= 0.0):
-        raise ValueError(f"{name} must be strictly positive")
-    total = mu.sum()
+    """A strictly positive state vector that also sums to 1."""
+    mu = _state_vector(mu, n, name, positive=True)
+    total = float(mu.sum())
     if abs(total - 1.0) > MARGINAL_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 (got {total!r})")
     return mu
@@ -121,12 +117,15 @@ class StochasticOperator:
     Construction reads the matrix once for its minimum and once per tagged
     axis for its sums: a NaN or -inf reaches the minimum and a +inf the sums,
     so an entrywise finiteness scan runs only when one of them is not finite,
-    to tell a non-finite entry from sums that overflow.
+    to tell a non-finite entry from sums that overflow.  ``residuals`` keeps
+    what those sums measured: for each tagged axis ("row", "column"), the
+    sup-norm deviation max |sums - 1|, read-only.
     """
 
     values: np.ndarray
     kind: str
     check_tol: float = field(default=1e-6, repr=False, compare=False)
+    residuals: MappingProxyType[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -143,11 +142,13 @@ class StochasticOperator:
             raise ValueError("operator contains non-finite entries")
         if low < 0.0:
             raise ValueError("operator entries must be nonnegative")
+        residuals = {}
         for name, total in sums.items():
-            err = float(np.abs(total - 1.0).max())
+            residuals[name] = err = float(np.abs(total - 1.0).max())
             if err > self.check_tol:
                 raise ValueError(f"{name} sums deviate from 1 by {err:.3e}")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "residuals", MappingProxyType(residuals))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -161,6 +162,21 @@ def _chain_values(p: StochasticOperator, caller: str) -> np.ndarray:
     if p.shape[0] != p.shape[1]:
         raise ValueError(f"{caller} expects a square operator, got shape {p.shape}")
     return p.values
+
+
+def _state_vector(vec, n: int, name: str, positive: bool = False) -> np.ndarray:
+    """A vector over n states as floats: 1-D, length n, finite, and
+    nonnegative, or strictly positive when ``positive``.  Its minimum and
+    maximum decide both: a NaN reaches them and fails every comparison, -inf
+    fails the sign test and +inf the bound; an empty vector passes."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim != 1 or vec.shape[0] != n:
+        raise ValueError(f"{name} must be a length-{n} vector, got shape {vec.shape}")
+    low, high = vec.min(initial=np.inf), vec.max(initial=-np.inf)
+    if not ((low > 0.0 if positive else low >= 0.0) and high < np.inf):
+        sign = "strictly positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be {sign} and finite")
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,17 +194,14 @@ class ScalingPotentials:
     residual: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        for name, vec in (("u", u), ("v", v)):
-            if vec.ndim != 1:
-                raise ValueError(f"potential {name} must be a vector")
-            if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
-                raise ValueError(f"potential {name} must be strictly positive and finite")
+        for name in ("u", "v"):
+            vec = np.asarray(getattr(self, name), dtype=float)
+            # potentials carry no state count, so each is checked at its own length
+            n = vec.shape[0] if vec.ndim else 1
+            object.__setattr__(self, name, _state_vector(vec, n, f"potential {name}",
+                                                         positive=True))
         if self.iterations < 0 or self.residual < 0.0:
             raise ValueError("iterations and residual must be nonnegative")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
 def _softmax(z, axis: int, kind: str, out=None):

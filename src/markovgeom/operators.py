@@ -17,7 +17,6 @@ from .normalize import (
     ConvergenceError,
     StochasticOperator,
     _chain_values,
-    _marginal_violation,
     _reference_kernel,
     _scale,
     _softmax,
@@ -258,7 +257,8 @@ def dmap_bistochastic(
     symmetric update of the scaling core, on the kernel K = exp(z - max z):
     one scalar shift, so K cannot overflow and stays exactly symmetric.
     Returns K o (u u^T) on the kernel the core measured, bitwise symmetric
-    since each u_i u_j is, after rechecking its marginals against ``tol``.
+    since each u_i u_j is; raises ``ConvergenceError`` when the marginals
+    that its construction measures miss ``tol``.
     """
     d2, beta, kernel = _gaussian_logits(d2, beta)
     top = kernel.max()
@@ -270,7 +270,10 @@ def dmap_bistochastic(
     for lo in range(0, u.shape[0], _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
         scaled[rows] *= np.multiply.outer(u[rows], u)
-    residual = _marginal_violation(scaled, 1.0, 1.0)
+    # the sums are held to tol just below, as a ConvergenceError, so the
+    # construction bound must not refuse them first
+    operator = StochasticOperator(scaled, "bi", check_tol=np.inf)
+    residual = max(operator.residuals.values())
     if residual > tol:
         raise ConvergenceError(
             f"symmetrized bistochastic operator misses tol: residual {residual:.3e} "
@@ -278,9 +281,7 @@ def dmap_bistochastic(
             residual=residual,
             iterations=found.sweeps,
         )
-    # residual <= tol was just checked on these sums; a looser tol must not
-    # trip the tighter default construction bound
-    return StochasticOperator(scaled, "bi", check_tol=max(1e-6, tol))
+    return operator
 
 
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:

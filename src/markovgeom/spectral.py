@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normalize import StochasticOperator, _chain_values
+from .normalize import StochasticOperator, _chain_values, _state_vector
 from .operators import ComplexOperator, _max_hermitian_gap, _polar
 
 # adjacent eigenvalues closer than this are flagged as a degenerate block;
@@ -54,15 +54,6 @@ class Embedding:
     retained: int
 
 
-def _validate_measure(pi, n: int) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 1 or pi.shape[0] != n:
-        raise ValueError(f"pi must be a length-{n} vector, got shape {pi.shape}")
-    if not np.all(np.isfinite(pi)) or np.any(pi <= 0.0):
-        raise ValueError("pi must be strictly positive and finite")
-    return pi
-
-
 def conjugate_symmetrize(p_plus: StochasticOperator, pi) -> np.ndarray:
     """Similarity transform diag(sqrt(pi)) P diag(1/sqrt(pi)).
 
@@ -74,7 +65,7 @@ def conjugate_symmetrize(p_plus: StochasticOperator, pi) -> np.ndarray:
     conjugated matrix then reuses F's memory.
     """
     values = _chain_values(p_plus, "conjugate_symmetrize")
-    pi = _validate_measure(pi, values.shape[0])
+    pi = _state_vector(pi, values.shape[0], "pi", positive=True)
     flux = pi[:, None] * values
     db_residual = _max_hermitian_gap(flux)
     if db_residual > DETAILED_BALANCE_TOL:
@@ -135,7 +126,7 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
     mat = np.asarray(conjugated)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    pi = _validate_measure(pi, mat.shape[0])
+    pi = _state_vector(pi, mat.shape[0], "pi", positive=True)
     # a non-finite entry makes the gap non-finite (inf - inf is NaN), and a
     # NaN gap would pass the Hermiticity test
     with np.errstate(invalid="ignore"):

@@ -15,6 +15,7 @@ from markovgeom.bridges import (
     classify_regime,
     currents,
     doob_transform,
+    magnetic_flux,
     solve_bridge,
     stationary_distribution,
 )
@@ -30,6 +31,7 @@ from markovgeom.geometry import (
     squared_distance,
 )
 from markovgeom.normalize import (
+    ScalingPotentials,
     StochasticOperator,
     schrodinger_solve,
     sinkhorn,
@@ -208,6 +210,80 @@ def test_column_operator_is_rejected(check):
 def test_doob_transform_accepts_a_rectangular_operator():
     transformed = doob_transform(_WIDE, np.array([1.0, 2.0, 1.0]))
     np.testing.assert_allclose(transformed.values, np.tile([0.25, 0.5, 0.25], (2, 1)))
+
+
+_CHAIN = StochasticOperator(_UNIFORM, "row")
+_PHASED = ComplexOperator(_CHAIN, np.zeros((N, N)))
+
+# each argument that is a vector over the N states: (call with that vector in
+# place of the clean _MU, the name its messages use, whether it must be
+# strictly positive rather than nonnegative)
+VECTOR_CHECKS = {
+    "schrodinger_solve mu_plus": (lambda v: schrodinger_solve(_KERNEL, v, _MU), "mu_plus", True),
+    "schrodinger_solve mu_minus": (lambda v: schrodinger_solve(_KERNEL, _MU, v), "mu_minus", True),
+    "solve_bridge mu_plus": (lambda v: solve_bridge(_KERNEL, v, _MU), "mu_plus", True),
+    "solve_bridge mu_minus": (lambda v: solve_bridge(_KERNEL, _MU, v), "mu_minus", True),
+    "ScalingPotentials u": (lambda v: ScalingPotentials(v, _MU, 0, 0.0), "potential u", True),
+    "ScalingPotentials v": (lambda v: ScalingPotentials(_MU, v, 0, 0.0), "potential v", True),
+    "currents": (lambda v: currents(_CHAIN, v), "rho", False),
+    "classify_regime mu_plus": (lambda v: classify_regime(_CHAIN, v, _MU), "mu_plus", False),
+    "classify_regime mu_minus": (lambda v: classify_regime(_CHAIN, _MU, v), "mu_minus", False),
+    "magnetic_flux": (lambda v: magnetic_flux(v, _PHASED), "pi", False),
+    "attention_gauge": (lambda v: attention_gauge(v, _CHAIN), "pi_plus", False),
+    "doob_transform": (lambda v: doob_transform(_CHAIN, v), "h", True),
+    "conjugate_symmetrize": (lambda v: conjugate_symmetrize(_CHAIN, v), "pi", True),
+    "decompose": (lambda v: decompose(_KERNEL, v), "pi", True),
+}
+
+# a potential has no state count to meet, so any length passes
+_OWN_LENGTH = {"ScalingPotentials u", "ScalingPotentials v"}
+
+# attention_gauge takes a nonnegative vector but refuses a zero flux
+_ZERO_REFUSED = {"attention_gauge": "operator and stationary vector must be strictly positive"}
+
+BAD_VECTORS = {
+    "wrong length": np.full(N + 1, 1.0 / (N + 1)),
+    "2-D": _MU[:, None],
+    **{value: planted(_MU, 2, NON_FINITE[value]) for value in NON_FINITE},
+    "negative": planted(_MU, 2, -0.1),
+    "zero": planted(_MU, 2, 0.0),
+}
+
+
+def _vector_message(check, case):
+    """The message the bad vector of ``case`` must raise, or None if accepted."""
+    _, name, positive = VECTOR_CHECKS[check]
+    if case == "wrong length" and check in _OWN_LENGTH:
+        return None
+    if case in ("wrong length", "2-D"):
+        return f"{name} must be a length-{N} vector, got shape {BAD_VECTORS[case].shape}"
+    if case == "zero" and not positive:
+        return _ZERO_REFUSED.get(check)
+    return f"{name} must be {'strictly positive' if positive else 'nonnegative'} and finite"
+
+
+@pytest.mark.parametrize("case", list(BAD_VECTORS))
+@pytest.mark.parametrize("check", list(VECTOR_CHECKS))
+def test_bad_state_vector_is_rejected(check, case):
+    build = VECTOR_CHECKS[check][0]
+    build(_MU)  # the clean input passes
+    message = _vector_message(check, case)
+    if message is None:
+        build(BAD_VECTORS[case])
+        return
+    with pytest.raises(ValueError) as excinfo:
+        build(BAD_VECTORS[case])
+    assert str(excinfo.value) == message
+
+
+def test_empty_state_vectors_keep_their_decisions():
+    empty = np.empty(0)
+    potentials = ScalingPotentials(empty, empty, 0, 0.0)
+    assert potentials.u.shape == potentials.v.shape == (0,)
+    # an empty marginal passes the vector gate and fails only its sum
+    with pytest.raises(ValueError) as excinfo:
+        schrodinger_solve(np.empty((0, 0)), empty, empty)
+    assert str(excinfo.value) == "mu_plus must sum to 1 (got 0.0)"
 
 
 class TestOrderOfChecks:

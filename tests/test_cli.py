@@ -735,17 +735,41 @@ class TestVerifyCommand:
             assert check["passed"] is True
             for part in check["parts"]:
                 assert "residual" in part and "tolerance" in part
+        # the fixture's attention chain circulates, so C11 runs entirely on it
+        assert "info" not in report["checks"][10]
+
+    @pytest.mark.parametrize("points, beta", [
+        ([[0.0, 0.0], [1e-9, 0.0], [1.0, 1.0]], "auto"),
+        (np.random.default_rng(12).standard_normal((12, 3)), "1e-9"),
+        (np.random.default_rng(12).standard_normal((12, 3)), "1e-10"),
+    ], ids=["near-duplicate", "beta-1e-9", "beta-1e-10"])
+    def test_currents_below_the_bar_move_the_ness_parts(self, tmp_path, points, beta):
+        # attention currents scale with beta and with the spread of the
+        # points, so here they stay under 10x the equilibrium threshold on a
+        # correct library; C11's NESS parts then run on its seeded cloud
+        cloud_path = tmp_path / "cloud.csv"
+        write_matrix_csv(cloud_path, np.array(points))
+        out = tmp_path / "v"
+        code = main(["verify", "--input", str(cloud_path), "--beta", beta, "--out-dir", str(out)])
+        assert code == EXIT_OK
+        c11 = json.loads((out / "verify_report.json").read_text())["checks"][10]
+        assert c11["info"]["ness_instance"] == "seeded 8x2 cloud at beta=1"
+        assert c11["info"]["input_max_current"] <= 10.0 * c11["info"]["input_current_threshold"]
 
     @pytest.mark.parametrize("points", [
         [[0.0, 0.0], [1.0, 0.5]],
         [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
     ], ids=["two-points", "two-distinct-of-three"])
     def test_cloud_of_two_distinct_points_passes(self, tmp_path, points):
-        # every chain on two states is reversible, so C11 probes its own cloud
+        # every chain on two states is reversible, so C11's NESS parts run on
+        # its seeded cloud
         cloud_path = tmp_path / "cloud.csv"
         write_matrix_csv(cloud_path, np.array(points))
-        code = main(["verify", "--input", str(cloud_path), "--out-dir", str(tmp_path / "v")])
+        out = tmp_path / "v"
+        code = main(["verify", "--input", str(cloud_path), "--out-dir", str(out)])
         assert code == EXIT_OK
+        c11 = json.loads((out / "verify_report.json").read_text())["checks"][10]
+        assert c11["info"]["input_max_current"] == 0.0
 
     def test_near_flat_sink_marginal_is_still_perturbed(self, tmp_path):
         # at beta=1e-6 attention is nearly uniform, and so is the sink

@@ -111,6 +111,21 @@ class TestStochasticOperator:
         with pytest.raises(ValueError):
             StochasticOperator(np.array([[1.0, 0.0], [1.0, 0.0]]), "bi")
 
+    @pytest.mark.parametrize("kind, axes", [("row", ("row",)), ("column", ("column",)),
+                                            ("bi", ("row", "column"))])
+    def test_residuals_are_the_measured_sums(self, kind, axes):
+        values = np.full((3, 3), 1.0 / 3.0)
+        values[0, 0] += 1e-9
+        op = StochasticOperator(values, kind)
+        assert tuple(op.residuals) == axes
+        for axis in axes:
+            sums = values.sum(axis=1 if axis == "row" else 0)
+            assert op.residuals[axis] == float(np.abs(sums - 1.0).max())
+        with pytest.raises(TypeError):
+            op.residuals["row"] = 0.0  # read-only
+        with pytest.raises(TypeError):
+            StochasticOperator(values, kind, residuals={})  # not an init field
+
 
 class TestSoftmaxRows:
     def test_uniform_logits(self):

@@ -319,6 +319,25 @@ class TestDmapBistochastic:
         with pytest.raises(ConvergenceError):
             dmap_bistochastic(d2, beta=1.0, tol=1e-30, max_iter=2)
 
+    def test_symmetrized_marginals_are_held_to_tol(self, monkeypatch):
+        # a scaling that reports convergence but whose symmetrized operator
+        # misses tol, here by far more than the construction bound of 1e-6,
+        # raises ConvergenceError, not the constructor's ValueError
+        from markovgeom import operators
+
+        real_scale = operators._scale
+
+        def off_by_a_thousandth(*args, **kwargs):
+            found = real_scale(*args, **kwargs)
+            return found._replace(u=found.u * 1.001)
+
+        monkeypatch.setattr(operators, "_scale", off_by_a_thousandth)
+        _, _, d2 = random_geometry(66)
+        with pytest.raises(ConvergenceError, match="symmetrized bistochastic operator misses tol") \
+                as excinfo:
+            dmap_bistochastic(d2, beta=1.0)
+        assert 1e-3 < excinfo.value.residual < 3e-3
+
 
 class TestMagneticOperator:
     def test_zero_phases_keep_operator_real(self):
