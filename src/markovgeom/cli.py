@@ -813,7 +813,7 @@ def cmd_attention(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
-    from .bridges import attention_bridge, classify_regime, solve_bridge, stationary_distribution
+    from .bridges import attention_bridge, classify_regime, solve_bridge
 
     def positive(pi):  # a stationary entry can underflow, or round to 0 and be clipped
         if pi.min() <= 0.0:
@@ -827,8 +827,12 @@ def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
         mu_plus, mu_minus = _marginals(args, n, lambda: positive(_diffusion(geo.d2, beta)[1]))
         bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=args.tol, max_iter=args.max_iter)
     else:
-        mu_plus, mu_minus = _marginals(args, n, lambda: positive(stationary_distribution(
-            attention_forward(geo.biv, beta), tol=args.tol)))
+        mu_plus, mu_minus = _marginals(args, n, lambda: positive(_attention_stationary(
+            geo, attention_forward(geo.biv, beta), beta, args.tol)))
+        largest = float(geo.biv.fwd.max())
+        if np.exp(largest * -beta) == 0.0:  # the least entry of exp(-beta * fwd)
+            raise _underflow("attention kernel", beta,
+                             f"the largest forward divergence {largest:g}")
         bridge = attention_bridge(geo.biv, beta, mu_plus, mu_minus, tol=args.tol,
                                   max_iter=args.max_iter)
     # the bridge meets each marginal within --tol, so mu_plus P may miss
@@ -857,7 +861,7 @@ def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
 
 
 def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
-    from .bridges import classify_regime, stationary_distribution
+    from .bridges import classify_regime
 
     n = geo.cloud.n_samples
     if args.kernel == "rbf":
@@ -866,7 +870,7 @@ def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
     else:
         operator = attention_forward(geo.biv, beta)
         mu_plus, mu_minus = _marginals(
-            args, n, lambda: stationary_distribution(operator, tol=args.tol))
+            args, n, lambda: _attention_stationary(geo, operator, beta, args.tol))
     # no tighter than the tol a 'stationary' marginal was solved to, as in bridge
     regime = classify_regime(operator, mu_plus, mu_minus, tol=max(1e-10, 2.0 * args.tol))
     return Outcome(
@@ -877,6 +881,23 @@ def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
     )
 
 
+def _underflow(what: str, beta: float, reach: str) -> ValueError:
+    return ValueError(f"{what} underflowed to zero: beta={beta:g} times {reach} "
+                      "exceeds the exponential range; reduce beta")
+
+
+def _attention_stationary(geo: Geometry, operator, beta: float, tol: float):
+    """``stationary_distribution`` of forward attention, which is unique only
+    when every entry is positive.  Entry (i, j) is e^(-beta (fwd_ij - min_k
+    fwd_ik)) over its row sum, so a zero is a beta too large for a row's spread."""
+    from .bridges import stationary_distribution
+
+    if operator.values.min() == 0.0:
+        spread = float(np.ptp(geo.biv.fwd, axis=1).max())
+        raise _underflow("attention", beta, f"the spread {spread:g} of a forward divergence row")
+    return stationary_distribution(operator, tol=tol)
+
+
 def _reversible_diffusion(geo: Geometry, beta: float):
     """``_diffusion`` for the commands that conjugate by sqrt(pi), which needs
     every entry of pi positive.  Entry i is proportional to s_i e^(-beta r_i)
@@ -885,12 +906,9 @@ def _reversible_diffusion(geo: Geometry, beta: float):
     spread of r, as the message says."""
     operator, pi = _diffusion(geo.d2, beta)
     if pi.min() == 0.0:
-        nearest = geo.d2.min(axis=1)
-        raise ValueError(
-            f"stationary measure underflowed to zero: beta={beta:g} times the "
-            f"spread {float(nearest.max() - nearest.min()):g} of each point's "
-            "smallest squared distance exceeds the exponential range; reduce beta"
-        )
+        spread = float(np.ptp(geo.d2.min(axis=1)))
+        raise _underflow("stationary measure", beta,
+                         f"the spread {spread:g} of each point's smallest squared distance")
     return operator, pi
 
 

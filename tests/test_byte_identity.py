@@ -6,7 +6,9 @@ no LAPACK call and no ``gemm`` whose result depends on how BLAS splits it, so
 their CSVs must also be identical between one and two BLAS threads.  That
 includes the ``stationary`` marginals of ``classify`` and ``bridge --kernel
 attention``: on these inputs the Doeblin rung of ``stationary_distribution``
-answers, with ``gemv`` products only, before its LU rung would run.  Two child
+answers, with ``gemv`` products only, before its LU rung would run.  It also
+includes ``dmap`` of a 128-dimensional cloud, whose Gram product is a ``gemm``
+with a long inner dimension.  Two child
 interpreters run them, one with ``OPENBLAS_NUM_THREADS=1`` and one with
 ``=2``, and compare the sha256 of every CSV.  A bare 400 x 400 ``gemm`` in
 each child shows whether the thread count changed anything BLAS computes; if
@@ -31,6 +33,8 @@ N = 400
 # each command's arguments, with {file} placeholders for the inputs
 COMMANDS = {
     "dmap": ["dmap", "--input", "{cloud}"],
+    # D=128: a Gram product with an inner dimension of 128, not 8
+    "dmap_wide": ["dmap", "--input", "{wide}"],
     "kernel": ["kernel", "--input", "{cloud}"],
     "attention": ["attention", "--input", "{cloud}"],
     "bistochastic": ["attention", "--bistochastic", "--weights", "{weights}",
@@ -69,12 +73,14 @@ print(json.dumps(found))
 
 def _write_inputs(work: Path) -> dict:
     rng = np.random.default_rng(7)
-    files = {name: work / f"{name}.csv" for name in ("cloud", "weights", "mu_plus", "mu_minus")}
+    files = {name: work / f"{name}.csv"
+             for name in ("cloud", "weights", "mu_plus", "mu_minus", "wide")}
     write_matrix_csv(files["cloud"], rng.standard_normal((N, 8)))
     write_matrix_csv(files["weights"], np.eye(8) + 0.3 * rng.standard_normal((8, 8)))
     for name in ("mu_plus", "mu_minus"):
         mu = rng.uniform(0.5, 1.5, N)
         write_matrix_csv(files[name], mu / mu.sum())
+    write_matrix_csv(files["wide"], rng.standard_normal((N, 128)))
     return files
 
 
@@ -98,6 +104,6 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     if one["gemm"] == two["gemm"]:
         pytest.skip(f"BLAS ({one['blas']}) gave the same gemm bytes on 1 and 2 threads, "
                     "so the thread count was not exercised")
-    assert len(one["files"]) == 20
+    assert len(one["files"]) == 21
     changed = sorted(name for name in one["files"] if one["files"][name] != two["files"].get(name))
     assert not changed, f"under {one['blas']}, these CSVs depend on the BLAS thread count: {changed}"

@@ -1,5 +1,6 @@
 """CSV ingest, emit, command dispatch, exit codes, and determinism."""
 
+import functools
 import io
 import json
 import os
@@ -210,6 +211,28 @@ _LARGE = {
 }
 
 
+def _large_report(value, other):
+    return {"command": "x", "results": {"values": [1.0, -0.0, 1e300]},
+            "matrices": {"big": value, "nested": [{"in_list": other}],
+                         "empty": np.zeros((0, 3)),
+                         "no_columns": np.zeros((2, 0))}}
+
+
+_SMALL = np.array([[-0.0, 5e-324], [1e-300, np.finfo(float).max]])
+
+
+@functools.cache
+def _large_reference(name, fmt):
+    """The np.savetxt bytes or the json.dumps text of ``_LARGE[name]``, built
+    once and shared by every worker count."""
+    if fmt == "csv":
+        return _savetxt_bytes(_LARGE[name])
+    expected = _large_report(_LARGE[name].tolist(), _SMALL.tolist())
+    expected["matrices"]["empty"] = []
+    expected["matrices"]["no_columns"] = [[], []]
+    return json.dumps(expected, indent=2) + "\n"
+
+
 class TestParallelEmit:
     def test_large_matrices_are_above_the_threshold(self):
         for matrix in _LARGE.values():
@@ -221,27 +244,15 @@ class TestParallelEmit:
         _force_workers(monkeypatch, workers)
         path = tmp_path / "m.csv"
         write_matrix_csv(path, _LARGE[name])
-        assert path.read_bytes() == _savetxt_bytes(_LARGE[name])
+        assert path.read_bytes() == _large_reference(name, "csv")
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", list(_LARGE))
     def test_json_equals_json_dumps(self, tmp_path, monkeypatch, name, workers):
         _force_workers(monkeypatch, workers)
-        matrix = _LARGE[name]
-        small = np.array([[-0.0, 5e-324], [1e-300, np.finfo(float).max]])
-
-        def report(value, other):
-            return {"command": "x", "results": {"values": [1.0, -0.0, 1e300]},
-                    "matrices": {"big": value, "nested": [{"in_list": other}],
-                                 "empty": np.zeros((0, 3)),
-                                 "no_columns": np.zeros((2, 0))}}
-
         path = tmp_path / "r.json"
-        write_report_json(path, report(matrix, small))
-        expected = report(matrix.tolist(), small.tolist())
-        expected["matrices"]["empty"] = []
-        expected["matrices"]["no_columns"] = [[], []]
-        assert path.read_text() == json.dumps(expected, indent=2) + "\n"
+        write_report_json(path, _large_report(_LARGE[name], _SMALL))
+        assert path.read_text() == _large_reference(name, "json")
 
     def test_json_of_non_finite_matrix_equals_json_dumps(self, tmp_path):
         matrix = np.array([[np.nan, np.inf], [-np.inf, 1.0]])
@@ -959,6 +970,48 @@ class TestUnderflowingMeasure:
                      "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_OK
         capsys.readouterr()
+
+
+class TestUnderflowingAttention:
+    """At beta=1e3 on 12 unit-norm points, entries of forward attention and of
+    its kernel exp(-beta fwd) underflow to zero.  The library raises its own
+    messages; the CLI exits 2 naming beta and the fix."""
+
+    BETA = 1e3
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((12, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        mu = rng.uniform(0.5, 1.5, 12)
+        files = {"cloud": tmp_path / "cloud.csv", "mu": tmp_path / "mu.csv"}
+        write_matrix_csv(files["cloud"], points)
+        write_matrix_csv(files["mu"], (mu / mu.sum()).reshape(1, -1))
+        biv = markovgeom.bidivergence(markovgeom.gram(load_cloud(files["cloud"])))
+        with pytest.raises(ValueError, match="operator must be strictly positive"):
+            markovgeom.stationary_distribution(markovgeom.attention_forward(biv, self.BETA))
+        with pytest.raises(ValueError, match="kernel must be strictly positive and finite"):
+            markovgeom.attention_bridge(biv, self.BETA, np.full(12, 1 / 12), np.full(12, 1 / 12))
+        return files
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--mu-plus", "stationary", "--mu-minus", "stationary"],
+         "attention underflowed to zero: beta=1000 times the spread"),
+        (["bridge", "--mu-plus", "stationary", "--mu-minus", "stationary"],
+         "attention underflowed to zero: beta=1000 times the spread"),
+        (["bridge", "--mu-plus", "{mu}", "--mu-minus", "{mu}"],
+         "attention kernel underflowed to zero: beta=1000 times the largest"),
+    ], ids=["classify-stationary", "bridge-stationary", "bridge-csv"])
+    def test_attention_commands_exit_2_naming_beta(self, tmp_path, files, capsys, argv,
+                                                   message):
+        code = main([*[a.format(**files) for a in argv], "--kernel", "attention",
+                     "--input", str(files["cloud"]), "--beta", str(self.BETA),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "reduce beta" in err
 
 
 # commands whose solvers take --tol, and whether they take --max-iter

@@ -413,7 +413,7 @@ class TestPolar:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 257])
     def test_bitwise_full_evaluation_on_antisymmetric_phases(self, n):
-        # the mirrored half takes cos and -sin of its transpose: the same bits
+        # every entry's trig is evaluated in place: the bits of the full reference
         rng = np.random.default_rng(74 + n)
         for scale in (1.0, 1e-8, 1e3):
             theta = self._antisymmetric(rng, n, scale)
@@ -428,8 +428,8 @@ class TestPolar:
     @pytest.mark.parametrize("n", [65, 200])
     @pytest.mark.parametrize("flaw", ["ulp", "signed-zero", "random"])
     def test_bitwise_full_evaluation_on_inexact_phases(self, n, flaw):
-        # a strip whose phases are not bitwise the negated transpose (one ulp
-        # off, +0 mirrored by +0, or no antisymmetry at all) is evaluated
+        # phases that are not bitwise the negated transpose (one ulp off, +0
+        # mirrored by +0, or no antisymmetry at all) give the same bits too
         rng = np.random.default_rng(75)
         theta = self._antisymmetric(rng, n, 1.0)
         if flaw == "ulp":
