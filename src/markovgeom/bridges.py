@@ -416,10 +416,10 @@ def classify_regime(
     mu_plus = _state_vector(mu_plus, n, "mu_plus")
     mu_minus = _state_vector(mu_minus, n, "mu_minus")
     marginal_gap = float(np.abs(mu_plus - mu_minus).max())
-    flux = mu_plus[:, None] * values
-    j = flux - flux.T
+    j = currents(p, mu_plus)
     max_current = float(np.abs(j).max())
-    threshold = max(CURRENT_ZERO_FRACTION * float(flux.max()), tol)
+    # max_ij mu_i P_ij, bitwise: a product with mu_i >= 0 is monotone in P_ij
+    threshold = max(CURRENT_ZERO_FRACTION * float((mu_plus * values.max(axis=1)).max()), tol)
     stationarity_residual = float(np.abs(mu_plus @ values - mu_plus).max())
     if marginal_gap > tol or stationarity_residual > tol:
         regime = "NE"

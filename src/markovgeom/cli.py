@@ -667,13 +667,16 @@ def _auto_median(d2: np.ndarray) -> float:
 
     Each of the m upper entries occurs twice off the diagonal, so the two
     middle values of all 2m are entries (m - 1) // 2 and m // 2 of the sorted
-    upper ones, and their mean is formed as ``np.median`` forms it.  A
-    partition finds them: ``np.median`` imports numpy.ma to look for NaNs,
-    and d2 holds none.
+    upper ones, and their mean is formed as ``np.median`` forms it.  One
+    in-place partition of the gathered entries at m // 2 finds the upper one;
+    for an even m the lower one is the maximum of the part below it.
+    ``np.median`` would import numpy.ma to look for NaNs, and d2 holds none.
     """
     upper = d2[~np.tri(d2.shape[0], dtype=bool)]
-    middle = [(upper.size - 1) // 2, upper.size // 2]
-    low, high = np.partition(upper, middle)[middle]
+    middle = upper.size // 2
+    upper.partition(middle)
+    high = upper[middle]
+    low = upper[:middle].max() if upper.size % 2 == 0 else high
     return float((low + high) / 2)
 
 

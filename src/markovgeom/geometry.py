@@ -42,19 +42,20 @@ def _tile_pairs(n: int):
             yield slice(lo, lo + _TILE), slice(lo2, lo2 + _TILE)
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    """Whether every entry is finite, from two reductions and no temporary:
-    a NaN reaches both the minimum and the maximum, -inf the one, +inf the other."""
-    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
-
-
-def _as_finite_matrix(values, name: str) -> np.ndarray:
+def _finite_matrix(values, name: str, square: bool = False, positive: bool = False):
+    """The values as a float matrix with its minimum and maximum: 2-D (square
+    when ``square``), finite, and strictly positive when ``positive``.  The
+    two reductions decide both: a NaN reaches them and fails every comparison,
+    -inf fails the lower test and +inf the upper one; an empty matrix passes."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    if not _all_finite(arr):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+    if arr.ndim != 2 or (square and arr.shape[0] != arr.shape[1]):
+        shape = "square" if square else "2-D"
+        raise ValueError(f"{name} must be a {shape} matrix, got shape {arr.shape}")
+    low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)
+    if not ((low > 0.0 if positive else low > -np.inf) and high < np.inf):
+        raise ValueError(f"{name} must be strictly positive and finite" if positive
+                         else f"{name} contains non-finite entries")
+    return arr, low, high
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +65,7 @@ class DataCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _as_finite_matrix(self.points, "points")
+        pts = _finite_matrix(self.points, "points")[0]
         if pts.shape[0] < 2:
             raise ValueError("a data cloud needs at least 2 samples")
         if pts.shape[1] < 1:
@@ -94,16 +95,14 @@ class InteractionWeights:
     key_factor: np.ndarray | None = None
 
     def __post_init__(self):
-        mat = _as_finite_matrix(self.matrix, "weight matrix")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {mat.shape}")
+        mat = _finite_matrix(self.matrix, "weight matrix", square=True)[0]
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def from_factors(cls, query_factor, key_factor) -> "InteractionWeights":
         """Build weights as the product of D x d query and key factors."""
-        wq = _as_finite_matrix(query_factor, "query factor")
-        wk = _as_finite_matrix(key_factor, "key factor")
+        wq = _finite_matrix(query_factor, "query factor")[0]
+        wk = _finite_matrix(key_factor, "key factor")[0]
         if wq.shape != wk.shape:
             raise ValueError(
                 f"factor shapes must match, got {wq.shape} and {wk.shape}"
@@ -126,10 +125,10 @@ class HermitianPartition:
     antisymmetric: np.ndarray
 
     def __post_init__(self):
-        s = _as_finite_matrix(self.symmetric, "symmetric part")
-        a = _as_finite_matrix(self.antisymmetric, "antisymmetric part")
-        if s.shape != a.shape or s.shape[0] != s.shape[1]:
-            raise ValueError("partition parts must be square matrices of equal shape")
+        s = _finite_matrix(self.symmetric, "symmetric part", square=True)[0]
+        a = _finite_matrix(self.antisymmetric, "antisymmetric part", square=True)[0]
+        if s.shape != a.shape:
+            raise ValueError(f"partition parts differ in shape: {s.shape} and {a.shape}")
         if not np.array_equal(s, s.T):
             raise ValueError("symmetric part must satisfy S == S.T exactly")
         if not np.array_equal(a, -a.T):
@@ -150,9 +149,7 @@ class GramMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = _as_finite_matrix(self.values, "gram values")
-        if vals.shape[0] != vals.shape[1]:
-            raise ValueError(f"gram matrix must be square, got shape {vals.shape}")
+        vals = _finite_matrix(self.values, "gram values", square=True)[0]
         object.__setattr__(self, "values", vals)
 
 
@@ -163,9 +160,9 @@ class Bidivergence:
     fwd: np.ndarray
 
     def __post_init__(self):
-        fwd = _as_finite_matrix(self.fwd, "forward divergence")
-        if fwd.shape[0] != fwd.shape[1] or np.any(np.diag(fwd) != 0.0):
-            raise ValueError("divergence must be square with an exactly zero diagonal")
+        fwd = _finite_matrix(self.fwd, "forward divergence", square=True)[0]
+        if np.any(np.diag(fwd) != 0.0):
+            raise ValueError("forward divergence must have an exactly zero diagonal")
         object.__setattr__(self, "fwd", fwd)
 
     @property

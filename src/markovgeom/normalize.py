@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import _finite_matrix
+
 log = logging.getLogger(__name__)
 
 VALID_KINDS = ("row", "column", "bi")
@@ -74,17 +76,6 @@ def _validate_marginal(mu, n: int, name: str) -> np.ndarray:
     if abs(total - 1.0) > MARGINAL_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 (got {total!r})")
     return mu
-
-
-def _reference_kernel(kernel) -> np.ndarray:
-    """A reference kernel as a square, strictly positive, finite float matrix."""
-    k = np.asarray(kernel, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError(f"kernel must be square, got shape {k.shape}")
-    # a NaN fails both comparisons, -inf the first and +inf the second
-    if k.size and not (k.min() > 0.0 and k.max() < np.inf):
-        raise ValueError("kernel must be strictly positive and finite")
-    return k
 
 
 def _validate_tol(tol) -> None:
@@ -476,7 +467,7 @@ def schrodinger_solve(
     ConvergenceError if the residual stays above ``tol`` for ``max_iter``
     sweeps; ValueError for non-positive kernels or invalid marginals.
     """
-    k = _reference_kernel(kernel)
+    k = _finite_matrix(kernel, "kernel", square=True, positive=True)[0]
     n = k.shape[0]
     mu_plus = _validate_marginal(mu_plus, n, "mu_plus")
     mu_minus = _validate_marginal(mu_minus, n, "mu_minus")

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Bidivergence, _all_finite, _tile_pairs, _validate_beta
+from .geometry import Bidivergence, _finite_matrix, _tile_pairs, _validate_beta
 from .normalize import (
     ConvergenceError,
     StochasticOperator,
     _chain_values,
-    _reference_kernel,
     _scale,
     _softmax,
     sinkhorn,
@@ -33,7 +32,7 @@ class KernelMatrix:
     beta: float
 
     def __post_init__(self):
-        vals = _reference_kernel(self.values)
+        vals = _finite_matrix(self.values, "kernel", square=True, positive=True)[0]
         _validate_beta(self.beta)
         object.__setattr__(self, "values", vals)
 
@@ -52,14 +51,12 @@ class ComplexOperator:
 
     def __post_init__(self):
         _chain_values(self.magnitudes, "ComplexOperator")
-        theta = np.asarray(self.phases, dtype=float)
+        theta = _finite_matrix(self.phases, "phase field")[0]
         if theta.shape != self.magnitudes.shape:
             raise ValueError(
                 f"phase shape {theta.shape} does not match operator shape "
                 f"{self.magnitudes.shape}"
             )
-        if not _all_finite(theta):
-            raise ValueError("phases contain non-finite entries")
         asym = _max_hermitian_gap(theta, antisymmetric=True)
         if asym > 1e-12:
             raise ValueError(f"phases must be antisymmetric (violation {asym:.3e})")
@@ -113,18 +110,13 @@ def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float
 
 def _gaussian_logits(d2, beta: float):
     """(d2, beta, -beta * d2), validated once for every Gaussian constructor.
-    The min and max of d2, which a NaN or an infinity reaches, give both the
-    finiteness check and max |d2|.  A d2 that is symmetric with a zero
-    diagonal only to within 1e-12 of that scale is replaced by its exact
-    projection, (d2 + d2^T) / 2 with a zero diagonal, so every constructor
-    sees one exactly symmetric matrix; an exact d2 is returned as given."""
+    The min and max of d2 that the matrix gate reads also give max |d2|.  A
+    d2 that is symmetric with a zero diagonal only to within 1e-12 of that
+    scale is replaced by its exact projection, (d2 + d2^T) / 2 with a zero
+    diagonal, so every constructor sees one exactly symmetric matrix; an
+    exact d2 is returned as given."""
     beta = _validate_beta(beta)
-    d2 = np.asarray(d2, dtype=float)
-    if d2.ndim != 2 or d2.shape[0] != d2.shape[1]:
-        raise ValueError(f"squared distances must form a square matrix, got {d2.shape}")
-    low, high = float(d2.min()), float(d2.max())
-    if not (np.isfinite(low) and np.isfinite(high)):
-        raise ValueError("squared distances contain non-finite entries")
+    d2, low, high = _finite_matrix(d2, "squared-distance matrix", square=True)
     scale = max(1.0, -low, high)
     gap = _max_hermitian_gap(d2)
     if gap > 1e-12 * scale:

@@ -1,0 +1,197 @@
+"""Edge-input sweep of every CLI command form, run in-process through ``cli.main``.
+
+Each command form runs with and without a D x D weight file (where the
+command takes one) at beta auto, 1e-9, 1e3 and 1e6 on four seeded edge
+clouds: N=2 with D=1, four points with a pair 1e-9 apart, the
+``default_rng(150)`` 5 x 3 cloud on which plain scaling sweeps stall, and a
+24 x 3 two-cluster cloud.  A run passes if it exits 0 with every number in
+its output files finite, or exits 2 or 3 with stderr starting ``error: ``.
+At beta auto, a form that is one of the ``cli_emit`` benchmark commands must
+also write what that command's library oracle in ``perfbench/workloads.py``
+computes, bit for bit.  A traceback, exit 1 (``verify`` included) or a
+non-finite output number is a finding, and the script exits 1 if there is
+any.  Its name keeps it out of pytest's collection; it takes a few seconds:
+
+    PYTHONPATH=src python tests/edge_sweep.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+import traceback
+import warnings
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+sys.dont_write_bytecode = True  # leave the benchmark's directory as checked out
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+from markovgeom import cli  # noqa: E402
+
+BETAS = ("auto", "1e-9", "1e3", "1e6")
+
+
+def _two_clusters(rng):
+    points = rng.standard_normal((24, 3))
+    points[12:] += 6.0
+    return points
+
+
+def _near_duplicate(rng):
+    points = rng.standard_normal((4, 3))
+    points[1] = points[0] + 1e-9
+    return points
+
+
+CLOUDS = {
+    "N=2 D=1": lambda: np.random.default_rng(140).standard_normal((2, 1)),
+    "near-duplicate pair": lambda: _near_duplicate(np.random.default_rng(141)),
+    "stall 5x3": lambda: np.random.default_rng(150).standard_normal((5, 3)),
+    "two clusters 24x3": lambda: _two_clusters(np.random.default_rng(142)),
+}
+
+STATIONARY = ("--mu-plus", "stationary", "--mu-minus", "stationary")
+
+# (command, flags before the weights, flags after them, whether the weight
+# file is optional): the weights sit where the cli_emit rotation puts them,
+# so a form's argv is a rotation command's argv exactly when it is that command
+FORMS = (
+    ("dmap", (), (), True),
+    ("kernel", (), (), True),
+    ("attention", (), (), True),
+    ("attention", ("--direction", "bwd"), (), True),
+    ("attention", ("--bistochastic",), (), True),
+    ("attention", ("--format", "json"), (), True),
+    ("bridge", ("--kernel", "rbf"), ("--mu-plus", "{mu_plus}", "--mu-minus", "{mu_minus}"), True),
+    ("bridge", ("--kernel", "rbf"), STATIONARY, True),
+    ("bridge", ("--kernel", "attention"), STATIONARY, True),
+    ("classify", ("--kernel", "rbf"), STATIONARY, True),
+    ("classify", ("--kernel", "attention"), STATIONARY, True),
+    ("magnetic", (), (), False),
+    ("embed", (), (), True),
+    ("verify", (), (), None),
+)
+
+
+def form_argvs():
+    """Every argv template: each form with the weight file, and without it
+    where the weights are optional or not taken."""
+    for command, lead, trail, optional in FORMS:
+        variants = {None: [()], True: [(), ("--weights", "{weights}")],
+                    False: [("--weights", "{weights}")]}[optional]
+        for weights in variants:
+            yield (command, *lead, *weights, *trail, "--input", "{cloud}")
+
+
+ORACLES = {command.argv: command for command in workloads.EMIT_ROTATION}
+
+
+def write_inputs(points, work):
+    """The cloud, a D x D weight matrix and two CSV marginals, seeded by N."""
+    n, d = points.shape
+    rng = np.random.default_rng(n)
+    files = {"cloud": work / "cloud.csv", "weights": work / "weights.csv",
+             "mu_plus": work / "mu_plus.csv", "mu_minus": work / "mu_minus.csv"}
+    workloads.write_csv(files["cloud"], points)
+    workloads.write_csv(files["weights"], workloads.interaction_weights(rng, d))
+    mu_plus, mu_minus = workloads.drifted_marginals(rng, n)
+    workloads.write_csv(files["mu_plus"], mu_plus)
+    workloads.write_csv(files["mu_minus"], mu_minus)
+    return files
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from _numbers(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, float):
+        yield value
+
+
+def non_finite_output(out_dir):
+    """The first output file holding a non-finite number, or None."""
+    for path in sorted(out_dir.iterdir()):
+        text = path.read_text()
+        try:
+            if path.suffix == ".json":
+                numbers = _numbers(json.loads(text, parse_constant=_reject_constant))
+            else:
+                numbers = (float(cell) for cell in text.replace("\n", ",").split(",") if cell)
+            if not all(math.isfinite(x) for x in numbers):
+                return path.name
+        except ValueError:
+            return path.name
+    return None
+
+
+def run(argv):
+    """(exit code, stderr, traceback or None) of one in-process command."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    except Exception:  # any escape from main is a finding
+        return None, stderr.getvalue(), traceback.format_exc()
+    return code, stderr.getvalue(), None
+
+
+def main() -> int:
+    warnings.simplefilter("error", RuntimeWarning)
+    templates = list(form_argvs())
+    missing = set(ORACLES) - set(templates)
+    if missing:
+        print(f"FAIL: cli_emit commands outside the sweep: {sorted(missing)}")
+        return 1
+    exits = Counter()
+    findings = []
+    oracle_checks = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, (cloud_name, make) in enumerate(CLOUDS.items()):
+            work = Path(tmp) / f"cloud{index}"
+            work.mkdir()
+            files = write_inputs(make(), work)
+            for template in templates:
+                argv = [arg.format(**{k: str(v) for k, v in files.items()}) for arg in template]
+                for beta in BETAS:
+                    out_dir = Path(tempfile.mkdtemp(dir=tmp))
+                    code, stderr, trace = run([*argv, "--beta", beta, "--out-dir", str(out_dir)])
+                    exits["traceback" if trace else f"exit {code}"] += 1
+                    label = f"{cloud_name}: {' '.join(template)} --beta {beta}"
+                    if trace is not None:
+                        findings.append(f"{label}: traceback\n{trace}")
+                    elif code in (2, 3):
+                        if not stderr.startswith("error: "):
+                            findings.append(f"{label}: exit {code} without an error line")
+                    elif code != 0:
+                        findings.append(f"{label}: exit {code}\n{stderr}")
+                    elif (bad := non_finite_output(out_dir)) is not None:
+                        findings.append(f"{label}: non-finite number in {bad}")
+                    elif beta == "auto" and template in ORACLES:
+                        oracle_checks += 1
+                        if not workloads.outputs_match(out_dir, ORACLES[template].expect(files)):
+                            findings.append(f"{label}: output differs from the library oracle")
+    runs = sum(exits.values())
+    ends = ", ".join(f"{end} {count}" for end, count in sorted(exits.items()))
+    print(f"{runs} runs over {len(CLOUDS)} clouds, {len(templates)} forms and "
+          f"{len(BETAS)} betas: {ends}")
+    print(f"{oracle_checks} cli_emit outputs compared with their library oracle")
+    for finding in findings:
+        print(f"FINDING: {finding}")
+    return int(bool(findings))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -90,10 +90,10 @@ FINITE_CHECKS = {
                      "logits must be finite (masking with -inf is unsupported)"),
     "sinkhorn": (_LOGITS, sinkhorn, "logits must be finite (masking with -inf is unsupported)"),
     "rbf_kernel": (_D2, lambda m: rbf_kernel(m, 1.0),
-                   "squared distances contain non-finite entries"),
-    "dmap": (_D2, lambda m: dmap(m, 1.0), "squared distances contain non-finite entries"),
+                   "squared-distance matrix contains non-finite entries"),
+    "dmap": (_D2, lambda m: dmap(m, 1.0), "squared-distance matrix contains non-finite entries"),
     "dmap_bistochastic": (_D2, lambda m: dmap_bistochastic(m, 1.0),
-                          "squared distances contain non-finite entries"),
+                          "squared-distance matrix contains non-finite entries"),
     "GramMatrix": (_GRAM, GramMatrix, "gram values contains non-finite entries"),
     "Bidivergence": (_FWD, Bidivergence, "forward divergence contains non-finite entries"),
     "DataCloud": (_POINTS, DataCloud, "points contains non-finite entries"),
@@ -102,7 +102,7 @@ FINITE_CHECKS = {
     "HermitianPartition": (np.eye(3), lambda m: HermitianPartition(m, np.zeros((3, 3))),
                            "symmetric part contains non-finite entries"),
     "ComplexOperator phases": (np.zeros((N, N)), lambda m: ComplexOperator(
-        StochasticOperator(_UNIFORM, "row"), m), "phases contain non-finite entries"),
+        StochasticOperator(_UNIFORM, "row"), m), "phase field contains non-finite entries"),
     # the planted cells lie on the diagonal, where a NaN or inf leaves the
     # Hermiticity gap NaN rather than large
     "decompose": (_KERNEL, lambda m: decompose(m, _MU),
@@ -120,6 +120,49 @@ def test_non_finite_cell_is_rejected(check, where, value):
     with pytest.raises(ValueError) as excinfo:
         build(bad)
     assert str(excinfo.value) == message
+
+
+# each matrix input the shape gate serves: (clean matrix, constructor, the
+# name its messages use, whether it must be square)
+SHAPE_CHECKS = {
+    "DataCloud": (_POINTS, DataCloud, "points", False),
+    "InteractionWeights": (np.eye(3), InteractionWeights, "weight matrix", True),
+    "from_factors query": (np.eye(3), lambda m: InteractionWeights.from_factors(m, np.eye(3)),
+                           "query factor", False),
+    "from_factors key": (np.eye(3), lambda m: InteractionWeights.from_factors(np.eye(3), m),
+                         "key factor", False),
+    "HermitianPartition symmetric": (np.eye(3), lambda m: HermitianPartition(
+        m, np.zeros((3, 3))), "symmetric part", True),
+    "HermitianPartition antisymmetric": (np.zeros((3, 3)), lambda m: HermitianPartition(
+        np.eye(3), m), "antisymmetric part", True),
+    "GramMatrix": (_GRAM, GramMatrix, "gram values", True),
+    "Bidivergence": (_FWD, Bidivergence, "forward divergence", True),
+    "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0), "kernel", True),
+    "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU), "kernel", True),
+    "solve_bridge": (_KERNEL, lambda m: solve_bridge(m, _MU, _MU), "kernel", True),
+    "rbf_kernel": (_D2, lambda m: rbf_kernel(m, 1.0), "squared-distance matrix", True),
+    "dmap": (_D2, lambda m: dmap(m, 1.0), "squared-distance matrix", True),
+    "dmap_bistochastic": (_D2, lambda m: dmap_bistochastic(m, 1.0),
+                          "squared-distance matrix", True),
+    "ComplexOperator phases": (np.zeros((N, N)), lambda m: ComplexOperator(
+        StochasticOperator(_UNIFORM, "row"), m), "phase field", False),
+}
+
+# positive entries, so that only the shape is wrong
+BAD_SHAPES = {"1-D": np.ones(3), "3-D": np.ones((2, 2, 2)), "2x3": np.ones((2, 3))}
+
+
+@pytest.mark.parametrize("check, case", [
+    (check, case) for check, (*_, square) in SHAPE_CHECKS.items()
+    for case in BAD_SHAPES if square or case != "2x3"])
+def test_bad_matrix_shape_is_rejected(check, case):
+    clean, build, name, square = SHAPE_CHECKS[check]
+    build(clean)  # the clean input passes
+    bad = BAD_SHAPES[case]
+    with pytest.raises(ValueError) as excinfo:
+        build(bad)
+    shape = "square" if square else "2-D"
+    assert str(excinfo.value) == f"{name} must be a {shape} matrix, got shape {bad.shape}"
 
 
 def _row_operator(m):
@@ -317,11 +360,12 @@ class TestOrderOfChecks:
 
     def test_squared_distances_finite_before_symmetry(self):
         bad = planted(planted(_D2, (0, 1), 7.0), (3, 2), -np.inf)
-        with pytest.raises(ValueError, match="squared distances contain non-finite entries"):
+        with pytest.raises(ValueError,
+                           match="squared-distance matrix contains non-finite entries"):
             rbf_kernel(bad, 1.0)
 
     def test_schrodinger_square_before_kernel_before_marginals(self):
-        with pytest.raises(ValueError, match="kernel must be square"):
+        with pytest.raises(ValueError, match="kernel must be a square matrix"):
             schrodinger_solve(np.full((2, 3), np.nan), _MU, _MU)
         with pytest.raises(ValueError, match="kernel must be strictly positive and finite"):
             schrodinger_solve(planted(_KERNEL, (2, 2), np.nan), np.zeros(N), _MU)

@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from markovgeom.bridges import solve_bridge, stationary_distribution
+from markovgeom.bridges import classify_regime, solve_bridge, stationary_distribution
 from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
 from markovgeom.normalize import StochasticOperator, sinkhorn, softmax_rows
 from markovgeom.operators import attention_forward, dmap, dmap_bistochastic, rbf_kernel
@@ -37,9 +37,11 @@ CHAINS = {
     "reversibility": dmap(_D2, 8.0 * _BETA),
     "direct": StochasticOperator(_BLOCKS / _BLOCKS.sum(axis=1, keepdims=True), "row"),
 }
+_PI = stationary_distribution(CHAINS["Doeblin"])
 
 # (call, bound in units of N^2 doubles); the peak each reached: 1.11, 2.10,
-# 1.10, 1.10, 1.04, 1.30, 0.03, 0.11 and 1.12
+# 1.10, 1.10, 1.04, 1.30, 0.03, 0.11, 1.12 and 2.09 (classify_regime holds two
+# n^2 arrays at a time: the flux and the currents, then the currents and |J|)
 PEAKS = {
     "sinkhorn": (lambda: sinkhorn(_Z), 1.2),
     "solve_bridge": (lambda: solve_bridge(_KERNEL, _MU_PLUS, _MU_MINUS), 2.2),
@@ -50,6 +52,7 @@ PEAKS = {
     "stationary_doeblin": (lambda: stationary_distribution(CHAINS["Doeblin"]), 0.1),
     "stationary_reversible": (lambda: stationary_distribution(CHAINS["reversibility"]), 0.2),
     "stationary_lu": (lambda: stationary_distribution(CHAINS["direct"]), 1.2),
+    "classify_regime": (lambda: classify_regime(CHAINS["Doeblin"], _PI, _PI), 2.2),
 }
 
 
