@@ -32,6 +32,7 @@ from .geometry import (
     DataCloud,
     GramMatrix,
     InteractionWeights,
+    _finite_matrix,
     _gram_phases,
     _validate_beta,
     bidivergence,
@@ -101,38 +102,24 @@ def _parse_cells(path, row_no: int, cells: list[str]) -> list[float]:
 def load_matrix(path, skip_header: bool = False) -> np.ndarray:
     """Parse a CSV of finite reals; errors carry the row/column location.
 
-    Row numbers refer to data rows (a skipped header does not count).  Each
-    row is parsed in one pass; only a row that fails it, or whose sum is not
-    finite, is rescanned cell by cell to locate the error.
+    Row numbers refer to data rows (a skipped header and blank lines do not
+    count).  Every cell is converted in one numpy call, which reads a string
+    as ``float`` does; only a file that fails it or the finiteness gate is
+    walked row by row to name its first bad row.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if skip_header and lines:
-        lines = lines[1:]
-    rows: list[list[float]] = []
-    row_no = 0
-    for line in lines:
-        if not line.strip():
-            continue
-        row_no += 1
-        cells = line.split(",")
-        try:
-            values = list(map(float, cells))
-        except ValueError:
-            values = None
-        # a non-finite cell makes the sum non-finite; an overflowing sum of
-        # finite cells only costs a rescan
-        if values is None or not math.isfinite(sum(values)):
-            values = _parse_cells(path, row_no, cells)
-        if rows and len(values) != len(rows[0]):
-            raise ValueError(
-                f"{path}: row {row_no}: expected {len(rows[0])} columns, "
-                f"got {len(values)}"
-            )
-        rows.append(values)
+    lines = Path(path).read_text().splitlines()[1 if skip_header else 0:]
+    rows = [line.split(",") for line in lines if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty file")
-    return np.array(rows, dtype=float)
+    try:
+        return _finite_matrix(np.array(rows, dtype=float), str(path))[0]
+    except ValueError:
+        for row_no, cells in enumerate(rows, start=1):
+            _parse_cells(path, row_no, cells)
+            if len(cells) != len(rows[0]):
+                raise ValueError(f"{path}: row {row_no}: expected {len(rows[0])} columns, "
+                                 f"got {len(cells)}") from None
+        raise
 
 
 def load_cloud(path, skip_header: bool = False) -> DataCloud:
@@ -754,7 +741,12 @@ def _run(args) -> int:
         _validate_max_iter(args.max_iter)
     geo = _load_geometry(args)
     beta = _resolve_beta(args.beta, geo.d2)
-    outcome = args.func(args, geo, beta)
+    try:
+        outcome = args.func(args, geo, beta)
+    except ConvergenceError as exc:
+        budget = " or raise --max-iter" if hasattr(args, "max_iter") else ""
+        raise ConvergenceError(f"{exc} at beta={beta:g}: reduce --beta{budget}",
+                               exc.residual, exc.iterations) from exc
     report = {"command": args.command, "config": _config_echo(args, beta)}
     if args.command == "verify":
         report.update(outcome.results)

@@ -61,8 +61,10 @@ def _validate_logits(z, *, square: bool = False, axis: int = 1):
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError(f"logits must be 2-D, got shape {z.shape}")
+    if not z.size:
+        raise ValueError("logits must be non-empty")
     top = z.max(axis=axis, keepdims=True)
-    if not (np.isfinite(top).all() and (z.size == 0 or np.isfinite(z.min()))):
+    if not (np.isfinite(top).all() and np.isfinite(z.min())):
         raise ValueError("logits must be finite (masking with -inf is unsupported)")
     if square and z.shape[0] != z.shape[1]:
         raise ValueError(f"square logits required, got shape {z.shape}")
@@ -122,9 +124,11 @@ class StochasticOperator:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError(f"operator must be 2-D, got shape {vals.shape}")
+        if not vals.size:
+            raise ValueError("operator must be non-empty")
         if self.kind not in VALID_KINDS:
             raise ValueError(f"kind must be one of {VALID_KINDS}, got {self.kind!r}")
-        low = vals.min() if vals.size else 0.0
+        low = vals.min()
         tagged = ("row", "column") if self.kind == "bi" else (self.kind,)
         with np.errstate(over="ignore"):  # an overflowing sum fails its check below
             sums = {name: vals.sum(axis=1 if name == "row" else 0) for name in tagged}

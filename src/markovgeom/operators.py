@@ -117,6 +117,8 @@ def _gaussian_logits(d2, beta: float):
     exact d2 is returned as given."""
     beta = _validate_beta(beta)
     d2, low, high = _finite_matrix(d2, "squared-distance matrix", square=True)
+    if not d2.size:
+        raise ValueError("squared-distance matrix must be non-empty")
     scale = max(1.0, -low, high)
     gap = _max_hermitian_gap(d2)
     if gap > 1e-12 * scale:

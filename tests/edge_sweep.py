@@ -5,7 +5,8 @@ command takes one) at beta auto, 1e-9, 1e3 and 1e6 on four seeded edge
 clouds: N=2 with D=1, four points with a pair 1e-9 apart, the
 ``default_rng(150)`` 5 x 3 cloud on which plain scaling sweeps stall, and a
 24 x 3 two-cluster cloud.  A run passes if it exits 0 with every number in
-its output files finite, or exits 2 or 3 with stderr starting ``error: ``.
+its output files finite, or exits 2 or 3 with stderr starting ``error: ``
+(an exit 3 must also name the ``beta=`` it stalled at).
 At beta auto, a form that is one of the ``cli_emit`` benchmark commands must
 also write what that command's library oracle in ``perfbench/workloads.py``
 computes, bit for bit.  A traceback, exit 1 (``verify`` included) or a
@@ -175,6 +176,8 @@ def main() -> int:
                     elif code in (2, 3):
                         if not stderr.startswith("error: "):
                             findings.append(f"{label}: exit {code} without an error line")
+                        elif code == 3 and "beta=" not in stderr:
+                            findings.append(f"{label}: exit 3 names no beta")
                     elif code != 0:
                         findings.append(f"{label}: exit {code}\n{stderr}")
                     elif (bad := non_finite_output(out_dir)) is not None:

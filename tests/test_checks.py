@@ -42,6 +42,7 @@ from markovgeom.operators import (
     ComplexOperator,
     KernelMatrix,
     attention_backward,
+    attention_forward,
     dmap,
     dmap_bistochastic,
     rbf_kernel,
@@ -327,6 +328,39 @@ def test_empty_state_vectors_keep_their_decisions():
     with pytest.raises(ValueError) as excinfo:
         schrodinger_solve(np.empty((0, 0)), empty, empty)
     assert str(excinfo.value) == "mu_plus must sum to 1 (got 0.0)"
+
+
+_SQUARE_D2 = "squared-distance matrix must be a square matrix, got shape {}"
+_LOGITS_EMPTY = "logits must be non-empty"
+_OPERATOR_EMPTY = "operator must be non-empty"
+
+# each constructor that refuses an empty matrix: (call, its message for a
+# 0x0 matrix, its message for a 0x3 or 3x0 one, where {} is the shape)
+EMPTY_CHECKS = {
+    "rbf_kernel": (lambda m: rbf_kernel(m, 1.0),
+                   "squared-distance matrix must be non-empty", _SQUARE_D2),
+    "dmap": (lambda m: dmap(m, 1.0), "squared-distance matrix must be non-empty", _SQUARE_D2),
+    "dmap_bistochastic": (lambda m: dmap_bistochastic(m, 1.0),
+                          "squared-distance matrix must be non-empty", _SQUARE_D2),
+    # a bidivergence may be empty; its row softmax may not
+    "attention_forward": (lambda m: attention_forward(Bidivergence(m), 1.0), _LOGITS_EMPTY,
+                          "forward divergence must be a square matrix, got shape {}"),
+    "softmax_rows": (softmax_rows, _LOGITS_EMPTY, _LOGITS_EMPTY),
+    "softmax_cols": (softmax_cols, _LOGITS_EMPTY, _LOGITS_EMPTY),
+    "sinkhorn": (sinkhorn, _LOGITS_EMPTY, _LOGITS_EMPTY),
+    **{f"operator-{kind}": (lambda m, kind=kind: StochasticOperator(m, kind),
+                            _OPERATOR_EMPTY, _OPERATOR_EMPTY)
+       for kind in ("row", "column", "bi")},
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+@pytest.mark.parametrize("check", list(EMPTY_CHECKS))
+def test_empty_matrix_is_rejected(check, shape):
+    build, square, non_square = EMPTY_CHECKS[check]
+    with pytest.raises(ValueError) as excinfo:
+        build(np.empty(shape))
+    assert str(excinfo.value) == (square if shape == (0, 0) else non_square.format(shape))
 
 
 class TestOrderOfChecks:

@@ -116,6 +116,64 @@ class TestLoadMatrix:
         path.write_text("1e308,1e308\n-1e308,-1e308\n")
         np.testing.assert_array_equal(load_matrix(path), [[1e308, 1e308], [-1e308, -1e308]])
 
+    # every ingest decision, as (text, the matrix it reads as or the message
+    # it raises after "<path>: "); a cell is what Python's float reads, and
+    # must be finite
+    INGEST = {
+        "underscores": ("1_000,2\n", [[1000.0, 2.0]]),
+        "non-ASCII digits": ("١٢,3\n", [[12.0, 3.0]]),
+        "NBSP and tab padding": ("\xa01\t,\t2\xa0\n", [[1.0, 2.0]]),
+        "explicit signs": ("+1,-0\n", [[1.0, -0.0]]),
+        "subnormals": ("1e-320,5e-324\n", [[1e-320, 5e-324]]),
+        "bare points": (".5,5.\n", [[0.5, 5.0]]),
+        "overflowing row sum": ("1e308,1e308\n-1e308,-1e308\n",
+                                [[1e308, 1e308], [-1e308, -1e308]]),
+        "CRLF": ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "form feed breaks a line": ("1,2\x0c3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "blank lines": ("\n1,2\n \t\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]]),
+        "overflow to inf": ("1e400,1\n", "row 1, column 1: non-finite value"),
+        "infinity": ("1,infinity\n", "row 1, column 2: non-finite value"),
+        "hex": ("0x10,1\n", "row 1, column 1: not a number: '0x10'"),
+        "Fortran exponent": ("1d3,2\n", "row 1, column 1: not a number: '1d3'"),
+        "trailing comma": ("1,2,\n", "row 1, column 3: not a number: ''"),
+        "leading BOM": ("\ufeff1,2\n", "row 1, column 1: not a number: '\\ufeff1'"),
+        "no data": ("", "empty file"),
+        "blank only": ("\n \n", "empty file"),
+        "short row": ("1,2\n3\n", "row 2: expected 2 columns, got 1"),
+        "long row": ("1,2\n3,4,5\n", "row 2: expected 2 columns, got 3"),
+        "ragged before junk": ("1,2\n3\n4,x\n", "row 2: expected 2 columns, got 1"),
+        "counted against row 1": ("1,2,3\n4,5\nx\n", "row 2: expected 3 columns, got 2"),
+        "non-finite before junk": ("1,inf\nx,2\n", "row 1, column 2: non-finite value"),
+        "junk before inf": ("1,x,inf\n", "row 1, column 2: not a number: 'x'"),
+        "-inf before junk": ("1,-inf,x\n", "row 1, column 2: non-finite value"),
+        "nan": ("nan,2\n", "row 1, column 1: non-finite value"),
+        "bad cell before count": ("1,2\n3,x,5\n", "row 2, column 2: not a number: 'x'"),
+        "blank lines uncounted": ("1,2\n\n  \n3, y \n", "row 2, column 2: not a number: 'y'"),
+        "empty cell": ("1,2\n3,\n", "row 2, column 2: not a number: ''"),
+        "nan in a later row": ("1,2\n3,4\n5,NaN\n", "row 3, column 2: non-finite value"),
+        "one cell": ("7\n", [[7.0]]),
+    }
+
+    # the header a skip_header file starts with; its BOM goes with it
+    HEADER = "\ufeffx,y\n"
+
+    @pytest.mark.parametrize("skip_header", [False, True])
+    @pytest.mark.parametrize("case", list(INGEST))
+    def test_ingest_decision(self, tmp_path, case, skip_header):
+        text, expected = self.INGEST[case]
+        path = tmp_path / "in.csv"
+        path.write_text(self.HEADER + text if skip_header else text)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as excinfo:
+                load_matrix(path, skip_header=skip_header)
+            assert str(excinfo.value) == f"{path}: {expected}"
+            return
+        out = load_matrix(path, skip_header=skip_header)
+        want = np.array(expected, dtype=float)
+        # bytes, so that -0.0 and subnormals count
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
+
 
 class TestLoadMarginal:
     def test_valid_vector(self, tmp_path):
@@ -836,7 +894,7 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "--weights" in capsys.readouterr().err
 
-    def test_nonconvergence_exit_code(self, tmp_path, cloud_csv, marginal_csv):
+    def test_nonconvergence_exit_code(self, tmp_path, cloud_csv, marginal_csv, capsys):
         cloud_path, _ = cloud_csv
         mu_path, _ = marginal_csv
         code = main([
@@ -845,6 +903,31 @@ class TestExitCodes:
             "--out-dir", str(tmp_path), "--tol", "1e-14", "--max-iter", "1",
         ])
         assert code == EXIT_NO_CONVERGENCE
+        # bridge takes --max-iter, so the message offers it after beta
+        err = capsys.readouterr().err
+        assert err.startswith("error: scaling stalled at residual ")
+        assert err.endswith(" after 1 iterations at beta=1: reduce --beta or raise --max-iter\n")
+
+    @pytest.mark.parametrize("command, target", [
+        (["classify", "--kernel", "attention", "--mu-plus", "stationary",
+          "--mu-minus", "stationary"], "markovgeom.bridges.stationary_distribution"),
+        (["verify"], "markovgeom.verify.run_identity_checks"),
+    ])
+    def test_nonconvergence_without_budget_names_beta_only(self, tmp_path, cloud_csv, capsys,
+                                                           monkeypatch, command, target):
+        # neither command takes --max-iter, so the message must not offer it
+        def stall(*args, **kwargs):
+            raise cli.ConvergenceError("stalled", 0.5, 7)
+
+        monkeypatch.setattr(target, stall)
+        cloud_path, _ = cloud_csv
+        argv = [*command, "--input", str(cloud_path), "--beta", "0.25",
+                "--out-dir", str(tmp_path)]
+        assert main(argv) == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == "error: stalled at beta=0.25: reduce --beta\n"
+        with pytest.raises(cli.ConvergenceError) as excinfo:
+            cli._run(cli.build_parser().parse_args(argv))
+        assert (excinfo.value.residual, excinfo.value.iterations) == (0.5, 7)
 
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == EXIT_OK
