@@ -19,10 +19,10 @@ import numpy as np
 
 from .geometry import Bidivergence, _validate_beta, squared_distance
 from .normalize import (
-    ConvergenceError,
     ScalingPotentials,
     StochasticOperator,
     _chain_values,
+    _held_to_tol,
     _marginal_violation,
     _state_vector,
     _validate_tol,
@@ -110,8 +110,9 @@ def solve_bridge(
 ) -> BridgeSolution:
     """Solve the one-step bridge over a strictly positive reference kernel.
 
-    The returned coupling has row sums mu_plus and column sums mu_minus within
-    ``tol``, and its forward operator propagates mu_plus to mu_minus.
+    The returned coupling's own row and column sums are mu_plus and mu_minus
+    within ``tol``, else ``ConvergenceError``; its forward operator (rows
+    summing to 1 within tol / mu_plus) propagates mu_plus to mu_minus.
     """
     k = np.asarray(kernel, dtype=float)
     potentials = schrodinger_solve(k, mu_plus, mu_minus, tol=tol, max_iter=max_iter)
@@ -119,10 +120,9 @@ def solve_bridge(
     mu_minus = np.asarray(mu_minus, dtype=float)
     coupling = np.multiply(k, potentials.u[:, None])
     coupling *= potentials.v
-    # row sums equal mu_plus only to the solver residual, so loosen the
-    # construction sanity bound accordingly for small marginal entries
-    check_tol = max(1e-6, 10.0 * tol / float(mu_plus.min()))
-    forward = StochasticOperator(coupling / mu_plus[:, None], "row", check_tol=check_tol)
+    _held_to_tol(_marginal_violation(coupling, mu_plus, mu_minus), tol,
+                 potentials.iterations, "bridge coupling misses tol: residual")
+    forward = StochasticOperator(coupling / mu_plus[:, None], "row", check_tol=np.inf)
     return BridgeSolution(coupling, potentials, mu_plus, mu_minus, forward)
 
 
@@ -332,13 +332,8 @@ def _direct(values: np.ndarray, tol: float) -> np.ndarray:
             break
         pi += np.linalg.solve(system, residual)
     log.debug("stationary measure: direct solve, refined %s, error bound %.3e", refined, bound)
-    if bound > tol:
-        raise ConvergenceError(
-            f"stationary distribution misses tol after a direct solve: error bound "
-            f"{bound:.3e} > tol {tol:.3e} (inverse norm {inverse_norm:.1e})",
-            residual=bound,
-            iterations=1,
-        )
+    _held_to_tol(bound, tol, 1, f"stationary distribution misses tol after a direct solve "
+                 f"(inverse norm {inverse_norm:.1e}): error bound")
     return np.maximum(pi, 0.0, out=pi)
 
 

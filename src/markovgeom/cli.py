@@ -103,11 +103,12 @@ def load_matrix(path, skip_header: bool = False) -> np.ndarray:
     """Parse a CSV of finite reals; errors carry the row/column location.
 
     Row numbers refer to data rows (a skipped header and blank lines do not
-    count).  Every cell is converted in one numpy call, which reads a string
-    as ``float`` does; only a file that fails it or the finiteness gate is
-    walked row by row to name its first bad row.
+    count); a leading UTF-8 byte-order mark is dropped.  Every cell is
+    converted in one numpy call, which reads a string as ``float`` does; only
+    a file that fails it or the finiteness gate is walked row by row to name
+    its first bad row.
     """
-    lines = Path(path).read_text().splitlines()[1 if skip_header else 0:]
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()[1 if skip_header else 0:]
     rows = [line.split(",") for line in lines if line.strip()]
     if not rows:
         raise ValueError(f"{path}: empty file")

@@ -39,6 +39,8 @@ _RATE_SPREAD = 1.1
 _OMEGA_MAX = 1.5
 # a re-estimated omega replaces the current one only when larger by this factor
 _OMEGA_STEP = 1.02
+# rows per block of the symmetric outer-product scaling u_i u_j
+_ROW_BLOCK = 32
 
 
 class ConvergenceError(RuntimeError):
@@ -106,7 +108,7 @@ class StochasticOperator:
     """Nonnegative matrix tagged by its normalization: rows, columns, or both.
 
     ``check_tol`` is only a construction-time sanity bound on the tagged sums;
-    the precise residual contracts belong to the solvers that build operators.
+    a solver passes inf and holds the measured ``residuals`` to its own tol.
     Construction reads the matrix once for its minimum and once per tagged
     axis for its sums: a NaN or -inf reaches the minimum and a +inf the sums,
     so an entrywise finiteness scan runs only when one of them is not finite,
@@ -309,6 +311,14 @@ class _Scaling(NamedTuple):
     residual: float
 
 
+def _held_to_tol(residual: float, tol: float, iterations: int, lead: str) -> None:
+    """The one tol test of every solver: ``ConvergenceError``, its message
+    ``lead`` and the numbers, unless ``residual`` is within tol (NaN is not)."""
+    if not residual <= tol:
+        raise ConvergenceError(f"{lead} {residual:.3e} > tol {tol:.3e} "
+                               f"after {iterations} iterations", residual, iterations)
+
+
 def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling:
     """Scale the positive ``kernel`` K to row sums a and column sums b within
     ``tol`` (sup norm).  ``log_kernel()`` returns log K; it is called only if a
@@ -403,12 +413,24 @@ def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling
                 history = []
     log.debug("scaling stalled: %d sweeps, %d absorptions, omega %.3f, residual %.3e",
               max_iter, absorptions, engaged, residual)
-    raise ConvergenceError(
-        f"scaling stalled at residual {residual:.3e} > tol {tol:.3e} "
-        f"after {max_iter} iterations",
-        residual=residual,
-        iterations=max_iter,
-    )
+    # every sweep missed tol, so this raises
+    _held_to_tol(residual, tol, max_iter, "scaling stalled at residual")
+
+
+def _scaled_operator(found: _Scaling, tol: float, lead: str, symmetric: bool = False):
+    """diag(u) K diag(v) in place on the kernel K the core measured, held to tol
+    by the marginals its construction measures.  ``symmetric`` (u = v) forms
+    K_ij (u_i u_j) a block of rows at a time, so the result is bitwise symmetric."""
+    scaled, u = found.kernel, found.u
+    if symmetric:
+        for lo in range(0, u.shape[0], _ROW_BLOCK):
+            scaled[lo:lo + _ROW_BLOCK] *= np.multiply.outer(u[lo:lo + _ROW_BLOCK], u)
+    else:
+        scaled *= u[:, None]
+        scaled *= found.v
+    operator = StochasticOperator(scaled, "bi", check_tol=np.inf)
+    _held_to_tol(max(operator.residuals.values()), tol, found.sweeps, lead)
+    return operator
 
 
 def _gauged(log_u, log_v, sweeps, residual) -> ScalingPotentials:
@@ -430,8 +452,8 @@ def sinkhorn(
     Parameters
     ----------
     z : square matrix of finite log-scores.
-    tol : convergence threshold on the sup-norm marginal violation
-        max(|row sums - 1|, |column sums - 1|).
+    tol : bound on the returned operator's own sup-norm marginal violation
+        max(|row sums - 1|, |column sums - 1|), else ``ConvergenceError``.
     max_iter : sweep budget; exceeding it raises ``ConvergenceError``.
 
     Returns
@@ -446,13 +468,8 @@ def sinkhorn(
     np.exp(kernel, out=kernel)
     ones = np.ones(z.shape[0])
     found = _scale(kernel, lambda: z - top, ones, ones, tol, max_iter)
-    scaled = found.kernel
-    scaled *= found.u[:, None]
-    scaled *= found.v
-    potentials = _gauged(found.log_u - top[:, 0], found.log_v, found.sweeps, found.residual)
-    # the contract is tol, so the construction bound must not be tighter; the
-    # factor 2 covers rounding between the core's residual and a fresh sum
-    return StochasticOperator(scaled, "bi", check_tol=max(1e-6, 2.0 * tol)), potentials
+    operator = _scaled_operator(found, tol, "bistochastic operator misses tol: residual")
+    return operator, _gauged(found.log_u - top[:, 0], found.log_v, found.sweeps, found.residual)
 
 
 def schrodinger_solve(

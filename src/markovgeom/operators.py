@@ -14,10 +14,10 @@ import numpy as np
 
 from .geometry import Bidivergence, _finite_matrix, _tile_pairs, _validate_beta
 from .normalize import (
-    ConvergenceError,
     StochasticOperator,
     _chain_values,
     _scale,
+    _scaled_operator,
     _softmax,
     sinkhorn,
 )
@@ -83,10 +83,6 @@ def _polar(magnitude, theta: np.ndarray) -> np.ndarray:
     out.real *= magnitude  # numpy skips the write-back of a view onto itself
     out.imag *= magnitude
     return out
-
-
-# rows per block of the symmetric outer-product scaling in dmap_bistochastic
-_ROW_BLOCK = 32
 
 
 def _max_hermitian_gap(matrix: np.ndarray, antisymmetric: bool = False) -> float:
@@ -242,22 +238,8 @@ def dmap_bistochastic(
     np.exp(kernel, out=kernel)
     ones = np.ones(kernel.shape[0])
     found = _scale(kernel, lambda: d2 * -beta - top, ones, ones, tol, max_iter, symmetric=True)
-    scaled, u = found.kernel, found.u
-    for lo in range(0, u.shape[0], _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        scaled[rows] *= np.multiply.outer(u[rows], u)
-    # the sums are held to tol just below, as a ConvergenceError, so the
-    # construction bound must not refuse them first
-    operator = StochasticOperator(scaled, "bi", check_tol=np.inf)
-    residual = max(operator.residuals.values())
-    if residual > tol:
-        raise ConvergenceError(
-            f"symmetrized bistochastic operator misses tol: residual {residual:.3e} "
-            f"> tol {tol:.3e} after {found.sweeps} iterations",
-            residual=residual,
-            iterations=found.sweeps,
-        )
-    return operator
+    return _scaled_operator(found, tol, "symmetrized bistochastic operator misses tol: residual",
+                            symmetric=True)
 
 
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:

@@ -4,9 +4,12 @@ Each command form runs with and without a D x D weight file (where the
 command takes one) at beta auto, 1e-9, 1e3 and 1e6 on four seeded edge
 clouds: N=2 with D=1, four points with a pair 1e-9 apart, the
 ``default_rng(150)`` 5 x 3 cloud on which plain scaling sweeps stall, and a
-24 x 3 two-cluster cloud.  A run passes if it exits 0 with every number in
-its output files finite, or exits 2 or 3 with stderr starting ``error: ``
-(an exit 3 must also name the ``beta=`` it stalled at).
+24 x 3 two-cluster cloud.  ``attention --bistochastic`` and ``bridge`` also
+run at ``--tol 1e-15``, where rounding alone can miss tol.  A run passes if
+it exits 0 with every number in its output files finite and, for a command
+that takes ``--tol``, every marginal residual of its report (``*_sum_residual``
+and ``marginal_residual``) within that tol; or if it exits 2 or 3 with stderr
+starting ``error: `` (an exit 3 must also name the ``beta=`` it stalled at).
 At beta auto, a form that is one of the ``cli_emit`` benchmark commands must
 also write what that command's library oracle in ``perfbench/workloads.py``
 computes, bit for bit.  A traceback, exit 1 (``verify`` included) or a
@@ -68,8 +71,11 @@ FORMS = (
     ("attention", (), (), True),
     ("attention", ("--direction", "bwd"), (), True),
     ("attention", ("--bistochastic",), (), True),
+    ("attention", ("--bistochastic", "--tol", "1e-15"), (), True),
     ("attention", ("--format", "json"), (), True),
     ("bridge", ("--kernel", "rbf"), ("--mu-plus", "{mu_plus}", "--mu-minus", "{mu_minus}"), True),
+    ("bridge", ("--kernel", "rbf", "--tol", "1e-15"),
+     ("--mu-plus", "{mu_plus}", "--mu-minus", "{mu_minus}"), True),
     ("bridge", ("--kernel", "rbf"), STATIONARY, True),
     ("bridge", ("--kernel", "attention"), STATIONARY, True),
     ("classify", ("--kernel", "rbf"), STATIONARY, True),
@@ -138,6 +144,19 @@ def non_finite_output(out_dir):
     return None
 
 
+def residual_over_tol(out_dir, command):
+    """The first marginal residual of the report that exceeds the command's
+    --tol, as "name value > tol", or None (also for a command without --tol)."""
+    report = json.loads((out_dir / f"{command}_report.json").read_text())
+    tol = report["config"].get("tol")
+    if tol is None:
+        return None
+    for name, value in report["results"].items():
+        if (name.endswith("_sum_residual") or name == "marginal_residual") and not value <= tol:
+            return f"{name} {value!r} > tol {tol!r}"
+    return None
+
+
 def run(argv):
     """(exit code, stderr, traceback or None) of one in-process command."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -182,6 +201,8 @@ def main() -> int:
                         findings.append(f"{label}: exit {code}\n{stderr}")
                     elif (bad := non_finite_output(out_dir)) is not None:
                         findings.append(f"{label}: non-finite number in {bad}")
+                    elif (over := residual_over_tol(out_dir, template[0])) is not None:
+                        findings.append(f"{label}: {over}")
                     elif beta == "auto" and template in ORACLES:
                         oracle_checks += 1
                         if not workloads.outputs_match(out_dir, ORACLES[template].expect(files)):

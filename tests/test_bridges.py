@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from markovgeom import bridges
 from markovgeom.bridges import (
     attention_bridge,
     attention_gauge,
@@ -284,6 +285,49 @@ class TestStationaryDistribution:
         p = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")
         pi = stationary_distribution(p, tol=1e-14)
         np.testing.assert_allclose(pi, [5.0 / 6.0, 1.0 / 6.0], atol=1e-12)
+
+    @staticmethod
+    def _cycle(t0, t1, t2):
+        """A three-state cycle with halves on and next to the diagonal and a
+        small entry in each column, so Doeblin's alpha is their sum."""
+        return np.array([[0.5, 0.5, t0], [t1, 0.5, 0.5], [0.5, t2, 0.5]])
+
+    @pytest.mark.parametrize("exit_taken", ["alpha <= 0", "reachable <= 0", "ratio floor",
+                                            "one state"])
+    def test_early_exits_fall_through_to_a_certified_rung(self, exit_taken, caplog):
+        # each chain leaves a cheap rung at one of its early exits; the rung
+        # that answers must still be within tol of the GTH point
+        if exit_taken == "alpha <= 0":
+            # rows 1e-7 above 1 outweigh column minima summing to 3e-9
+            values = self._cycle(1e-9, 1e-9, 1e-9) + 1e-7 * np.eye(3)
+            tol = 1e-6
+            assert values.min(axis=0).sum() < (values.sum(axis=1) - 1.0).sum()
+        elif exit_taken == "reachable <= 0":
+            # rows 1e-7 short of 1: that defect alone exceeds 2 alpha tol
+            values = np.random.default_rng(3).uniform(0.5, 1.5, (5, 5))
+            values /= values.sum(axis=1, keepdims=True)
+            values *= 1.0 - 1e-7
+            tol = 1e-8
+            assert 2.0 * values.min(axis=0).sum() * tol < 1e-7
+        elif exit_taken == "ratio floor":
+            # P_02 / P_20 = 2e-310, far below 2^-1000; column minima of about
+            # 2e-12 send the Doeblin rung away before its first step
+            values = self._cycle(1e-310, 1e-12, 1e-12)
+            tol = 1e-6
+            assert values[0, 2] / values[2, 0] < 2.0 ** -1000
+        else:
+            # the Doeblin rounding terms alone exceed 3e-16, and no flow
+            # ratio exists to check; the LU bound, eps, meets it
+            values = np.ones((1, 1))
+            tol = 3e-16
+        p = StochasticOperator(values, "row")
+        assert bridges._doeblin(values, values.min(axis=0), tol) is None
+        assert bridges._reversible(values, tol) is None
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"):
+            pi = stationary_distribution(p, tol=tol)
+        [record] = [r.getMessage() for r in caplog.records]
+        assert record.startswith("stationary measure: direct solve")
+        assert np.abs(pi - gth_stationary(values)).max() <= tol
 
     def test_tolerance_below_rounding_raises_from_the_direct_solve(self):
         p = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")

@@ -136,7 +136,9 @@ class TestLoadMatrix:
         "hex": ("0x10,1\n", "row 1, column 1: not a number: '0x10'"),
         "Fortran exponent": ("1d3,2\n", "row 1, column 1: not a number: '1d3'"),
         "trailing comma": ("1,2,\n", "row 1, column 3: not a number: ''"),
-        "leading BOM": ("\ufeff1,2\n", "row 1, column 1: not a number: '\\ufeff1'"),
+        "leading BOM": ("\ufeff1,2\n", [[1.0, 2.0]]),
+        "BOM after the first line": ("1,2\n\ufeff3,4\n",
+                                     "row 2, column 1: not a number: '\\ufeff3'"),
         "no data": ("", "empty file"),
         "blank only": ("\n \n", "empty file"),
         "short row": ("1,2\n3\n", "row 2: expected 2 columns, got 1"),
@@ -154,15 +156,18 @@ class TestLoadMatrix:
         "one cell": ("7\n", [[7.0]]),
     }
 
-    # the header a skip_header file starts with; its BOM goes with it
-    HEADER = "\ufeffx,y\n"
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark, and a
+    # skip_header file with its header line right after it
+    BOM, HEADER = "\ufeff", "x,y\n"
 
     @pytest.mark.parametrize("skip_header", [False, True])
     @pytest.mark.parametrize("case", list(INGEST))
     def test_ingest_decision(self, tmp_path, case, skip_header):
         text, expected = self.INGEST[case]
         path = tmp_path / "in.csv"
-        path.write_text(self.HEADER + text if skip_header else text)
+        if skip_header:
+            text = self.BOM + self.HEADER + text.removeprefix(self.BOM)
+        path.write_text(text)
         if isinstance(expected, str):
             with pytest.raises(ValueError) as excinfo:
                 load_matrix(path, skip_header=skip_header)
@@ -859,6 +864,29 @@ class TestVerifyCommand:
         result = check_attention_bridge(cloud, cli._resolve_beta("auto", d2))
         assert [part["passed"] for part in result.parts] == [True] * 4
         assert result.parts[1]["label"].startswith("a 0.000")
+
+    def test_convergence_error_names_the_check(self, tmp_path, capsys):
+        # two clusters 4 apart at beta=4: C11 cannot certify the stationary
+        # measure of their attention chain to 1e-12, so the suite stops there
+        from markovgeom.verify import run_identity_checks
+
+        points = np.random.default_rng(155).standard_normal((6, 2))
+        points[3:] += 4.0
+        with pytest.raises(cli.ConvergenceError) as excinfo:
+            run_identity_checks(markovgeom.DataCloud(points), 4.0)
+        lead = "check_attention_bridge: stationary distribution misses tol after a direct solve"
+        assert str(excinfo.value).startswith(lead)
+        cause = excinfo.value.__cause__
+        assert str(excinfo.value) == f"check_attention_bridge: {cause}"
+        assert (excinfo.value.residual, excinfo.value.iterations) == (cause.residual, 1)
+        cloud_path = tmp_path / "cloud.csv"
+        write_matrix_csv(cloud_path, points)
+        code = main(["verify", "--input", str(cloud_path), "--beta", "4",
+                     "--out-dir", str(tmp_path / "v")])
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lead}")
+        assert err.endswith(" at beta=4: reduce --beta\n")
 
     def test_rerun_is_byte_identical(self, tmp_path, cloud_csv):
         cloud_path, _ = cloud_csv

@@ -1,13 +1,21 @@
 """Softmax, product of experts, and the stabilized matrix scalers."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
 import scipy.special
 
 from markovgeom.bridges import attention_bridge, solve_bridge, stationary_distribution
-from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
+from markovgeom.geometry import (
+    DataCloud,
+    InteractionWeights,
+    bidivergence,
+    generalized_gram,
+    gram,
+    squared_distance,
+)
 from markovgeom.normalize import (
     ConvergenceError,
     ScalingPotentials,
@@ -320,6 +328,90 @@ class TestLooseTolerance:
         operator = LOOSE_SCALERS[scaler](1e-3)
         violation = marginal_violation(operator.values, 1.0, 1.0)
         assert 1e-6 < violation <= 1e-3
+
+
+def _contract_case(scaler, seed, tol):
+    """(matrix, row sums, column sums) of one scaler on the seed's draw: a
+    Gaussian cloud of 2 to 47 points in 3-D at beta = 1 / median d^2, and for
+    sinkhorn standard normal logits of the same size."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 48))
+    biv, d2 = cloud_geometry(n, 3, seed)
+    beta = 1.0 / float(np.median(d2[~np.eye(n, dtype=bool)]))
+    if scaler == "sinkhorn":
+        return sinkhorn(rng.standard_normal((n, n)), tol=tol)[0].values, 1.0, 1.0
+    if scaler == "attention_bistochastic":
+        return attention_bistochastic(biv, beta, tol=tol).values, 1.0, 1.0
+    if scaler == "dmap_bistochastic":
+        return dmap_bistochastic(d2, beta, tol=tol).values, 1.0, 1.0
+    mu_plus, mu_minus = rng.dirichlet(np.full(n, 5.0), size=2)
+    bridge = solve_bridge(np.exp(-beta * d2), mu_plus, mu_minus, tol=tol)
+    return bridge.coupling, mu_plus, mu_minus
+
+
+class TestTolContract:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13, 1e-15, 3e-16])
+    @pytest.mark.parametrize("scaler", ["sinkhorn", "attention_bistochastic",
+                                        "dmap_bistochastic", "solve_bridge"])
+    def test_returned_marginals_meet_tol_or_raise(self, scaler, tol):
+        # the marginals are summed again from the returned matrix, not read
+        # from a residual the solver reports; a tol below the rounding of
+        # those sums can only end in ConvergenceError, never in ValueError
+        for seed in range(40):
+            try:
+                matrix, rows, cols = _contract_case(scaler, seed, tol)
+            except ConvergenceError as exc:
+                assert exc.residual > tol
+                continue
+            assert marginal_violation(matrix, rows, cols) <= tol, seed
+
+    def test_operator_missing_tol_by_rounding_raises(self):
+        # the core's residual is 6.7e-16, the operator's column sums miss by 1.1e-15
+        z = np.random.default_rng(0).standard_normal((200, 200))
+        with pytest.raises(ConvergenceError, match=r"^bistochastic operator misses tol: "
+                           r"residual \S+ > tol 1\.000e-15 after \d+ iterations$") as excinfo:
+            sinkhorn(z, tol=1e-15)
+        assert excinfo.value.residual > 1e-15
+        operator, _ = sinkhorn(z, tol=1e-10)
+        assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-10
+
+    def test_bridge_coupling_is_held_to_tol(self, monkeypatch):
+        # potentials that the core reports as converged but whose coupling
+        # misses tol raise ConvergenceError, measured on the coupling itself
+        from markovgeom import bridges
+
+        real_solve = bridges.schrodinger_solve
+
+        def off_by_a_thousandth(*args, **kwargs):
+            potentials = real_solve(*args, **kwargs)
+            return ScalingPotentials(potentials.u * 1.001, potentials.v,
+                                     potentials.iterations, potentials.residual)
+
+        monkeypatch.setattr(bridges, "schrodinger_solve", off_by_a_thousandth)
+        with pytest.raises(ConvergenceError, match=r"^bridge coupling misses tol: residual "
+                           r"\S+ > tol 1\.000e-10 after \d+ iterations$") as excinfo:
+            solve_bridge(np.exp(-_D2), _MU_PLUS, _MU_MINUS)
+        assert 1e-4 < excinfo.value.residual < 1e-3
+
+    def test_symmetric_log_domain_sweep(self, caplog):
+        # negative squared distances (indefinite weights) push the damped
+        # symmetric update out of range, so it absorbs in the log domain; it
+        # then meets a loose tol with a bitwise symmetric operator, and ends
+        # at the default tol in ConvergenceError with a finite residual
+        x = np.random.default_rng(0).standard_normal((6, 2))
+        d2 = squared_distance(bidivergence(generalized_gram(
+            DataCloud(x), InteractionWeights(np.diag([1.0, -1.0])))))
+        assert d2.min() < 0.0
+        with caplog.at_level(logging.DEBUG, logger="markovgeom.normalize"):
+            operator = dmap_bistochastic(d2, 100.0, tol=1e-3)
+            with pytest.raises(ConvergenceError) as excinfo:
+                dmap_bistochastic(d2, 100.0)
+        converged, stalled = [r.getMessage() for r in caplog.records]
+        assert re.match(r"scaling converged: \d+ sweeps, 1 absorptions", converged)
+        assert stalled.startswith("scaling stalled: 10000 sweeps, 1 absorptions")
+        np.testing.assert_array_equal(operator.values, operator.values.T)
+        assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-3
+        assert 1e-10 < excinfo.value.residual < 1e-3
 
 
 # every public scaler on a fixed input, with the keyword arguments passed through
