@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,6 +160,15 @@ def doob_transform(p_plus: StochasticOperator, h) -> StochasticOperator:
     return StochasticOperator(weighted / weighted.sum(axis=1, keepdims=True), "row")
 
 
+# a rung's proposal: a fixed point, its error bound, the debug record's name
+# for the rung, and the ConvergenceError lead if it is the last and misses tol
+class _Candidate(NamedTuple):
+    pi: np.ndarray
+    bound: float
+    how: str
+    miss: str = "stationary distribution misses tol: error bound"
+
+
 def _sign_probes(n: int) -> np.ndarray:
     """(n, _NORM_PROBES) pseudo-random signs from splitmix64 of the entry index:
     fixed, so the same input gives the same answer, and without the cost of
@@ -208,10 +218,16 @@ def _doeblin(values: np.ndarray, column_minima: np.ndarray, tol: float):
     in m <= 256 + n / 256 roundings, so
         |r|_1 <= sum |fl(xP) - x| + gamma_m sum fl(xP) + sum_k x_k |e_k|,
     with |e_k| bounded by the measured defect plus gamma_m times the row sum.
-    Returns (pi, bound, steps), or None when the rounding alone exceeds tol
-    or the observed rate cannot certify within 8 + n / 25 steps: a step
-    costs about 1/80 of the LU at n = 400 to 1000 and 1/180 at n = 2000, so
-    the rung stays under half of the LU from n = 200 on.
+
+    Returns a candidate once a step's bound is within tol, or None when the
+    rounding alone exceeds tol or the observed rate cannot certify within
+    8 + n / 25 steps: a step costs about 1/80 of the LU at n = 400 to 1000
+    and 1/180 at n = 2000, so the rung stays under half of the LU from
+    n = 200 on.  The rate prediction alone enforces that cap.  It is the
+    bound's own expression at the residual shrunk by rate^(cap - step), with
+    rate 0 at step 1.  At step == cap, rate^0 = 1.0 and residual * 1.0 =
+    residual, so it is the step's bound bit for bit: leaving is the exact
+    complement of accepting, and the loop returns at step cap at the latest.
     """
     n = values.shape[0]
     # a _vecmat entry sums at most _SUM_BLOCK terms per block, plus one
@@ -222,34 +238,35 @@ def _doeblin(values: np.ndarray, column_minima: np.ndarray, tol: float):
     if gm > tol * alpha:
         return None
     sums = _vecmat(np.ones(n), values.T)
-    defect = np.abs(sums - 1.0)
-    defect += gm * sums
+    defect = np.abs(sums - 1.0) + gm * sums
     alpha = alpha / (1.0 + _BOUND_SLACK) - float(np.maximum(sums - 1.0, 0.0).sum()
                                                  + gm * sums.sum()) * (1.0 + _BOUND_SLACK)
     if alpha <= 0.0:
         return None
     cap = 8 + n // 25
     x = np.full(n, 1.0 / n)
-    previous = 0.0
+    previous = np.inf
     for step in range(1, cap + 1):
         z = _vecmat(x, values)
         z_total = float(z.sum())
         total, sum_error = _sum_error(x)
         residual = float(np.abs(z - x).sum())
         rounding = gm * z_total + float(x @ defect)
-        bound = ((residual + rounding) / (2.0 * alpha * total) + sum_error) * (1.0 + _BOUND_SLACK)
+
+        def bound_after(shrink: float) -> float:
+            return ((residual * shrink + rounding) / (2.0 * alpha * total)
+                    + sum_error) * (1.0 + _BOUND_SLACK)
+
+        bound = bound_after(1.0)
         if bound <= tol:
-            return x, bound, step
-        reachable = 2.0 * alpha * total * (tol / (1.0 + _BOUND_SLACK) - sum_error) - rounding
-        if reachable <= 0.0:
+            return _Candidate(x, bound, f"Doeblin certificate after {step} power steps")
+        # the first rate is 0; a residual of 0 accepts or leaves (its bound is
+        # bound_after(0.0)), so previous is never 0
+        rate = residual / previous
+        if rate >= 1.0 or bound_after(rate ** (cap - step)) > tol:
             return None
-        if previous > 0.0:
-            rate = residual / previous
-            if rate >= 1.0 or step + np.log(reachable / residual) / np.log(rate) > cap:
-                return None
         previous = residual
         x = z / z_total
-    return None
 
 
 def _reversible(values: np.ndarray, tol: float):
@@ -267,7 +284,15 @@ def _reversible(values: np.ndarray, tol: float):
     correctly rounded) and, with pi >= _RATIO_FLOOR, turn any underflow on the
     way into a ratio far below 1.  They are scanned a strip of rows at a
     time, so a chain far from reversible leaves after the first strip, O(n)
-    work.  Returns (pi, bound), or None.
+    work.  Returns a candidate, or None when pi is out of range or a ratio
+    lies beyond the largest delta that can meet tol.
+
+    delta <= 1 - 2^-53, so sqrt(1 - delta) and log1p(-d) stay finite.  From d
+    to limit and from worst to delta each step is one rounded operation with
+    a fixed other operand, nondecreasing in its input.  tanh gives d <= 1,
+    and for a float d < 1, d fl(2 - d) <= 1 - (1 - d)^2 + 2^-53 d rounds to
+    at most 1.  So worst <= limit <= 0.9999999989999991, its value at a
+    product of 1, where delta evaluates to 1 - 2^-53.
     """
     n = values.shape[0]
     if n < 2:
@@ -302,15 +327,13 @@ def _reversible(values: np.ndarray, tol: float):
             return None
         worst = max(worst, above, below)
     delta = (worst + g3 * (1.0 + worst)) * (1.0 + _BOUND_SLACK)
-    if delta >= 1.0:
-        return None
     d = delta / (1.0 + np.sqrt(1.0 - delta))
     spread = float(np.expm1((n - 1) * (np.log1p(d) - np.log1p(-d))))
     bound = (sum_error + spread * scale) * (1.0 + _BOUND_SLACK)
-    return (pi, bound) if bound <= tol else None
+    return _Candidate(pi, bound, "reversibility certificate")
 
 
-def _direct(values: np.ndarray, tol: float) -> np.ndarray:
+def _direct(values: np.ndarray, tol: float) -> _Candidate:
     """Rung 3: one LU solve of the bordered system, certified by sign probes."""
     n = values.shape[0]
     system = values.T.copy()
@@ -331,10 +354,9 @@ def _direct(values: np.ndarray, tol: float) -> np.ndarray:
         if bound <= tol or refined:
             break
         pi += np.linalg.solve(system, residual)
-    log.debug("stationary measure: direct solve, refined %s, error bound %.3e", refined, bound)
-    _held_to_tol(bound, tol, 1, f"stationary distribution misses tol after a direct solve "
-                 f"(inverse norm {inverse_norm:.1e}): error bound")
-    return np.maximum(pi, 0.0, out=pi)
+    return _Candidate(np.maximum(pi, 0.0, out=pi), bound, f"direct solve, refined {refined}",
+                      f"stationary distribution misses tol after a direct solve "
+                      f"(inverse norm {inverse_norm:.1e}): error bound")
 
 
 def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.ndarray:
@@ -344,8 +366,8 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
     The exact chain keeps P off the diagonal and takes the diagonal of GTH
     elimination (Grassmann, Taksar & Heyman 1985), 1 minus the off-diagonal
     mass of its row, so a state whose P_ii rounds to 1 keeps its balance
-    equation.  Three rungs are tried in order, and the first that proves
-    ``tol`` answers:
+    equation.  Three rungs propose in turn a fixed point with an error bound,
+    and the first candidate whose bound is within ``tol`` answers:
 
     1. power steps with the Doeblin certificate, O(n^2) per step, for chains
        whose column minima sum to more than about n u / tol (``_doeblin``);
@@ -355,32 +377,29 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
        last row set to ones.  A residual r = e_n - A pi moves pi by
        A^{-1} r, so the error is bounded by |A^{-1}| (|r| + sqrt(n) eps |pi|),
        |A^{-1}| estimated by pseudo-random sign probes solved with pi.  At
-       most one refinement step; raises ``ConvergenceError`` when the bound
-       still exceeds ``tol``.  Entries that round below 0 are clipped to 0,
-       not renormalized: that moves them closer to the nonnegative fixed
-       point, so the bound still holds.
+       most one refinement step; ``ConvergenceError`` when the bound still
+       exceeds ``tol``.  Entries that round below 0 are clipped to 0, not
+       renormalized: that moves them closer to the nonnegative fixed point,
+       so the bound still holds.
 
     The first two bounds are rigorous, rounding included.  One debug record
-    names the rung that answered and its bound.  Raises ``ValueError`` for a
-    tol that is not finite and positive or an operator with a zero entry.
+    names the rung that answered (or the LU that missed) and its bound.
+    Raises ``ValueError`` for a tol that is not finite and positive or an
+    operator with a zero entry.
     """
     _validate_tol(tol)
     values = _chain_values(p, "stationary_distribution")
     column_minima = values.min(axis=0)
     if column_minima.min() <= 0.0:
         raise ValueError("operator must be strictly positive for a unique fixed point")
-    found = _doeblin(values, column_minima, tol)
-    if found is not None:
-        pi, bound, steps = found
-        log.debug("stationary measure: Doeblin certificate after %d power steps, "
-                  "error bound %.3e", steps, bound)
-        return pi
-    found = _reversible(values, tol)
-    if found is not None:
-        pi, bound = found
-        log.debug("stationary measure: reversibility certificate, error bound %.3e", bound)
-        return pi
-    return _direct(values, tol)
+    for propose in (lambda: _doeblin(values, column_minima, tol),
+                    lambda: _reversible(values, tol), lambda: _direct(values, tol)):
+        found = propose()
+        if found is not None and found.bound <= tol:
+            break
+    log.debug("stationary measure: %s, error bound %.3e", found.how, found.bound)
+    _held_to_tol(found.bound, tol, 1, found.miss)
+    return found.pi
 
 
 def currents(p: StochasticOperator, rho) -> np.ndarray:
@@ -417,23 +436,12 @@ def classify_regime(
     threshold = max(CURRENT_ZERO_FRACTION * float((mu_plus * values.max(axis=1)).max()), tol)
     stationarity_residual = float(np.abs(mu_plus @ values - mu_plus).max())
     if marginal_gap > tol or stationarity_residual > tol:
-        regime = "NE"
-        stationary = None
-    elif max_current <= threshold:
-        regime = "EQ"
-        stationary = mu_plus
+        regime, stationary = "NE", None
     else:
-        regime = "NESS"
-        stationary = mu_plus
-    return RegimeReport(
-        regime=regime,
-        stationary=stationary,
-        currents=j,
-        max_current=max_current,
-        current_threshold=threshold,
-        stationarity_residual=stationarity_residual,
-        marginal_gap=marginal_gap,
-    )
+        regime, stationary = ("EQ" if max_current <= threshold else "NESS"), mu_plus
+    return RegimeReport(regime=regime, stationary=stationary, currents=j, max_current=max_current,
+                        current_threshold=threshold, stationarity_residual=stationarity_residual,
+                        marginal_gap=marginal_gap)
 
 
 def sb_factorization_check(bidiv: Bidivergence, beta: float) -> float:

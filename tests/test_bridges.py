@@ -2,6 +2,7 @@
 
 import logging
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,44 @@ def gth_stationary(p):
     for k in range(1, n):
         pi[k] = pi[:k] @ a[:k, k]
     return pi / pi.sum()
+
+
+def exact_stationary(values):
+    """Fixed point of the exact chain (P off the diagonal, the GTH diagonal)
+    by GTH elimination in rational arithmetic, as Fractions: every float
+    entry converts exactly and no operation rounds.  For n <= 10 only."""
+    a = [[Fraction(v) for v in row] for row in np.asarray(values).tolist()]
+    n = len(a)
+    for k in range(n - 1, 0, -1):
+        mass = sum(a[k][:k])
+        for i in range(k):
+            a[i][k] /= mass
+            for j in range(k):
+                if j != i:
+                    a[i][j] += a[i][k] * a[k][j]
+    pi = [Fraction(1)]
+    for k in range(1, n):
+        pi.append(sum(pi[i] * a[i][k] for i in range(k)))
+    total = sum(pi)
+    return [x / total for x in pi]
+
+
+def exact_error(pi, exact):
+    """max |pi_i - exact_i| without rounding."""
+    return max(abs(Fraction(float(x)) - e) for x, e in zip(pi, exact))
+
+
+def wide_chain(seed):
+    """A chain on 2 to 10 states whose entries span up to about 250 orders of
+    magnitude: row-normalized exp(spread * normal), with symmetric logits (a
+    reversible chain) for half the seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 11))
+    logits = (0.3, 3.0, 30.0, 100.0)[seed % 4] * rng.standard_normal((n, n))
+    if seed % 8 >= 4:
+        logits = (logits + logits.T) / 2.0
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 class TestSolveBridge:
@@ -443,6 +482,82 @@ class TestStationaryDistribution:
         p = StochasticOperator(np.array([[1.0, 0.0], [0.5, 0.5]]), "row")
         with pytest.raises(ValueError, match="positive"):
             stationary_distribution(p)
+
+
+class TestExactOracle:
+    """Every rung of the stationary ladder against the exact fixed point."""
+
+    TOLS = (1e-2, 1e-6, 1e-10, 1e-14)
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        return [(values, exact_stationary(values)) for values in map(wide_chain, range(160))]
+
+    def test_rigorous_bounds_cover_the_exact_error(self, chains):
+        # each Doeblin or reversibility candidate, whether or not its bound
+        # meets tol, is within its bound of the exact point: no slack allowed
+        proposed = {"Doeblin": 0, "reversibility": 0}
+        for values, exact in chains:
+            for tol in self.TOLS:
+                for rung, found in (
+                        ("Doeblin", bridges._doeblin(values, values.min(axis=0), tol)),
+                        ("reversibility", bridges._reversible(values, tol))):
+                    if found is not None:
+                        proposed[rung] += 1
+                        assert exact_error(found.pi, exact) <= Fraction(found.bound)
+        assert min(proposed.values()) >= 100, proposed
+
+    def test_accepted_lu_answers_are_within_tol(self, chains):
+        # the LU bound is an estimate (sign probes), so only its acceptance
+        # is held to the exact point
+        accepted = 0
+        for values, exact in chains:
+            for tol in self.TOLS:
+                found = bridges._direct(values, tol)
+                if found.bound <= tol:
+                    accepted += 1
+                    assert exact_error(found.pi, exact) <= tol
+        assert accepted >= 300
+
+    @pytest.mark.parametrize("tol", [1e17, 1e100, 1e300])
+    @pytest.mark.parametrize("a, b", [(0.3, 0.6), (1e-12, 0.5), (0.999, 1e-200)])
+    def test_reversibility_rung_where_the_tree_bound_saturates(self, a, b, tol):
+        # at n = 2 and tol >= 1e17, d = tanh(log1p(allowed) / 2) rounds to 1,
+        # so the strip test admits every ratio up to its largest limit
+        values = np.array([[1.0 - a, a], [b, 1.0 - b]])
+        assert np.tanh(np.log1p(tol / 2.0) / 2.0) == 1.0
+        with np.errstate(all="raise"):
+            found = bridges._reversible(values, tol)
+        assert np.isfinite(found.bound)
+        assert exact_error(found.pi, exact_stationary(values)) <= Fraction(found.bound)
+
+    def test_largest_accepted_ratio_keeps_delta_below_one(self):
+        # three states at tol 1e300 (d rounds to 1): bisect P_12 over the
+        # floats to the last chain whose ratio r_12 = 1 + worst passes the
+        # strip test, so worst sits within a few ulps of the limit
+        # 0.9999999989999991, where delta is largest
+        def chain(p12):
+            values = np.full((3, 3), 0.3) + 0.1 * np.eye(3)
+            values[1, 2] = p12
+            return values
+
+        lo, hi = np.array([0.45, 0.75]).view(np.int64)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if bridges._reversible(chain(np.int64(mid).view(float)), 1e300) is None:
+                hi = mid
+            else:
+                lo = mid
+        values = chain(np.int64(lo).view(float))
+        pi = values[0] / values[:, 0]
+        pi /= pi.sum()
+        worst = float(values[1, 2] / values[2, 1] * pi[1] / pi[2]) - 1.0
+        assert 0.9999999989999991 - 4e-16 <= worst <= 0.9999999989999991
+        with np.errstate(all="raise"):
+            found = bridges._reversible(values, 1e300)
+        assert np.isfinite(found.bound) and found.bound <= 1e300
+        assert exact_error(found.pi, exact_stationary(values)) <= Fraction(found.bound)
+        assert bridges._reversible(chain(np.int64(hi).view(float)), 1e300) is None
 
 
 class TestCurrents:

@@ -10,6 +10,7 @@ an input with several faults must still report the one checked first.
 import numpy as np
 import pytest
 
+from markovgeom import cli
 from markovgeom.bridges import (
     attention_gauge,
     classify_regime,
@@ -33,6 +34,7 @@ from markovgeom.geometry import (
 from markovgeom.normalize import (
     ScalingPotentials,
     StochasticOperator,
+    poe_combine,
     schrodinger_solve,
     sinkhorn,
     softmax_cols,
@@ -239,6 +241,7 @@ CHAIN_CHECKS = {
     "attention_gauge": lambda: attention_gauge(_UNIFORM6, _COLUMN),
     "conjugate_symmetrize": lambda: conjugate_symmetrize(_COLUMN, _UNIFORM6),
     "ComplexOperator": lambda: ComplexOperator(_COLUMN, np.zeros((6, 6))),
+    "doob_transform": lambda: doob_transform(_COLUMN, _UNIFORM6),
 }
 
 
@@ -361,6 +364,68 @@ def test_empty_matrix_is_rejected(check, shape):
     with pytest.raises(ValueError) as excinfo:
         build(np.empty(shape))
     assert str(excinfo.value) == (square if shape == (0, 0) else non_square.format(shape))
+
+
+def _load_marginal_text(directory, text, n):
+    path = directory / "marginal.csv"
+    path.write_text(text)
+    return cli.load_marginal(path, n)
+
+
+_BI = StochasticOperator(_UNIFORM, "bi")
+
+# every other input gate, each with its one message: (call given a scratch
+# directory, the exact message, where {path} is the file the call wrote)
+MESSAGE_CHECKS = {
+    "DataCloud without features": (lambda tmp: DataCloud(np.empty((3, 0))),
+                                   "a data cloud needs at least 1 feature"),
+    "HermitianPartition part shapes": (
+        lambda tmp: HermitianPartition(np.eye(3), np.zeros((2, 2))),
+        "partition parts differ in shape: (3, 3) and (2, 2)"),
+    "HermitianPartition asymmetric S": (
+        lambda tmp: HermitianPartition(np.array([[1.0, 2.0], [3.0, 1.0]]), np.zeros((2, 2))),
+        "symmetric part must satisfy S == S.T exactly"),
+    "HermitianPartition symmetric A": (
+        lambda tmp: HermitianPartition(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])),
+        "antisymmetric part must satisfy A == -A.T exactly"),
+    "softmax_rows 1-D logits": (lambda tmp: softmax_rows(np.ones(3)),
+                                "logits must be 2-D, got shape (3,)"),
+    "sinkhorn 3-D logits": (lambda tmp: sinkhorn(np.ones((2, 2, 2))),
+                            "logits must be 2-D, got shape (2, 2, 2)"),
+    "StochasticOperator 1-D": (lambda tmp: StochasticOperator(np.ones(3), "row"),
+                               "operator must be 2-D, got shape (3,)"),
+    "StochasticOperator 3-D": (lambda tmp: StochasticOperator(np.ones((2, 2, 2)), "bi"),
+                               "operator must be 2-D, got shape (2, 2, 2)"),
+    "ScalingPotentials negative iterations": (
+        lambda tmp: ScalingPotentials(_MU, _MU, -1, 0.0),
+        "iterations and residual must be nonnegative"),
+    "ScalingPotentials negative residual": (
+        lambda tmp: ScalingPotentials(_MU, _MU, 0, -1e-3),
+        "iterations and residual must be nonnegative"),
+    "poe_combine of bi operators": (lambda tmp: poe_combine(_BI, _BI),
+                                    "product of experts is defined for row or column operators"),
+    "ComplexOperator phase shape": (
+        lambda tmp: ComplexOperator(StochasticOperator(_UNIFORM, "row"), np.zeros((3, 3))),
+        f"phase shape (3, 3) does not match operator shape ({N}, {N})"),
+    "decompose non-square": (lambda tmp: decompose(np.ones((2, 3)), np.full(2, 0.5)),
+                             "expected a square matrix, got shape (2, 3)"),
+    "write_matrix_csv 3-D": (lambda tmp: cli.write_matrix_csv(tmp / "m.csv", np.ones((2, 2, 2))),
+                             "expected a 1-D or 2-D matrix, got shape (2, 2, 2)"),
+    "load_marginal 2x2": (lambda tmp: _load_marginal_text(tmp, "0.5,0.5\n0.5,0.5\n", 4),
+                          "{path}: expected a single row or column vector"),
+    "load_marginal zero entry": (lambda tmp: _load_marginal_text(tmp, "0.5,0.5,0\n", 3),
+                                 "{path}: marginal entries must be strictly positive"),
+    "--beta abc": (lambda tmp: cli._resolve_beta("abc", _D2),
+                   "beta must be a positive number or 'auto', got 'abc'"),
+}
+
+
+@pytest.mark.parametrize("check", list(MESSAGE_CHECKS))
+def test_gate_raises_its_message(check, tmp_path):
+    build, message = MESSAGE_CHECKS[check]
+    with pytest.raises(ValueError) as excinfo:
+        build(tmp_path)
+    assert str(excinfo.value) == message.format(path=tmp_path / "marginal.csv")
 
 
 class TestOrderOfChecks:
