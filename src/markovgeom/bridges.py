@@ -431,7 +431,7 @@ def classify_regime(
     mu_minus = _state_vector(mu_minus, n, "mu_minus")
     marginal_gap = float(np.abs(mu_plus - mu_minus).max())
     j = currents(p, mu_plus)
-    max_current = float(np.abs(j).max())
+    max_current = float(j.max())  # j is exactly antisymmetric: max j = max |j|
     # max_ij mu_i P_ij, bitwise: a product with mu_i >= 0 is monotone in P_ij
     threshold = max(CURRENT_ZERO_FRACTION * float((mu_plus * values.max(axis=1)).max()), tol)
     stationarity_residual = float(np.abs(mu_plus @ values - mu_plus).max())

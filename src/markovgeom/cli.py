@@ -6,8 +6,9 @@ paired magnitude/phase CSVs.  Identical configuration and inputs produce
 byte-identical output files.  Cells are converted by an exact numpy kernel:
 CSV cells with the bytes of ``'%.17g' % x``, JSON cells with those of
 ``repr(x)``; cells outside its range, such as nan, inf and subnormals, are
-formatted by ``%`` or ``repr`` itself.  Large matrices are formatted in row
-chunks on every available CPU; the bytes do not depend on how many there are.
+formatted by ``%`` or ``repr`` itself.  A large matrix is split into
+contiguous ranges of cells, one per available CPU as long as each range holds
+the cells that repay a fork; the bytes do not depend on how many there are.
 
 Exit codes: 0 success (or all identities pass), 1 verification failure,
 2 usage/input error, 3 numerical non-convergence.  The MG_LOG_LEVEL
@@ -159,14 +160,13 @@ def load_marginal(path, n: int, skip_header: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Matrices of at least this many cells are formatted on every available CPU,
-# with at least _MIN_ROWS_PER_WORKER rows per process; smaller ones, and
-# platforms without os.fork, take the same formatter serially.  On two CPUs a
-# fork and its pipe first pay off at about 2**17 CSV cells, but at about 2**16
-# JSON cells, whose text is some 40 % longer and costs as much more to write.
-_PARALLEL_MIN_CELLS = 1 << 17
-_PARALLEL_MIN_JSON_CELLS = 1 << 16
-_MIN_ROWS_PER_WORKER = 16
+# A matrix is formatted by one process per available CPU, as long as each
+# process gets at least this many cells; platforms without os.fork take the
+# same formatter serially.  On two CPUs a fork and its pipe first pay off at
+# about 2**17 CSV cells, 2**16 a process, and at about 2**16 JSON cells, whose
+# text is some 40 % longer and costs as much more to write.
+_PARALLEL_MIN_CELLS = 1 << 16
+_PARALLEL_MIN_JSON_CELLS = 1 << 15
 # cells per formatted text block, small enough that a block's temporaries
 # (about 20 arrays of 8 bytes per cell) stay in a 2 MB L2 cache; and bytes
 # per read of a worker's pipe
@@ -374,83 +374,69 @@ def _decimal_slots(x: np.ndarray, shortest: bool, room: int) -> np.ndarray:
     return slots
 
 
-def _cell_text(block: np.ndarray, shortest: bool, sep: bytes, end: bytes,
-               last: bytes) -> bytes:
-    """The cells of a 2-D float64 block as ``_decimal_slots`` writes them,
-    each followed by ``sep``, the last of a row by ``end`` and the last of
-    the block by ``last``."""
-    rows, cols = block.shape
-    if not rows:
-        return b""
-    if cols > _BLOCK_CELLS:
-        # a long row goes in pieces, which bounds the temporaries
-        return b"".join(
-            _cell_text(row[None, i:i + _BLOCK_CELLS], shortest, sep,
-                       *((sep, sep) if i + _BLOCK_CELLS < cols
-                         else (end, last if r == rows - 1 else end)))
-            for r, row in enumerate(block) for i in range(0, cols, _BLOCK_CELLS))
-    width = max(len(sep), len(end), len(last))
-    slots = _decimal_slots(block.ravel(), shortest, -(-width // 4) * 4)
-    tails = slots.reshape(rows, cols, -1)[:, :, _G17_TEXT:_G17_TEXT + width]
-    for cells, text in ((tails[:, :-1], sep), (tails[:-1, -1], end), (tails[-1, -1], last)):
-        cells[...] = np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint8)
+def _cell_text(matrix: np.ndarray, lo: int, hi: int, shortest: bool, sep: bytes,
+               end: bytes, last: bytes) -> bytes:
+    """Cells ``lo:hi`` of the row-major 2-D float64 ``matrix`` as
+    ``_decimal_slots`` writes them, each followed by ``sep``, the last of a
+    row by ``end`` and the last of the matrix by ``last``."""
+    cols, width = matrix.shape[1], max(len(sep), len(end), len(last))
+    sep, end, last = (np.frombuffer(text.ljust(width, b"\0"), dtype=np.uint8)
+                      for text in (sep, end, last))
+    slots = _decimal_slots(matrix.reshape(-1)[lo:hi], shortest, -(-width // 4) * 4)
+    tails = slots[:, _G17_TEXT:_G17_TEXT + width]
+    tails[:] = sep
+    tails[(-lo - 1) % cols::cols] = end  # flat index i ends a row if i % cols == cols - 1
+    if hi == matrix.size:
+        tails[-1] = last
     return slots.tobytes().translate(None, b"\0")
 
 
-def _g17_csv(block: np.ndarray) -> bytes:
-    """The CSV text of a 2-D float64 block: every cell as ``'%.17g' % x``,
-    byte for byte, cells joined by ``,`` and each row ended by ``\\n``."""
-    if block.shape[1] == 0:
-        return b"\n" * block.shape[0]
-    return _cell_text(block, False, b",", b"\n", b"\n")
-
-
 def _emit_workers(matrix: np.ndarray, min_cells: int = _PARALLEL_MIN_CELLS) -> int:
-    """Number of processes that format ``matrix``, the caller included; one
-    below ``min_cells`` cells."""
-    if matrix.size < min_cells or not hasattr(os, "fork"):
+    """Number of processes that format ``matrix``, the caller included: one
+    per CPU, as long as each gets at least ``min_cells`` cells."""
+    if not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, matrix.shape[0] // _MIN_ROWS_PER_WORKER))
+    return min(cpus, max(1, matrix.size // min_cells))
 
 
 def _format_rows(matrix: np.ndarray, lo: int, hi: int, indent):
-    """Yield the text of rows ``lo:hi`` as ASCII blocks.
+    """Yield the text of cells ``lo:hi`` of the row-major ``matrix`` as ASCII
+    blocks of up to ``_BLOCK_CELLS`` cells.
 
-    ``indent`` is None for CSV rows (``_g17_csv``), or the indentation of the
-    JSON line that holds the matrix: each row is then a list, one
-    ``float.__repr__`` cell per line, as ``json.dumps(matrix.tolist(),
-    indent=2)`` writes it there, and rows are joined by ``,``.  The chunks of
-    a matrix concatenate to the text of the whole matrix.
+    ``indent`` is None for CSV (cells joined by ``,``, each row ended by
+    ``\\n``), or the indentation of the JSON line that holds the matrix:
+    each row is then a list, one ``float.__repr__`` cell per line, as
+    ``json.dumps(matrix.tolist(), indent=2)`` writes it there, and rows are
+    joined by ``,``.  The texts of consecutive ranges concatenate to the text
+    of the whole matrix; a matrix with no columns has no cells and is written
+    whole by the range that starts at 0.
     """
-    n, cols = matrix.shape
-    step = max(1, _BLOCK_CELLS // max(1, cols))
+    rows, cols = matrix.shape
     if indent is None:
-        for start in range(lo, hi, step):
-            yield _g17_csv(matrix[start:min(start + step, hi)])
-        return
-    row, cell = b"\n" + b" " * (indent + 2), b"\n" + b" " * (indent + 4)
-    if cols == 0:
-        yield (b"," if lo else b"") + b",".join([row + b"[]"] * (hi - lo))
-        return
-    # a row ends in the opening of the next one: only row 0 is opened here
-    opening, closing = row + b"[" + cell, row + b"]"
-    if lo == 0:
-        yield opening
-    for start in range(lo, hi, step):
-        stop = min(start + step, hi)
-        yield _cell_text(matrix[start:stop], True, b"," + cell, closing + b"," + opening,
-                         closing if stop == n else closing + b"," + opening)
+        if not cols:
+            yield b"\n" * rows
+        marks = (b",", b"\n", b"\n")
+    else:
+        row, cell = b"\n" + b" " * (indent + 2), b"\n" + b" " * (indent + 4)
+        opening, closing = row + b"[" + cell, row + b"]"
+        if not cols:
+            yield b",".join([row + b"[]"] * rows)
+        elif lo == 0:  # a row ends in the opening of the next: only row 0 opens here
+            yield opening
+        marks = (b"," + cell, closing + b"," + opening, closing)
+    for start in range(lo, hi, _BLOCK_CELLS):
+        yield _cell_text(matrix, start, min(start + _BLOCK_CELLS, hi), indent is not None, *marks)
 
 
 def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, indent):
-    """Fork a worker that formats rows ``lo:hi`` and writes them to a pipe.
+    """Fork a worker that formats cells ``lo:hi`` and writes them to a pipe.
 
-    The worker holds its chunk's text until it is done, so it never waits on
-    the pipe while the caller formats its own chunk.  It only formats and
+    The worker holds its range's text until it is done, so it never waits on
+    the pipe while the caller formats its own range.  It only formats and
     writes, then leaves through ``os._exit``: no BLAS call, no logging, no
     stdio flush, no parent cleanup.  Returns ``(pid, read_fd)``.
     """
@@ -477,17 +463,16 @@ def _fork_formatter(matrix: np.ndarray, lo: int, hi: int, indent):
 
 
 def _write_rows(fh, matrix: np.ndarray, indent, workers: int) -> None:
-    """Write the text of every row of ``matrix`` to the binary file ``fh``.
+    """Write the text of every cell of ``matrix`` to the binary file ``fh``.
 
-    The rows are split into ``workers`` contiguous chunks.  The caller formats
-    the first chunk and streams it; each other chunk comes from a forked
-    worker, whose bytes are copied from its pipe in row order.  The bytes do
-    not depend on ``workers``.  A worker that fails raises
-    ``ChildProcessError``.
+    The row-major cells are split into ``workers`` contiguous ranges, which
+    may end mid-row.  The caller formats the first range and streams it; each
+    other range comes from a forked worker, whose bytes are copied from its
+    pipe in order.  The bytes do not depend on ``workers``.  A worker that
+    fails raises ``ChildProcessError``.
     """
-    n = matrix.shape[0]
-    workers = max(1, min(workers, n))
-    bounds = [n * i // workers for i in range(workers + 1)]
+    workers = max(1, min(workers, matrix.size))
+    bounds = [matrix.size * i // workers for i in range(workers + 1)]
     children = []
     failed = []
     try:
@@ -532,7 +517,7 @@ def write_matrix_csv(path, matrix) -> None:
 
     Byte-identical to ``np.savetxt(path, matrix, fmt="%.17g", delimiter=",")``
     whatever the number of CPUs that format it.  The cells are converted by
-    the exact kernel ``_g17_csv``; a cell outside its range (nan, inf,
+    the exact kernel ``_decimal_slots``; a cell outside its range (nan, inf,
     subnormal, |x| < 1e-11 or >= 1e15) goes to ``'%.17g' % x``.
     """
     matrix = np.ascontiguousarray(np.atleast_2d(np.asarray(matrix, dtype=float)))
@@ -577,7 +562,7 @@ def write_report_json(path, report: dict) -> None:
     """Write ``json.dumps(report, indent=2)`` and a newline.
 
     A finite 2-D float64 array anywhere in the report is written as its
-    nested list by the row-chunk formatter, into the text that ``json.dumps``
+    nested list by the cell-range formatter, into the text that ``json.dumps``
     makes of the rest of the report; the file is byte-identical to dumping
     the report with every array replaced by ``array.tolist()``.
     """

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from markovgeom import bridges
+from markovgeom import bridges, verify
 from markovgeom.bridges import (
     attention_bridge,
     attention_gauge,
@@ -588,6 +588,28 @@ class TestCurrents:
 
 
 class TestClassifyRegime:
+    @pytest.mark.parametrize("seed", [7, 299, 216, 228, 86])
+    def test_max_current_is_the_largest_absolute_current_on_outlier_chains(self, seed):
+        p = outlier_chain(seed)
+        pi = gth_stationary(p.values)
+        report = classify_regime(p, pi, pi)
+        assert report.max_current == float(np.abs(report.currents).max())
+
+    def test_max_current_is_the_largest_absolute_current_in_verify(self, monkeypatch):
+        reports = []
+
+        def record(*args, **kwargs):
+            reports.append(classify_regime(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(verify, "classify_regime", record)
+        cloud = DataCloud(np.random.default_rng(171).standard_normal((12, 2)))
+        assert verify.check_dmap_equilibrium(cloud, 1.0).passed
+        assert verify.check_attention_bridge(cloud, 1.0).passed
+        assert len(reports) == 3
+        for report in reports:
+            assert report.max_current == float(np.abs(report.currents).max())
+
     def test_dmap_pair_is_equilibrium(self):
         _, _, d2 = random_geometry(85)
         kernel = rbf_kernel(d2, 1.0).values

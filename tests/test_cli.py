@@ -3,6 +3,7 @@
 import functools
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -298,8 +299,9 @@ def _large_reference(name, fmt):
 
 class TestParallelEmit:
     def test_large_matrices_are_above_the_threshold(self):
+        # enough cells for two processes: each of these forks on two CPUs
         for matrix in _LARGE.values():
-            assert matrix.size >= cli._PARALLEL_MIN_CELLS
+            assert matrix.size >= 2 * cli._PARALLEL_MIN_CELLS
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", list(_LARGE))
@@ -323,16 +325,18 @@ class TestParallelEmit:
         write_report_json(path, {"m": matrix})
         assert path.read_text() == json.dumps({"m": matrix.tolist()}, indent=2) + "\n"
 
-    def test_worker_count_follows_cpus_and_rows(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert cli._emit_workers(np.zeros((8, 8))) == 1
-        assert cli._emit_workers(np.zeros((1, 140_000))) == 1
-        assert cli._emit_workers(np.zeros((300, 300))) == 1
-        assert cli._emit_workers(np.zeros((40, 4000))) == 2
-        assert cli._emit_workers(np.zeros((600, 600))) == 3
-        json_min = cli._PARALLEL_MIN_JSON_CELLS
-        assert cli._emit_workers(np.zeros((200, 300)), json_min) == 1
-        assert cli._emit_workers(np.zeros((300, 300)), json_min) == 3
+    @pytest.mark.parametrize("cpus, shape, fmt, workers", [
+        (2, (600, 600), "csv", 2), (2, (600, 600), "json", 2), (2, (1000, 2), "csv", 1),
+        (64, (600, 600), "csv", 5), (64, (600, 600), "json", 10), (64, (2000, 2000), "csv", 61),
+        (3, (8, 8), "csv", 1), (3, (1, 140_000), "csv", 2), (3, (140_000, 1), "csv", 2),
+        (3, (300, 300), "csv", 1), (3, (40, 4000), "csv", 2), (3, (600, 600), "csv", 3),
+        (3, (200, 300), "json", 1), (3, (300, 300), "json", 2),
+    ])
+    def test_worker_count_follows_cpus_and_cells(self, monkeypatch, cpus, shape, fmt, workers):
+        # one process per CPU while each gets the cells that repay its fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        min_cells = cli._PARALLEL_MIN_CELLS if fmt == "csv" else cli._PARALLEL_MIN_JSON_CELLS
+        assert cli._emit_workers(np.zeros(shape), min_cells) == workers
 
     def test_json_forks_from_fewer_cells_than_csv(self, tmp_path, monkeypatch):
         # 300 x 300 lies between the two thresholds: JSON forks, CSV does not
@@ -431,13 +435,18 @@ _G17_CASES = {
 }
 
 
+def _g17_text(values):
+    """``values`` through the exact ``%.17g`` kernel, as CSV emit writes them."""
+    return b"".join(cli._format_rows(values, 0, values.size, None))
+
+
 class TestExactCsvKernel:
-    """``cli._g17_csv`` against ``format(v, ".17g")``, cell by cell."""
+    """The ``%.17g`` kernel of CSV emit against ``format(v, ".17g")``, cell by cell."""
 
     @pytest.mark.parametrize("name", list(_G17_CASES))
     def test_same_bytes_as_format(self, name):
         values = _G17_CASES[name]
-        assert cli._g17_csv(values) == _g17_reference(values)
+        assert _g17_text(values) == _g17_reference(values)
 
     def test_tie_case_holds_hundreds_of_ties(self):
         assert _G17_CASES["ties"].size > 300
@@ -446,7 +455,7 @@ class TestExactCsvKernel:
                              ids=["0x3", "3x0", "1x1", "1x70000"])
     def test_shapes(self, shape):
         values = np.random.default_rng(141).standard_normal(shape)
-        assert cli._g17_csv(values) == _g17_reference(values)
+        assert _g17_text(values) == _g17_reference(values)
 
     def test_operator_matrices_take_no_fallback(self, tmp_path, monkeypatch):
         # the N=600 dmap, magnetic phase and attention currents of one seeded
@@ -477,7 +486,8 @@ class TestExactCsvKernel:
 
 def _repr_text(values):
     """``values`` through the exact repr kernel, one CSV-like line per row."""
-    return cli._cell_text(np.atleast_2d(values), True, b",", b"\n", b"\n")
+    matrix = np.atleast_2d(values)
+    return cli._cell_text(matrix, 0, matrix.size, True, b",", b"\n", b"\n")
 
 
 def _repr_reference(values):
@@ -752,6 +762,18 @@ class TestOtherCommands:
         assert 1e-6 < report["results"]["row_sum_residual"] <= 1e-4
         assert report["results"]["column_sum_residual"] <= 1e-4
 
+    def test_attention_forward_command(self, tmp_path, cloud_csv):
+        cloud_path, points = cloud_csv
+        out = tmp_path / "afw"
+        code = main(["attention", "--input", str(cloud_path), "--beta", "1",
+                     "--out-dir", str(out)])
+        assert code == EXIT_OK
+        biv = markovgeom.bidivergence(markovgeom.gram(markovgeom.DataCloud(points)))
+        write_matrix_csv(tmp_path / "expected.csv", markovgeom.attention_forward(biv, 1.0).values)
+        assert (out / "attention.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        report = json.loads((out / "attention_report.json").read_text())
+        assert report["results"]["variant"] == "fwd"
+
     def test_attention_backward_command(self, tmp_path, cloud_csv):
         cloud_path, _ = cloud_csv
         out = tmp_path / "abw"
@@ -865,24 +887,34 @@ class TestVerifyCommand:
         assert [part["passed"] for part in result.parts] == [True] * 4
         assert result.parts[1]["label"].startswith("a 0.000")
 
-    def test_convergence_error_names_the_check(self, tmp_path, capsys):
+    def test_convergence_error_names_the_check(self, tmp_path, capsys, monkeypatch):
         # two clusters 4 apart at beta=4: C11 cannot certify the stationary
-        # measure of their attention chain to 1e-12, so the suite stops there
-        from markovgeom.verify import run_identity_checks
+        # measure of their attention chain to 1e-12, so the suite stops there;
+        # the command's own run of the suite is the one whose error is read
+        from markovgeom import verify
 
+        real, raised = verify.run_identity_checks, []
+
+        def record(cloud, beta):
+            try:
+                return real(cloud, beta)
+            except cli.ConvergenceError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(verify, "run_identity_checks", record)
         points = np.random.default_rng(155).standard_normal((6, 2))
         points[3:] += 4.0
-        with pytest.raises(cli.ConvergenceError) as excinfo:
-            run_identity_checks(markovgeom.DataCloud(points), 4.0)
-        lead = "check_attention_bridge: stationary distribution misses tol after a direct solve"
-        assert str(excinfo.value).startswith(lead)
-        cause = excinfo.value.__cause__
-        assert str(excinfo.value) == f"check_attention_bridge: {cause}"
-        assert (excinfo.value.residual, excinfo.value.iterations) == (cause.residual, 1)
         cloud_path = tmp_path / "cloud.csv"
         write_matrix_csv(cloud_path, points)
         code = main(["verify", "--input", str(cloud_path), "--beta", "4",
                      "--out-dir", str(tmp_path / "v")])
+        [error] = raised
+        lead = "check_attention_bridge: stationary distribution misses tol after a direct solve"
+        assert str(error).startswith(lead)
+        cause = error.__cause__
+        assert str(error) == f"check_attention_bridge: {cause}"
+        assert (error.residual, error.iterations) == (cause.residual, 1)
         assert code == EXIT_NO_CONVERGENCE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {lead}")
@@ -1304,6 +1336,15 @@ class TestSolverLogging:
         names = [line.split(":")[0] for line in stderr["debug"]]
         assert names == ["DEBUG markovgeom.bridges", "DEBUG markovgeom.normalize"]
 
+    def test_unknown_level_falls_back_to_warn(self, monkeypatch):
+        monkeypatch.setenv("MG_LOG_LEVEL", "verbose")
+        level = cli.log.level
+        try:
+            cli._configure_logging()
+            assert cli.log.level == logging.WARNING
+        finally:
+            cli.log.setLevel(level)
+
     @pytest.mark.parametrize("command, output", [("classify", "currents.csv"),
                                                  ("bridge", "coupling.csv")])
     def test_equal_stationary_marginals_are_solved_once(self, tmp_path, command, output):
@@ -1464,6 +1505,20 @@ class TestLazyPackage:
         monkeypatch.undo()
         assert markovgeom.dmap is original
         assert "dmap" not in vars(markovgeom)
+
+    def test_submodule_resolves_through_the_package(self, monkeypatch):
+        # once imported, a submodule is an attribute of the package; without
+        # it the lookup falls to the package's __getattr__
+        import markovgeom.bridges
+        monkeypatch.delattr(markovgeom, "bridges")
+        assert markovgeom.bridges is sys.modules["markovgeom.bridges"]
+
+    def test_dir_lists_public_names_and_submodules(self):
+        names = dir(markovgeom)
+        assert names == sorted(names)
+        assert set(markovgeom.__all__) <= set(names)
+        assert {"bridges", "geometry", "normalize", "operators", "spectral", "verify",
+                "__version__"} <= set(names)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

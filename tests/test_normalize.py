@@ -311,6 +311,17 @@ class TestSinkhorn:
         with pytest.raises(ValueError, match="square"):
             sinkhorn(np.zeros((2, 3)))
 
+    @pytest.mark.xfail(raises=(RuntimeWarning, ValueError), strict=True,
+                       reason="the potential e^800 is not representable; "
+                              "passes once potentials are returned as logs")
+    def test_column_800_nats_below_the_rest_scales(self):
+        # the scaling converges with one absorbed column, and the operator is
+        # representable; exp of the reported potential overflows
+        z = np.random.default_rng(70).standard_normal((8, 8))
+        z[:, 0] -= 800
+        operator, _ = sinkhorn(z)
+        assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-10
+
 
 # the bistochastic scalers at a tol far above the default construction bound
 # of StochasticOperator (1e-6); each input stops with a residual above 1e-6
