@@ -2,9 +2,8 @@
 
 Runs the ``outlier_chain`` recipe of ``test_bridges.py`` for seeds 0-299 at
 tol 1e-4, 1e-6, 1e-10 and 1e-12 and prints, for each tol, how many cases each
-rung of the ladder answered (named by its debug record), how many raised
-``ConvergenceError``, and how many of the LU's answers came before and after
-its refinement step.  Exits 1 if any answer lies more than tol from
+rung of the ladder answered (named by its debug record) and how many raised
+``ConvergenceError``.  Exits 1 if any answer lies more than tol from
 ``gth_stationary``, or if fewer than 148 positive dmap chains (even seeds) are
 certified at 1e-12.  Its name keeps it out of pytest's collection; it takes
 a few seconds:
@@ -34,19 +33,16 @@ RUNGS = {"Doeblin": "doeblin", "reversibility": "reversible", "direct": "lu"}
 
 
 class RungRecorder(logging.Handler):
-    """Keeps the rung named by the last stationary-measure debug record, and
-    whether that record says the LU refined its solve."""
+    """Keeps the rung named by the last stationary-measure debug record."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
         self.rung = None
-        self.refined = None
 
     def emit(self, record):
         message = record.getMessage()
         if message.startswith("stationary measure: "):
             self.rung = RUNGS[message.split()[2]]
-            self.refined = "refined True" in message
 
 
 def main() -> int:
@@ -75,8 +71,6 @@ def main() -> int:
                 counts[tol]["raised"] += 1
                 continue
             counts[tol][recorder.rung] += 1
-            if recorder.rung == "lu":
-                counts[tol][f"refined {recorder.refined}"] += 1
             dmap_certified += seed % 2 == 0 and tol == 1e-12
             error = float(np.abs(pi - oracle).max())
             worst = max(worst, error / tol)
@@ -85,9 +79,7 @@ def main() -> int:
     for tol in TOLS:
         row = ", ".join(f"{key} {counts[tol][key]}"
                         for key in ("doeblin", "reversible", "lu", "raised", "rejected"))
-        refined = ", ".join(f"{key} {counts[tol][key]}"
-                            for key in ("refined False", "refined True"))
-        print(f"tol {tol:.0e}: {row}; lu answers {refined}")
+        print(f"tol {tol:.0e}: {row}")
     print(f"dmap chains certified at 1e-12: {dmap_certified} of {dmap_positive} positive")
     print(f"worst certified error: {worst:.2g} x tol")
     for seed, tol, rung, error in wrong:

@@ -5,7 +5,7 @@ counts its result and every n^2 temporary it makes.  Each bound is the peak
 reached at N=300 plus a small margin; one more n^2 temporary on any of these
 paths adds about one unit and fails its bound.  The stationary measure's two
 certificates keep O(n) vectors and strips beside the operator; its LU rung
-copies the operator into the bordered system.
+copies the operator into the bordered system and factorizes it once.
 """
 
 import logging
@@ -16,7 +16,7 @@ import pytest
 
 from markovgeom.bridges import classify_regime, solve_bridge, stationary_distribution
 from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
-from markovgeom.normalize import StochasticOperator, sinkhorn, softmax_rows
+from markovgeom.normalize import ConvergenceError, StochasticOperator, sinkhorn, softmax_rows
 from markovgeom.operators import attention_forward, dmap, dmap_bistochastic, rbf_kernel
 
 N = 300
@@ -79,3 +79,22 @@ def test_each_stationary_chain_takes_its_rung(caplog):
         for chain in CHAINS.values():
             stationary_distribution(chain)
     assert [r.getMessage().split()[2] for r in caplog.records] == list(CHAINS)
+
+
+def test_lu_rung_factorizes_once(monkeypatch, caplog):
+    # one O(n^3) solve per call, whether the LU answers (the weakly coupled
+    # chain) or misses (two states at a tol below rounding); a miss raises at
+    # the bound of that one solve
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    two_state = StochasticOperator(np.array([[0.9, 0.1], [0.5, 0.5]]), "row")
+    with caplog.at_level(logging.DEBUG, logger="markovgeom.bridges"):
+        stationary_distribution(CHAINS["direct"])
+        assert len(solves) == 1
+        with pytest.raises(ConvergenceError) as excinfo:
+            stationary_distribution(two_state, tol=1e-30)
+    assert len(solves) == 2
+    answered, missed = (r.getMessage() for r in caplog.records)
+    assert answered.startswith("stationary measure: direct solve, error bound ")
+    assert missed == f"stationary measure: direct solve, error bound {excinfo.value.residual:.3e}"
