@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# tile edge of the pairwise scans: a tile and its mirror stay cache-resident
+# tile edge of the pairwise scan: a tile and its mirror stay cache-resident
 _TILE = 256
 
 
@@ -212,19 +212,8 @@ def bidivergence(gram_matrix: GramMatrix) -> Bidivergence:
 
 
 def squared_distance(bidiv: Bidivergence) -> np.ndarray:
-    """fwd + fwd^T: exactly symmetric with the exactly zero diagonal of fwd.
-
-    Each tile pair is summed once and its mirror written as the transpose, so
-    the transpose is read tile by tile rather than with a stride of n; the
-    sum is commutative, so the bits equal those of ``fwd + fwd.T``.
-    """
-    fwd = bidiv.fwd
-    out = np.empty_like(fwd)
-    for rows, cols in _tile_pairs(bidiv.n):
-        block = np.add(fwd[rows, cols], fwd[cols, rows].T, out=out[rows, cols])
-        if rows != cols:
-            out[cols, rows] = block.T
-    return out
+    """fwd + fwd^T: exactly symmetric with the exactly zero diagonal of fwd."""
+    return bidiv.fwd + bidiv.fwd.T
 
 
 def edge_phases(cloud: DataCloud, weights: InteractionWeights, beta: float) -> np.ndarray:

@@ -91,24 +91,13 @@ def conjugate_hermitize(op: ComplexOperator, pi) -> np.ndarray:
 
 def _fix_leading_phase(vectors: np.ndarray) -> None:
     """In place: make the first significantly nonzero component of each column
-    real positive (a sign flip in the real case).
-
-    Rows are scanned from the top in blocks that double in height, each over
-    the columns still without a significant entry, so a typical basis is
-    settled by its first few rows; a column with none is left unchanged."""
-    n, m = vectors.shape
-    first = np.zeros(m, dtype=np.intp)
-    found = np.zeros(m, dtype=bool)
-    pending = np.arange(m)
-    lo, height = 0, 8
-    while pending.size and lo < n:
-        significant = np.abs(vectors[lo:lo + height, pending]) > _LEAD_COMPONENT_FLOOR
-        hit = significant.any(axis=0)
-        first[pending[hit]] = lo + significant[:, hit].argmax(axis=0)
-        found[pending[hit]] = True
-        pending = pending[~hit]
-        lo, height = lo + height, 2 * height
-    lead = vectors[first, np.arange(m)]
+    real positive (a sign flip in the real case); a column with none, and a
+    basis with no rows, is left unchanged."""
+    if not vectors.shape[0]:
+        return  # argmax over an empty axis raises
+    significant = np.abs(vectors) > _LEAD_COMPONENT_FLOOR
+    found = significant.any(axis=0)
+    lead = vectors[significant.argmax(axis=0), np.arange(vectors.shape[1])]
     with np.errstate(invalid="ignore"):  # 0/0 only in columns left unchanged
         phase = np.conj(lead) / np.abs(lead)
     np.multiply(vectors, phase, out=vectors, where=found)
@@ -161,8 +150,8 @@ def diffusion_embedding(dec: SpectralDecomposition, t: float, k: int) -> Embeddi
     when a retained eigenvalue is negative and are rejected.
     """
     n = dec.eigenvalues.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k out of range: need 1 <= k <= {n - 1}, got {k}")
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= n - 1):
+        raise ValueError(f"k out of range: need an integer 1 <= k <= {n - 1}, got {k}")
     if not (np.isfinite(t) and t >= 0):
         raise ValueError(f"diffusion time must be finite and nonnegative, got {t}")
     lam = dec.eigenvalues[1 : k + 1]

@@ -181,13 +181,16 @@ class TestDecompose:
     def test_degenerate_diagonal_matches_reference_bitwise(self):
         self._assert_matches_reference(np.diag([1.0, 0.5, 0.5, 0.5, 0.2]), np.full(5, 0.2))
 
+    @pytest.mark.parametrize("rows, lead_row", [(6, 3), (300, 40)])
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_leading_phase_skips_entries_below_floor(self, dtype):
+    def test_leading_phase_skips_entries_below_floor(self, dtype, rows, lead_row):
+        # at 300 rows column 1's first significant entry lies past the top 8
+        # and 16 rows, beside column 2, which has none
         rng = np.random.default_rng(124)
-        vectors = rng.standard_normal((6, 5)).astype(dtype)
+        vectors = rng.standard_normal((rows, 5)).astype(dtype)
         if dtype is complex:
-            vectors += 1j * rng.standard_normal((6, 5))
-        vectors[:3, 1] = [1e-13, -5e-13, 0.0]  # leading entries below the floor
+            vectors += 1j * rng.standard_normal((rows, 5))
+        vectors[:lead_row, 1] = np.resize([1e-13, -5e-13, 0.0], lead_row)  # below the floor
         vectors[:, 2] = -1e-14                  # no significant entry at all
         vectors[:, 4] = 0.0
         vectors[0, 3] = -0.7
@@ -196,6 +199,11 @@ class TestDecompose:
         _fix_leading_phase(fixed)
         np.testing.assert_array_equal(fixed, expected)
         np.testing.assert_array_equal(fixed[:, [2, 4]], vectors[:, [2, 4]])
+
+    def test_empty_matrix_decomposes_to_empty_arrays(self):
+        dec = decompose(np.zeros((0, 0)), np.zeros(0))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.right_vectors.shape == (0, 0)
 
     @staticmethod
     def _assert_matches_reference(mat, pi):
@@ -254,11 +262,12 @@ class TestDiffusionEmbedding:
             twice, once * dec.eigenvalues[1:3][None, :], rtol=0, atol=1e-14
         )
 
-    def test_k_out_of_range_rejected(self):
+    @pytest.mark.parametrize("k", [6, 2.0, 2.5])  # n = 6, then non-integral k
+    def test_k_out_of_range_rejected(self, k):
         operator, pi, _ = dmap_with_measure(127)
         dec = decompose(conjugate_symmetrize(operator, pi), pi)
         with pytest.raises(ValueError, match="k out of range"):
-            diffusion_embedding(dec, t=1.0, k=pi.shape[0])
+            diffusion_embedding(dec, t=1.0, k=k)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
     def test_time_must_be_finite_and_nonnegative(self, t):
