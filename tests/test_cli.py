@@ -155,6 +155,14 @@ class TestLoadMatrix:
         "empty cell": ("1,2\n3,\n", "row 2, column 2: not a number: ''"),
         "nan in a later row": ("1,2\n3,4\n5,NaN\n", "row 3, column 2: non-finite value"),
         "one cell": ("7\n", [[7.0]]),
+        # str.splitlines breaks these lines, where numpy's reader would read
+        # each break as a blank inside a cell
+        "form feed before a cell": ("1,2,\x0c3,4\n", "row 1, column 3: not a number: ''"),
+        "form feed after a cell": ("1,2\x0c,3,4\n", "row 2, column 1: not a number: ''"),
+        "vertical tab after a cell": ("1\x0b,2\n", "row 2, column 1: not a number: ''"),
+        "NEL before a cell": ("1,2,\x853,4\n", "row 1, column 3: not a number: ''"),
+        "line separator before a cell": ("1,2,\u20283,4\n", "row 1, column 3: not a number: ''"),
+        "lone CR line ends": ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
     }
 
     # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark, and a
@@ -169,16 +177,56 @@ class TestLoadMatrix:
         if skip_header:
             text = self.BOM + self.HEADER + text.removeprefix(self.BOM)
         path.write_text(text)
+        # numpy's reader answers only for a file it reads as the reference does
+        fast = cli._load_plain(path, skip_header)
         if isinstance(expected, str):
+            assert fast is None
             with pytest.raises(ValueError) as excinfo:
                 load_matrix(path, skip_header=skip_header)
             assert str(excinfo.value) == f"{path}: {expected}"
             return
-        out = load_matrix(path, skip_header=skip_header)
         want = np.array(expected, dtype=float)
-        # bytes, so that -0.0 and subnormals count
-        assert out.dtype == want.dtype and out.shape == want.shape
-        assert out.tobytes() == want.tobytes()
+        for out in (load_matrix(path, skip_header=skip_header), fast):
+            if out is None:
+                continue
+            # bytes, so that -0.0 and subnormals count
+            assert out.dtype == want.dtype and out.shape == want.shape
+            assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("header", ["x\x0cy\n", "x\ry\n", "x\x1ey\n", "x\x85y\n"])
+    def test_skipped_header_line_breaks_where_splitlines_does(self, tmp_path, header):
+        # --skip-header drops the first line of str.splitlines, so the rest
+        # of this header is a data row
+        path = tmp_path / "h.csv"
+        path.write_text(header + "1,2\n")
+        assert cli._load_plain(path, True) is None
+        with pytest.raises(ValueError) as excinfo:
+            load_matrix(path, skip_header=True)
+        assert str(excinfo.value) == f"{path}: row 1, column 1: not a number: 'y'"
+
+    @pytest.mark.parametrize("skip_header", [False, True])
+    @pytest.mark.parametrize("name", ["extremes", "300x300"])
+    def test_emitted_matrix_reads_back_through_numpy(self, tmp_path, name, skip_header):
+        matrix = (np.atleast_2d(_EXTREME_ROW) if name == "extremes"
+                  else np.random.default_rng(137).standard_normal((300, 300)))
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, matrix)
+        if skip_header:
+            path.write_bytes((self.BOM + self.HEADER).encode() + path.read_bytes())
+        for out in (cli._load_plain(path, skip_header), load_matrix(path, skip_header=skip_header)):
+            assert out is not None and out.shape == matrix.shape
+            assert out.tobytes() == matrix.tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        # a second open of the pipe would read it empty
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"1,2\n3,4\n")
+        os.close(write_end)
+        try:
+            np.testing.assert_array_equal(load_matrix(f"/dev/fd/{read_end}"), [[1.0, 2.0], [3.0, 4.0]])
+        finally:
+            os.close(read_end)
 
 
 class TestLoadMarginal:

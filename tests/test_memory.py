@@ -5,16 +5,20 @@ counts its result and every n^2 temporary it makes.  Each bound is the peak
 reached at N=300 plus a small margin; one more n^2 temporary on any of these
 paths adds about one unit and fails its bound.  The stationary measure's two
 certificates keep O(n) vectors and strips beside the operator; its LU rung
-copies the operator into the bordered system and factorizes it once.
+copies the operator into the bordered system and factorizes it once.  CSV
+ingest holds neither the file (2.5 units of text) nor its cells as strings.
 """
 
 import logging
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from markovgeom.bridges import classify_regime, solve_bridge, stationary_distribution
+from markovgeom.cli import load_matrix, write_matrix_csv
 from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
 from markovgeom.normalize import ConvergenceError, StochasticOperator, sinkhorn, softmax_rows
 from markovgeom.operators import attention_forward, dmap, dmap_bistochastic, rbf_kernel
@@ -39,10 +43,19 @@ CHAINS = {
 }
 _PI = stationary_distribution(CHAINS["Doeblin"])
 
+# an N x N matrix as the CLI writes it
+_CSV_DIR = tempfile.TemporaryDirectory()
+_CSV = Path(_CSV_DIR.name) / "matrix.csv"
+write_matrix_csv(_CSV, np.random.default_rng(3).standard_normal((N, N)))
+
+
+def teardown_module():
+    _CSV_DIR.cleanup()
+
 # (call, bound in units of N^2 doubles); the peak each reached: 1.09, 1.11,
-# 2.10, 1.10, 1.10, 1.04, 1.30, 0.03, 0.11, 1.12 and 2.09 (classify_regime
+# 2.10, 1.10, 1.10, 1.04, 1.30, 0.03, 0.11, 1.12, 2.09 (classify_regime
 # holds two n^2 arrays at a time: the flux and the currents, then the currents
-# and |J|)
+# and |J|) and 1.14 (load_matrix: the matrix as numpy's reader grows it)
 PEAKS = {
     "squared_distance": (lambda: squared_distance(_BIV), 1.2),
     "sinkhorn": (lambda: sinkhorn(_Z), 1.2),
@@ -55,6 +68,7 @@ PEAKS = {
     "stationary_reversible": (lambda: stationary_distribution(CHAINS["reversibility"]), 0.2),
     "stationary_lu": (lambda: stationary_distribution(CHAINS["direct"]), 1.2),
     "classify_regime": (lambda: classify_regime(CHAINS["Doeblin"], _PI, _PI), 2.2),
+    "load_matrix": (lambda: load_matrix(_CSV), 1.3),
 }
 
 
