@@ -18,13 +18,13 @@ environment variable (error, warn, info, debug) controls logging verbosity.
 from __future__ import annotations
 
 import argparse
-import codecs
 import io
 import json
 import logging
 import math
 import os
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,86 +102,48 @@ def _parse_cells(path, row_no: int, cells: list[str]) -> list[float]:
     return values
 
 
-# The bytes of a plain numeric CSV.  On them numpy's C reader, given lines
-# whose "\r" and "\r\n" ends universal newlines have made "\n", breaks lines
-# where str.splitlines does and converts each cell with the correctly rounded
-# routine that float uses.  It would read the other characters str.splitlines
-# breaks on (\v, \f, \x1c-\x1e, \x85, \u2028, \u2029) as blanks inside a cell.
-_PLAIN_BYTES = b"0123456789+-.eE, \t\r\n"
-# bytes per read while a file is checked, so that it is never held whole
-_CHECK_BYTES = 1 << 16
-
-
-def _plain_start(raw_file, skip_header: bool) -> int | None:
-    """Where the data of a plain numeric file starts, past its byte-order mark
-    and skipped header line; None for any other file, and for a blank one."""
-    if raw_file.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-        raw_file.seek(0)
-    if skip_header:
-        header = raw_file.readline()
-        # the skipped line is one line to str.splitlines too
-        if (not header.endswith(b"\n") or not header.isascii()
-                or len(header.decode().splitlines()) > 1):
-            return None
-    start = raw_file.tell()
-    blank = True
-    while chunk := raw_file.read(_CHECK_BYTES):
-        if chunk.translate(None, _PLAIN_BYTES):
-            return None
-        blank = blank and chunk.isspace()
-    return None if blank else start
-
-
-def _load_plain(path, skip_header: bool) -> np.ndarray | None:
-    """A plain numeric file's matrix, read by numpy's C reader; None when the
-    file is not plain, numpy rejects it or an entry is not finite.
-
-    Neither the check nor numpy holds the whole file, so the transient memory
-    stays near the matrix's own.  Anything but a regular file, such as a pipe,
-    is left to the reference reader, which reads it once.
-    """
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as raw_file:
-        start = _plain_start(raw_file, skip_header)
-        if start is None:
-            return None
-        raw_file.seek(start)
-        with io.TextIOWrapper(raw_file, encoding="ascii") as lines:
-            try:
-                values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-                return _finite_matrix(values, str(path))[0]
-            except ValueError:
-                return None
+def _data_lines(text, skip_header: bool):
+    """The non-blank lines of a text, broken where ``str.splitlines`` breaks
+    them, a piece of the file at a time; the first line is dropped under
+    ``skip_header``."""
+    lines = (line for piece in text for line in piece.splitlines())
+    return (line for line in islice(lines, int(skip_header), None) if line.strip())
 
 
 def load_matrix(path, skip_header: bool = False) -> np.ndarray:
     """Parse a CSV of finite reals; errors carry the row/column location.
 
     Row numbers refer to data rows (a skipped header and blank lines do not
-    count); a leading UTF-8 byte-order mark is dropped.  A plain numeric file
-    (see ``_PLAIN_BYTES``) is read by numpy's C reader.  Every other file, and
-    one numpy rejects, takes the reference reader: its lines are split into
-    cells converted in one numpy call, which reads a string as ``float``
-    does, and only a file that fails that or the finiteness gate is walked
-    row by row to name its first bad row.  Both readers give the same matrix.
+    count); a leading UTF-8 byte-order mark is dropped.  Python breaks the
+    lines and numpy's C reader converts their cells, as ``float`` would, into
+    the matrix.  Only a file numpy rejects or that holds a non-finite value is
+    read again and walked row by row with ``float``: the walk names the first
+    bad row, or reads the cells only ``float`` accepts, such as ``1_000``.
     """
-    matrix = _load_plain(path, skip_header)
-    if matrix is not None:
-        return matrix
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()[1 if skip_header else 0:]
-    rows = [line.split(",") for line in lines if line.strip()]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
     try:
-        return _finite_matrix(np.array(rows, dtype=float), str(path))[0]
-    except ValueError:
-        for row_no, cells in enumerate(rows, start=1):
-            _parse_cells(path, row_no, cells)
-            if len(cells) != len(rows[0]):
-                raise ValueError(f"{path}: row {row_no}: expected {len(rows[0])} columns, "
-                                 f"got {len(cells)}") from None
-        raise
+        with open(path, encoding="utf-8-sig") as file:
+            # a pipe can be read only once
+            text = file if file.seekable() else io.StringIO(file.read())
+            lines = _data_lines(text, skip_header)
+            first = next(lines, None)  # numpy warns on an empty input
+            if first is None:
+                raise ValueError(f"{path}: empty file")
+            try:
+                return _finite_matrix(np.loadtxt(chain([first], lines), delimiter=",",
+                                                 comments=None, ndmin=2), str(path))[0]
+            except ValueError:
+                text.seek(0)
+                # whole, so that a decoding error anywhere wins over a bad row
+                rows = [line.split(",") for line in _data_lines(text, skip_header)]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    values = []
+    for row_no, cells in enumerate(rows, start=1):
+        values.append(_parse_cells(path, row_no, cells))
+        if len(cells) != len(rows[0]):
+            raise ValueError(f"{path}: row {row_no}: expected {len(rows[0])} columns, "
+                             f"got {len(cells)}")
+    return np.array(values)
 
 
 def load_cloud(path, skip_header: bool = False) -> DataCloud:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import markovgeom
 from markovgeom import cli
@@ -165,33 +166,35 @@ class TestLoadMatrix:
         "lone CR line ends": ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
     }
 
+    # the cells only float reads; numpy's reader rejects them, so the walk
+    # reads these files, as it does every file that raises past "empty file"
+    WALKED = {"underscores", "non-ASCII digits"}
+
     # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark, and a
     # skip_header file with its header line right after it
     BOM, HEADER = "\ufeff", "x,y\n"
 
     @pytest.mark.parametrize("skip_header", [False, True])
     @pytest.mark.parametrize("case", list(INGEST))
-    def test_ingest_decision(self, tmp_path, case, skip_header):
+    def test_ingest_decision(self, tmp_path, monkeypatch, case, skip_header):
         text, expected = self.INGEST[case]
         path = tmp_path / "in.csv"
         if skip_header:
             text = self.BOM + self.HEADER + text.removeprefix(self.BOM)
         path.write_text(text)
-        # numpy's reader answers only for a file it reads as the reference does
-        fast = cli._load_plain(path, skip_header)
+        walked = _count_walks(monkeypatch)
         if isinstance(expected, str):
-            assert fast is None
             with pytest.raises(ValueError) as excinfo:
                 load_matrix(path, skip_header=skip_header)
             assert str(excinfo.value) == f"{path}: {expected}"
+            assert bool(walked) == (expected != "empty file")
             return
+        out = load_matrix(path, skip_header=skip_header)
+        assert bool(walked) == (case in self.WALKED)
         want = np.array(expected, dtype=float)
-        for out in (load_matrix(path, skip_header=skip_header), fast):
-            if out is None:
-                continue
-            # bytes, so that -0.0 and subnormals count
-            assert out.dtype == want.dtype and out.shape == want.shape
-            assert out.tobytes() == want.tobytes()
+        # bytes, so that -0.0 and subnormals count
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("header", ["x\x0cy\n", "x\ry\n", "x\x1ey\n", "x\x85y\n"])
     def test_skipped_header_line_breaks_where_splitlines_does(self, tmp_path, header):
@@ -199,34 +202,120 @@ class TestLoadMatrix:
         # of this header is a data row
         path = tmp_path / "h.csv"
         path.write_text(header + "1,2\n")
-        assert cli._load_plain(path, True) is None
         with pytest.raises(ValueError) as excinfo:
             load_matrix(path, skip_header=True)
         assert str(excinfo.value) == f"{path}: row 1, column 1: not a number: 'y'"
 
     @pytest.mark.parametrize("skip_header", [False, True])
     @pytest.mark.parametrize("name", ["extremes", "300x300"])
-    def test_emitted_matrix_reads_back_through_numpy(self, tmp_path, name, skip_header):
+    def test_emitted_matrix_reads_back_through_numpy(self, tmp_path, monkeypatch, name, skip_header):
         matrix = (np.atleast_2d(_EXTREME_ROW) if name == "extremes"
                   else np.random.default_rng(137).standard_normal((300, 300)))
         path = tmp_path / "m.csv"
         write_matrix_csv(path, matrix)
         if skip_header:
             path.write_bytes((self.BOM + self.HEADER).encode() + path.read_bytes())
-        for out in (cli._load_plain(path, skip_header), load_matrix(path, skip_header=skip_header)):
-            assert out is not None and out.shape == matrix.shape
-            assert out.tobytes() == matrix.tobytes()
+        walked = _count_walks(monkeypatch)
+        out = load_matrix(path, skip_header=skip_header)
+        assert not walked
+        assert out.shape == matrix.shape and out.tobytes() == matrix.tobytes()
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-    def test_pipe_is_read_once(self):
-        # a second open of the pipe would read it empty
+    @pytest.mark.parametrize("data", [b"1,2\n3,4\n", b"1_000,2\n3,4\n", b"1,2\n3,x\n"],
+                             ids=["numpy", "walked", "bad cell"])
+    def test_pipe_is_read_once(self, tmp_path, data):
+        # a second open of the pipe would read it empty, and the walk reads
+        # the file again
+        path = tmp_path / "same.csv"
+        path.write_bytes(data)
         read_end, write_end = os.pipe()
-        os.write(write_end, b"1,2\n3,4\n")
+        os.write(write_end, data)
         os.close(write_end)
         try:
-            np.testing.assert_array_equal(load_matrix(f"/dev/fd/{read_end}"), [[1.0, 2.0], [3.0, 4.0]])
+            assert _ingest(f"/dev/fd/{read_end}") == _ingest(path)
         finally:
             os.close(read_end)
+
+    @pytest.mark.parametrize("data", [b"1,2\n\xff,3\n", b"x,2\n\xff,3\n", b"1,2\n" * 9000 + b"\xff\n"],
+                             ids=["second row", "after a bad cell", "past the first read"])
+    def test_non_utf8_file_is_named(self, tmp_path, capsys, data):
+        # the decoding error wins over any bad row, wherever the bytes are
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code = main(["dmap", "--input", str(path), "--beta", "1", "--out-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}: not UTF-8 text: invalid start byte\n"
+
+    # the characters str.splitlines breaks lines on, the BOM, padding, cells
+    # numpy's reader rejects, non-finite and junk cells, NUL, quotes and the
+    # usual comment marks
+    HOSTILE = [*"0123456789+-.eE, \t\r\n", "\r\n", "\f", "\v", "\x1c", "\x85", "\u2028",
+               "\u3000", "\xa0", "\ufeff", "_", "١", "inf", "nan", "1e400", "x", "\x00", '"',
+               "#", ";"]
+
+    @given(text=st.one_of(
+        st.lists(st.sampled_from(HOSTILE), max_size=30).map("".join),
+        # a numeric grid with a few hostile tokens put in
+        st.tuples(
+            st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                              min_size=2, max_size=2), min_size=1, max_size=4)
+            .map(lambda rows: "".join(",".join(row) + "\n" for row in rows)),
+            st.lists(st.tuples(st.integers(0, 200), st.sampled_from(HOSTILE)), max_size=2),
+        ).map(lambda grid: _put_in(*grid)),
+    ), prefix=st.sampled_from(["", "\ufeff", "\ufeffx,y\n", "größe\r\n"]), skip_header=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_ingest_matches_oracle(self, tmp_path_factory, text, prefix, skip_header):
+        path = tmp_path_factory.mktemp("oracle") / "in.csv"
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            file.write(prefix + text)
+        assert _ingest(path, skip_header) == _oracle(prefix + text, skip_header)
+
+
+def _put_in(text, tokens):
+    """text with each (index, token) inserted in turn."""
+    for index, token in tokens:
+        text = text[:index] + token + text[index:]
+    return text
+
+
+def _count_walks(monkeypatch) -> list:
+    """The row numbers cli._parse_cells is called with from now on."""
+    calls = []
+    parse = cli._parse_cells
+    monkeypatch.setattr(cli, "_parse_cells", lambda path, row_no, cells: calls.append(row_no)
+                        or parse(path, row_no, cells))
+    return calls
+
+
+def _ingest(path, skip_header=False):
+    """load_matrix's matrix bytes and shape, or its message after the path."""
+    try:
+        out = load_matrix(path, skip_header=skip_header)
+    except ValueError as exc:
+        return str(exc).removeprefix(f"{path}: ")
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+def _oracle(text, skip_header):
+    """What _ingest gives for a file holding text, by the README's rules."""
+    lines = text.removeprefix("\ufeff").splitlines()[int(skip_header):]
+    rows = [line.split(",") for line in lines if line.strip()]
+    if not rows:
+        return "empty file"
+    values = []
+    for row_no, cells in enumerate(rows, start=1):
+        for col_no, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                return f"row {row_no}, column {col_no}: not a number: {cell.strip()!r}"
+            if not np.isfinite(value):
+                return f"row {row_no}, column {col_no}: non-finite value"
+            values.append(value)
+        if len(cells) != len(rows[0]):
+            return f"row {row_no}: expected {len(rows[0])} columns, got {len(cells)}"
+    out = np.array(values).reshape(len(rows), -1)
+    return out.dtype.str, out.shape, out.tobytes()
 
 
 class TestLoadMarginal:

@@ -6,7 +6,8 @@ reached at N=300 plus a small margin; one more n^2 temporary on any of these
 paths adds about one unit and fails its bound.  The stationary measure's two
 certificates keep O(n) vectors and strips beside the operator; its LU rung
 copies the operator into the bordered system and factorizes it once.  CSV
-ingest holds neither the file (2.5 units of text) nor its cells as strings.
+ingest holds neither the file (2.5 units of text) nor its cells as strings,
+also when whitespace-only lines and a non-ASCII header surround the numbers.
 """
 
 import logging
@@ -47,6 +48,9 @@ _PI = stationary_distribution(CHAINS["Doeblin"])
 _CSV_DIR = tempfile.TemporaryDirectory()
 _CSV = Path(_CSV_DIR.name) / "matrix.csv"
 write_matrix_csv(_CSV, np.random.default_rng(3).standard_normal((N, N)))
+# the same rows under a non-ASCII header, with a line of spaces after each
+_PADDED_CSV = Path(_CSV_DIR.name) / "padded.csv"
+_PADDED_CSV.write_text("größe,wert\n" + _CSV.read_text().replace("\n", "\n  \n"), encoding="utf-8")
 
 
 def teardown_module():
@@ -55,7 +59,8 @@ def teardown_module():
 # (call, bound in units of N^2 doubles); the peak each reached: 1.09, 1.11,
 # 2.10, 1.10, 1.10, 1.04, 1.30, 0.03, 0.11, 1.12, 2.09 (classify_regime
 # holds two n^2 arrays at a time: the flux and the currents, then the currents
-# and |J|) and 1.14 (load_matrix: the matrix as numpy's reader grows it)
+# and |J|), 1.16 and 1.14 (load_matrix, plain and padded: the matrix as
+# numpy's reader grows it)
 PEAKS = {
     "squared_distance": (lambda: squared_distance(_BIV), 1.2),
     "sinkhorn": (lambda: sinkhorn(_Z), 1.2),
@@ -69,6 +74,7 @@ PEAKS = {
     "stationary_lu": (lambda: stationary_distribution(CHAINS["direct"]), 1.2),
     "classify_regime": (lambda: classify_regime(CHAINS["Doeblin"], _PI, _PI), 2.2),
     "load_matrix": (lambda: load_matrix(_CSV), 1.3),
+    "load_matrix_padded": (lambda: load_matrix(_PADDED_CSV, skip_header=True), 1.3),
 }
 
 
