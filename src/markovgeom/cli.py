@@ -761,7 +761,7 @@ def _run(args) -> int:
     else:
         report["results"] = {"size": geo.cloud.n_samples, **outcome.results}
     emit(report, outcome.matrices, args)
-    print(outcome.summary)
+    print(outcome.summary, flush=True)  # a closed stdout fails here, as exit 2
     return outcome.code
 
 
@@ -1088,6 +1088,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())
