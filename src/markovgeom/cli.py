@@ -33,12 +33,11 @@ import numpy as np
 from .geometry import (
     Bidivergence,
     DataCloud,
-    GramMatrix,
     InteractionWeights,
     _finite_matrix,
-    _gram_phases,
     _validate_beta,
     bidivergence,
+    edge_phases,
     generalized_gram,
     gram,
     squared_distance,
@@ -433,9 +432,10 @@ def _format_rows(matrix: np.ndarray, lo: int, hi: int, indent):
     ``\\n``), or the indentation of the JSON line that holds the matrix:
     each row is then a list, one ``float.__repr__`` cell per line, as
     ``json.dumps(matrix.tolist(), indent=2)`` writes it there, and rows are
-    joined by ``,``.  The texts of consecutive ranges concatenate to the text
-    of the whole matrix; a matrix with no columns has no cells and is written
-    whole by the range that starts at 0.
+    joined by ``,``; the JSON matrix must have cells.  The texts of
+    consecutive ranges concatenate to the text of the whole matrix; a CSV
+    matrix with no columns has no cells and is written whole by the range
+    that starts at 0.
     """
     rows, cols = matrix.shape
     if indent is None:
@@ -445,9 +445,7 @@ def _format_rows(matrix: np.ndarray, lo: int, hi: int, indent):
     else:
         row, cell = b"\n" + b" " * (indent + 2), b"\n" + b" " * (indent + 4)
         opening, closing = row + b"[" + cell, row + b"]"
-        if not cols:
-            yield b",".join([row + b"[]"] * rows)
-        elif lo == 0:  # a row ends in the opening of the next: only row 0 opens here
+        if lo == 0:  # a row ends in the opening of the next: only row 0 opens here
             yield opening
         marks = (b"," + cell, closing + b"," + opening, closing)
     for start in range(lo, hi, _BLOCK_CELLS):
@@ -534,6 +532,14 @@ def _write_file(path, write) -> None:
         raise
 
 
+def _as_matrix(values) -> np.ndarray:
+    """``values`` as a row-major 2-D float64 array; a vector is one row."""
+    matrix = np.ascontiguousarray(np.atleast_2d(np.asarray(values, dtype=float)))
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D matrix, got shape {matrix.shape}")
+    return matrix
+
+
 def write_matrix_csv(path, matrix) -> None:
     """Row-major CSV at 17 significant digits (round-trips float64 exactly).
 
@@ -542,65 +548,46 @@ def write_matrix_csv(path, matrix) -> None:
     the exact kernel ``_decimal_slots``; a cell outside its range (nan, inf,
     subnormal, |x| < 1e-11 or >= 1e15) goes to ``'%.17g' % x``.
     """
-    matrix = np.ascontiguousarray(np.atleast_2d(np.asarray(matrix, dtype=float)))
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 1-D or 2-D matrix, got shape {matrix.shape}")
+    matrix = _as_matrix(matrix)
     _write_file(path, lambda fh: _write_rows(fh, matrix, None, _emit_workers(matrix)))
-
-
-def _placeholder(index: int) -> str:
-    # no argument or path can hold a NUL, so no other report string equals this
-    return f"\0markovgeom-matrix-{index}"
-
-
-def _stub_matrices(value, matrices: list):
-    """Copy of a report with each finite 2-D float64 array replaced by a
-    placeholder string and appended to ``matrices``; other arrays become lists."""
-    if isinstance(value, dict):
-        return {key: _stub_matrices(item, matrices) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_stub_matrices(item, matrices) for item in value]
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2 and value.dtype == np.float64 and np.isfinite(value).all():
-            matrices.append(np.ascontiguousarray(value))
-            return _placeholder(len(matrices) - 1)
-        return value.tolist()
-    return value
 
 
 def _write_json_matrix(fh, matrix: np.ndarray, indent: int) -> None:
     """The ``indent=2`` JSON of ``matrix.tolist()`` for a value whose line is
-    indented by ``indent`` spaces; floats are written as ``float.__repr__``
-    writes them, by the exact kernel ``_decimal_slots``."""
-    if matrix.shape[0] == 0:
-        fh.write(b"[]")
+    indented by ``indent`` spaces.  The floats of a finite matrix with cells
+    are written as ``float.__repr__`` writes them, by the exact kernel
+    ``_decimal_slots``; any other matrix by ``json.dumps`` itself, which
+    writes nan and inf as ``NaN`` and ``Infinity``."""
+    if not matrix.size or not np.isfinite(matrix).all():
+        text = json.dumps(matrix.tolist(), indent=2).replace("\n", "\n" + " " * indent)
+        fh.write(text.encode("ascii"))
         return
     fh.write(b"[")
     _write_rows(fh, matrix, indent, _emit_workers(matrix, _PARALLEL_MIN_JSON_CELLS))
     fh.write(f"\n{' ' * indent}]".encode("ascii"))
 
 
-def write_report_json(path, report: dict) -> None:
+def write_report_json(path, report: dict, matrices: dict | None = None) -> None:
     """Write ``json.dumps(report, indent=2)`` and a newline.
 
-    A finite 2-D float64 array anywhere in the report is written as its
-    nested list by the cell-range formatter, into the text that ``json.dumps``
-    makes of the rest of the report; the file is byte-identical to dumping
-    the report with every array replaced by ``array.tolist()``.
+    Non-empty ``matrices`` (name to array-like) follow the report's own keys
+    under the key ``"matrices"``, which ``report`` must not hold; each is
+    streamed by ``_write_json_matrix``.  The file is byte-identical to
+    dumping the report with ``"matrices"`` mapping each name to
+    ``_as_matrix(values).tolist()``.
     """
-    matrices: list[np.ndarray] = []
-    text = json.dumps(_stub_matrices(report, matrices), indent=2) + "\n"
+    if not matrices:
+        _write_file(path, lambda fh: fh.write(json.dumps(report, indent=2).encode("ascii") + b"\n"))
+        return
+    # the report with an empty "matrices" last ends in '"matrices": {}\n}'
+    head = json.dumps({**report, "matrices": {}}, indent=2)[:-len("}\n}")]
 
     def write(fh):
-        pos = 0
-        for index, matrix in enumerate(matrices):
-            token = json.dumps(_placeholder(index))
-            at = text.index(token, pos)
-            line = text[text.rfind("\n", 0, at) + 1:at]
-            fh.write(text[pos:at].encode("ascii"))
-            _write_json_matrix(fh, matrix, len(line) - len(line.lstrip(" ")))
-            pos = at + len(token)
-        fh.write(text[pos:].encode("ascii"))
+        fh.write(head.encode("ascii"))
+        for i, (name, values) in enumerate(matrices.items()):
+            fh.write(f"{',' * (i > 0)}\n    {json.dumps(name)}: ".encode("ascii"))
+            _write_json_matrix(fh, _as_matrix(values), 4)
+        fh.write(b"\n  }\n}\n")
 
     _write_file(path, write)
 
@@ -610,25 +597,20 @@ def emit(report: dict, matrices: dict[str, np.ndarray], args) -> None:
 
     The report goes to ``<command>_report.json``; each matrix to
     ``<name>.csv``, or to ``--out`` for the commands that take it (each writes
-    one matrix).  ``--format json`` inlines the matrices into the report
-    instead of writing separate files.
+    one matrix).  ``--format json`` inlines the matrices into the report, as
+    its last key ``"matrices"``, instead of writing separate files.
     """
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if getattr(args, "format", "csv") == "json":
-        if matrices:
-            report = dict(report)
-            report["matrices"] = {
-                name: np.atleast_2d(np.asarray(values, dtype=float))
-                for name, values in matrices.items()
-            }
-    else:
+    inline = getattr(args, "format", "csv") == "json"
+    if not inline:
         out = getattr(args, "out", None)
         for name, values in matrices.items():
             path = Path(out) if out else out_dir / f"{name}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
             write_matrix_csv(path, values)
-    write_report_json(out_dir / f"{args.command}_report.json", report)
+    write_report_json(out_dir / f"{args.command}_report.json", report,
+                      matrices if inline else None)
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +619,11 @@ def emit(report: dict, matrices: dict[str, np.ndarray], args) -> None:
 
 
 class Geometry(NamedTuple):
-    """The query-key geometry every command normalizes in its own way."""
+    """The query-key geometry every command normalizes in its own way; the
+    D x D ``weights`` are None without ``--weights``."""
 
     cloud: DataCloud
-    gram: GramMatrix
+    weights: InteractionWeights | None
     biv: Bidivergence
     d2: np.ndarray
 
@@ -694,9 +677,8 @@ def _resolve_beta(beta_arg: str, d2: np.ndarray) -> float:
 def _load_geometry(args) -> Geometry:
     cloud = load_cloud(args.input, args.skip_header)
     weights = load_weights(args.weights, args.skip_header) if getattr(args, "weights", None) else None
-    gram_matrix = generalized_gram(cloud, weights) if weights is not None else gram(cloud)
-    biv = bidivergence(gram_matrix)
-    return Geometry(cloud, gram_matrix, biv, squared_distance(biv))
+    biv = bidivergence(generalized_gram(cloud, weights) if weights is not None else gram(cloud))
+    return Geometry(cloud, weights, biv, squared_distance(biv))
 
 
 def _config_echo(args, beta: float) -> dict:
@@ -920,7 +902,7 @@ def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
     from .spectral import conjugate_hermitize
 
     operator, pi = _reversible_diffusion(geo, beta)
-    phased = magnetic_operator(operator, _gram_phases(geo.gram.values, beta))
+    phased = magnetic_operator(operator, edge_phases(geo.cloud, geo.weights, beta))
     _, current = magnetic_flux(pi, phased)
     hermitized = conjugate_hermitize(phased, pi)
     hermiticity = _max_hermitian_gap(hermitized)
@@ -948,7 +930,9 @@ def cmd_embed(args, geo: Geometry, beta: float) -> Outcome:
     from .spectral import conjugate_symmetrize, decompose, diffusion_embedding
 
     operator, pi = _reversible_diffusion(geo, beta)
-    dec = decompose(conjugate_symmetrize(operator, pi), pi)
+    symmetrized = conjugate_symmetrize(operator, pi)
+    del operator  # one n x n matrix fewer while eigh runs
+    dec = decompose(symmetrized, pi)
     embedding = diffusion_embedding(dec, t=args.t, k=args.k)
     return Outcome(
         {
@@ -989,8 +973,20 @@ def cmd_verify(args, geo: Geometry, beta: float) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose failed write of ``--help`` to stdout raises the
+    ``OSError``, as the CLI's other writes to stdout do, where argparse's own
+    ``_print_message`` may drop it.  Its writes to stderr are argparse's."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markovgeom",
         description=(
             "Markov geometry toolkit: divergence pairs, attention and diffusion "
@@ -1073,14 +1069,11 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        return _run(build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse has already printed its message; --help exits with 0
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    try:
-        return _run(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

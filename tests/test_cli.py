@@ -412,14 +412,20 @@ _LARGE = {
 }
 
 
-def _large_report(value, other):
-    return {"command": "x", "results": {"values": [1.0, -0.0, 1e300]},
-            "matrices": {"big": value, "nested": [{"in_list": other}],
-                         "empty": np.zeros((0, 3)),
-                         "no_columns": np.zeros((2, 0))}}
-
-
 _SMALL = np.array([[-0.0, 5e-324], [1e-300, np.finfo(float).max]])
+_LARGE_REPORT = {"command": "x", "results": {"values": [1.0, -0.0, 1e300]}}
+
+
+def _large_matrices(name):
+    # a vector is written as one row
+    return {"big": _LARGE[name], "small": _SMALL, "vector": _SMALL[1],
+            "empty": np.zeros((0, 3)), "no_columns": np.zeros((2, 0))}
+
+
+def _dumps_report(report, matrices):
+    """The ``json.dumps`` text of a report with its matrices inlined as lists."""
+    inlined = {name: np.atleast_2d(values).tolist() for name, values in matrices.items()}
+    return json.dumps({**report, "matrices": inlined}, indent=2) + "\n"
 
 
 @functools.cache
@@ -428,10 +434,7 @@ def _large_reference(name, fmt):
     once and shared by every worker count."""
     if fmt == "csv":
         return _savetxt_bytes(_LARGE[name])
-    expected = _large_report(_LARGE[name].tolist(), _SMALL.tolist())
-    expected["matrices"]["empty"] = []
-    expected["matrices"]["no_columns"] = [[], []]
-    return json.dumps(expected, indent=2) + "\n"
+    return _dumps_report(_LARGE_REPORT, _large_matrices(name))
 
 
 class TestParallelEmit:
@@ -453,14 +456,23 @@ class TestParallelEmit:
     def test_json_equals_json_dumps(self, tmp_path, monkeypatch, name, workers):
         _force_workers(monkeypatch, workers)
         path = tmp_path / "r.json"
-        write_report_json(path, _large_report(_LARGE[name], _SMALL))
+        write_report_json(path, _LARGE_REPORT, _large_matrices(name))
         assert path.read_text() == _large_reference(name, "json")
 
     def test_json_of_non_finite_matrix_equals_json_dumps(self, tmp_path):
-        matrix = np.array([[np.nan, np.inf], [-np.inf, 1.0]])
+        # json.dumps writes NaN and Infinity, where the kernel would write nan
+        matrices = {"m": np.array([[np.nan, np.inf], [-np.inf, 1.0]]), "finite": _SMALL}
         path = tmp_path / "r.json"
-        write_report_json(path, {"m": matrix})
-        assert path.read_text() == json.dumps({"m": matrix.tolist()}, indent=2) + "\n"
+        write_report_json(path, {"command": "x"}, matrices)
+        assert path.read_text() == _dumps_report({"command": "x"}, matrices)
+
+    @pytest.mark.parametrize("report", [{}, {"command": "x"}])
+    def test_json_without_matrices_is_json_dumps(self, tmp_path, report):
+        for matrices in (None, {}):
+            write_report_json(tmp_path / "r.json", report, matrices)
+            assert (tmp_path / "r.json").read_text() == json.dumps(report, indent=2) + "\n"
+        write_report_json(tmp_path / "r.json", report, {"m": _SMALL})
+        assert (tmp_path / "r.json").read_text() == _dumps_report(report, {"m": _SMALL})
 
     @pytest.mark.parametrize("cpus, shape, fmt, workers", [
         (2, (600, 600), "csv", 2), (2, (600, 600), "json", 2), (2, (1000, 2), "csv", 1),
@@ -487,7 +499,7 @@ class TestParallelEmit:
         monkeypatch.setattr(cli, "_write_rows", record)
         matrix = np.full((300, 300), 0.25)
         write_matrix_csv(tmp_path / "m.csv", matrix)
-        write_report_json(tmp_path / "r.json", {"m": matrix})
+        write_report_json(tmp_path / "r.json", {}, {"m": matrix})
         assert used == [1, 2]
 
     @pytest.mark.parametrize("fmt, output", [("csv", "dmap.csv"), ("json", "dmap_report.json")])
@@ -676,10 +688,10 @@ class TestExactReprKernel:
         monkeypatch.setattr(cli, "_g17_fallback",
                             lambda slots, values, cells, fmt=b"%.17g": left.append(cells))
         _force_workers(monkeypatch, 1)
-        write_report_json(tmp_path / "r.json", {"m": matrix})
+        write_report_json(tmp_path / "r.json", {"command": "attention"}, {"attention": matrix})
         assert left == []
-        assert (tmp_path / "r.json").read_text() == json.dumps(
-            {"m": matrix.tolist()}, indent=2) + "\n"
+        assert (tmp_path / "r.json").read_text() == _dumps_report(
+            {"command": "attention"}, {"attention": matrix})
 
 
 class TestDmapCommand:
@@ -1440,7 +1452,10 @@ class TestOutputContract:
         report_name = f"{command}_report.json"
         csvs = {f"{name}.csv" for name in matrices} if fmt == "csv" else set()
         assert set(outputs[0]) == {report_name} | csvs
-        report = json.loads(outputs[0][report_name])
+        # the layout of every report is json.dumps's own, matrices included
+        text = outputs[0][report_name].decode("ascii")
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text
+        report = json.loads(text)
         if command == "verify":
             assert list(report) == ["command", "config", "checks", "all_passed"]
         else:
@@ -1514,7 +1529,9 @@ class TestSolverLogging:
         assert (out / output).read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("counted, argv, times", [
-        pytest.param("generalized_gram", ["magnetic"], 1, id="generalized_gram-argv0"),
+        # once for the bidivergence and once for the edge phases: the geometry
+        # holds the D x D weights, not the N x N Gram matrix, while magnetic runs
+        pytest.param("generalized_gram", ["magnetic"], 2, id="generalized_gram-argv0"),
         pytest.param("rbf_kernel", ["bridge", "--kernel", "rbf", "--mu-plus", "stationary",
                                     "--mu-minus", "stationary"], 1, id="rbf_kernel-argv1"),
         # the diffusion operator brings its stationary measure: one pass over

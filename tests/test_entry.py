@@ -142,16 +142,29 @@ def test_closed_stdout_exits_2_in_process(inputs, capsys, monkeypatch, unbuffere
     assert set(_files(out_dir)) == {"dmap.csv", "dmap_report.json"}
 
 
-def test_closed_stdout_for_help_exits_2_through_the_entry():
-    # buffered only: argparse itself ignores a failed write of its help text,
-    # so an unbuffered stdout leaves nothing for the entry to flush
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_for_help_exits_2_through_the_entry(unbuffered):
+    # buffered, the entry's flush fails; unbuffered, the parser's own write
     write_fd = _closed_pipe()
     try:
-        run = subprocess.run([sys.executable, "-m", "markovgeom", "--help"], env=_child_env(),
-                             stdout=write_fd, stderr=subprocess.PIPE, text=True, timeout=120)
+        run = subprocess.run([sys.executable, "-m", "markovgeom", "--help"],
+                             env=_child_env(unbuffered), stdout=write_fd,
+                             stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write_fd)
     assert (run.returncode, run.stderr) == (EXIT_USAGE, "error: [Errno 32] Broken pipe\n")
+
+
+def test_closed_stdout_for_help_exits_2_in_process(capsys, monkeypatch):
+    # unbuffered, so the parser's own write of the help text fails
+    stdout = io.TextIOWrapper(io.FileIO(_closed_pipe(), "w"), write_through=True)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["--help"])
+    finally:
+        monkeypatch.undo()
+        stdout.close()
+    assert (code, capsys.readouterr().err) == (EXIT_USAGE, "error: [Errno 32] Broken pipe\n")
 
 
 def test_main_leaves_the_collector_on(inputs, capsys):

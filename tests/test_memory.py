@@ -8,6 +8,9 @@ certificates keep O(n) vectors and strips beside the operator; its LU rung
 copies the operator into the bordered system and factorizes it once.  CSV
 ingest holds neither the file (2.5 units of text) nor its cells as strings,
 also when whitespace-only lines and a non-ASCII header surround the numbers.
+A CLI command holds the geometry it loaded (the bidivergence and the squared
+distances, two units) beside its own n^2 arrays, but not the Gram matrix;
+``embed`` lets go of the diffusion operator before its eigendecomposition.
 """
 
 import logging
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from markovgeom.bridges import classify_regime, solve_bridge, stationary_distribution
-from markovgeom.cli import load_matrix, write_matrix_csv
+from markovgeom.cli import load_matrix, main, write_matrix_csv
 from markovgeom.geometry import DataCloud, bidivergence, gram, squared_distance
 from markovgeom.normalize import ConvergenceError, StochasticOperator, sinkhorn, softmax_rows
 from markovgeom.operators import attention_forward, dmap, dmap_bistochastic, rbf_kernel
@@ -51,6 +54,14 @@ write_matrix_csv(_CSV, np.random.default_rng(3).standard_normal((N, N)))
 # the same rows under a non-ASCII header, with a line of spaces after each
 _PADDED_CSV = Path(_CSV_DIR.name) / "padded.csv"
 _PADDED_CSV.write_text("größe,wert\n" + _CSV.read_text().replace("\n", "\n  \n"), encoding="utf-8")
+# an N x 3 cloud and 3 x 3 weights for the CLI commands
+_CLOUD, _WEIGHTS = Path(_CSV_DIR.name) / "cloud.csv", Path(_CSV_DIR.name) / "weights.csv"
+write_matrix_csv(_CLOUD, np.random.default_rng(4).standard_normal((N, 3)))
+write_matrix_csv(_WEIGHTS, np.random.default_rng(5).standard_normal((3, 3)))
+
+
+def _cli(*argv):
+    return lambda: main([*argv, "--input", str(_CLOUD), "--out-dir", _CSV_DIR.name])
 
 
 def teardown_module():
@@ -60,7 +71,10 @@ def teardown_module():
 # 2.10, 1.10, 1.10, 1.04, 1.30, 0.03, 0.11, 1.12, 2.09 (classify_regime
 # holds two n^2 arrays at a time: the flux and the currents, then the currents
 # and |J|), 1.16 and 1.14 (load_matrix, plain and padded: the matrix as
-# numpy's reader grows it)
+# numpy's reader grows it), 5.22 (embed; 7.21 while the command held the Gram
+# matrix and the diffusion operator through the eigendecomposition) and 12.72
+# (magnetic, whose complex operators take two units each; 13.72 with the Gram
+# matrix held)
 PEAKS = {
     "squared_distance": (lambda: squared_distance(_BIV), 1.2),
     "sinkhorn": (lambda: sinkhorn(_Z), 1.2),
@@ -75,6 +89,8 @@ PEAKS = {
     "classify_regime": (lambda: classify_regime(CHAINS["Doeblin"], _PI, _PI), 2.2),
     "load_matrix": (lambda: load_matrix(_CSV), 1.3),
     "load_matrix_padded": (lambda: load_matrix(_PADDED_CSV, skip_header=True), 1.3),
+    "cli_embed": (_cli("embed"), 5.4),
+    "cli_magnetic": (_cli("magnetic", "--weights", str(_WEIGHTS)), 12.9),
 }
 
 
