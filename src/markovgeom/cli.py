@@ -18,6 +18,7 @@ environment variable (error, warn, info, debug) controls logging verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -974,15 +975,23 @@ def cmd_verify(args, geo: Geometry, beta: float) -> Outcome:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose failed write of ``--help`` to stdout raises the
-    ``OSError``, as the CLI's other writes to stdout do, where argparse's own
-    ``_print_message`` may drop it.  Its writes to stderr are argparse's."""
+    """A parser that writes and flushes ``--help`` to stdout, raising the
+    ``OSError`` of a failed write as the CLI's other writes to stdout do, where
+    argparse's own ``_print_message`` may drop it.  Its writes to stderr are
+    argparse's, and a usage error writes nothing where there is no stderr (fd 2
+    closed at start), where argparse would send the usage to stdout."""
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
             file.write(message)
+            file.flush()
         else:
             super()._print_message(message, file)
+
+    def error(self, message):
+        if sys.stderr is None:  # argparse's error() would print its usage to stdout
+            self.exit(2)
+        super().error(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1074,10 +1083,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse has already printed its message; --help exits with 0
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ConvergenceError, ValueError, OSError) as exc:
+        # a closed stderr, or none (fd 2 closed at start), loses the line, not the code
+        with contextlib.suppress(AttributeError, OSError):
+            sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_USAGE
 

@@ -272,24 +272,19 @@ def _log_sweep(log_kernel, log_a, b, g, symmetric):
     return f, np.log(scale) - top, kernel
 
 
-def _recent_ratios(history):
-    """Ratios of the last _RATE_WINDOW successive residuals, or None while the
-    history is shorter; a zero residual makes the next ratio infinite."""
-    if len(history) <= _RATE_WINDOW:
-        return None
-    tail = history[-_RATE_WINDOW - 1:]
-    return [later / earlier if earlier > 0.0 else np.inf
-            for earlier, later in zip(tail, tail[1:])]
-
-
 def _phase_rate(history, omega):
     """Residual contraction per sweep over the last few sweeps of a phase, or
-    None while it is not measurable.  Plain sweeps count once their ratios
-    agree (their maximum); over-relaxed sweeps, whose ratios oscillate, once
-    the phase's first window has passed (their geometric mean)."""
+    None while it is not measurable.  Plain sweeps count once the ratios of
+    their last _RATE_WINDOW successive residuals agree (their maximum; a zero
+    residual makes the next ratio infinite); over-relaxed sweeps, whose ratios
+    oscillate, once the phase's first window has passed (their geometric mean)."""
     if omega == 1.0:
-        ratios = _recent_ratios(history)
-        if ratios is None or max(ratios) > _RATE_SPREAD * min(ratios):
+        if len(history) <= _RATE_WINDOW:
+            return None
+        tail = history[-_RATE_WINDOW - 1:]
+        ratios = [later / earlier if earlier > 0.0 else np.inf
+                  for earlier, later in zip(tail, tail[1:])]
+        if max(ratios) > _RATE_SPREAD * min(ratios):
             return None
         return max(ratios)
     if len(history) <= 2 * _RATE_WINDOW:

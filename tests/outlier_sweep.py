@@ -5,8 +5,16 @@ tol 1e-4, 1e-6, 1e-10 and 1e-12 and prints, for each tol, how many cases each
 rung of the ladder answered (named by its debug record) and how many raised
 ``ConvergenceError``.  Exits 1 if any answer lies more than tol from
 ``gth_stationary``, or if fewer than 148 positive dmap chains (even seeds) are
-certified at 1e-12.  Its name keeps it out of pytest's collection; it takes
-a few seconds:
+certified at 1e-12.
+
+Then it runs ``test_normalize.py``'s exact-marginal draws at n = 1000: seeds
+0-1 of ``sinkhorn``, ``attention_bistochastic``, ``dmap_bistochastic`` and
+``solve_bridge`` at tol 3e-15, 1e-14 and 1e-12, and prints, for each tol, how
+many answers were accepted and how many raised.  Exits 1 if an accepted
+answer has a row or column sum (taken with ``math.fsum``) more than tol from
+its target, if a ``ConvergenceError`` reports a residual within tol, or if a
+draw is accepted at no tol.  Its name keeps it out of pytest's collection; it
+takes a few seconds:
 
     PYTHONPATH=src python tests/outlier_sweep.py
 """
@@ -21,6 +29,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 from test_bridges import gth_stationary, outlier_chain  # noqa: E402
+from test_normalize import _exact_case, exact_marginal_gap  # noqa: E402
 
 from markovgeom.bridges import stationary_distribution  # noqa: E402
 from markovgeom.normalize import ConvergenceError  # noqa: E402
@@ -30,6 +39,11 @@ TOLS = (1e-4, 1e-6, 1e-10, 1e-12)
 MIN_DMAP_CERTIFIED = 148
 
 RUNGS = {"Doeblin": "doeblin", "reversibility": "reversible", "direct": "lu"}
+
+EXACT_N = 1000
+EXACT_SCALERS = ("sinkhorn", "attention_bistochastic", "dmap_bistochastic", "solve_bridge")
+EXACT_SEEDS = range(2)
+EXACT_TOLS = (3e-15, 1e-14, 1e-12)
 
 
 class RungRecorder(logging.Handler):
@@ -89,5 +103,38 @@ def main() -> int:
     return int(bool(wrong) or dmap_certified < MIN_DMAP_CERTIFIED)
 
 
+def exact_marginals() -> int:
+    counts = {tol: Counter() for tol in EXACT_TOLS}
+    faults = []
+    worst = 0.0
+    for scaler in EXACT_SCALERS:
+        for seed in EXACT_SEEDS:
+            accepted = 0
+            for tol in EXACT_TOLS:
+                case = f"{scaler}, seed {seed}, tol {tol:.0e}"
+                try:
+                    matrix, rows, cols = _exact_case(scaler, seed, tol, n=EXACT_N)
+                except ConvergenceError as exc:
+                    counts[tol]["raised"] += 1
+                    if exc.residual <= tol:
+                        faults.append(f"{case}: raised at residual {exc.residual:.3e}")
+                    continue
+                counts[tol]["accepted"] += 1
+                accepted += 1
+                gap = exact_marginal_gap(matrix, rows, cols)
+                worst = max(worst, gap / tol)
+                if gap > tol:
+                    faults.append(f"{case}: accepted, exact marginal gap {gap:.3e}")
+            if not accepted:
+                faults.append(f"{scaler}, seed {seed}: accepted at no tol")
+    for tol in EXACT_TOLS:
+        print(f"n = {EXACT_N} exact marginals, tol {tol:.0e}: "
+              f"accepted {counts[tol]['accepted']}, raised {counts[tol]['raised']}")
+    print(f"worst exact marginal gap: {worst:.2g} x tol")
+    for fault in faults:
+        print(f"FAIL: {fault}")
+    return int(bool(faults))
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main() | exact_marginals())

@@ -1,8 +1,10 @@
 """The process entry: ``python -m markovgeom`` and the ``markovgeom`` script.
 
 ``__main__.run`` ends the process with ``os._exit`` once ``cli.main`` has
-returned; these tests check that no stream or file is lost on the way, and
-that a closed stdout is an exit 2 both in-process and through the entry.
+returned, flushing only logging; these tests check that no stream or file is
+lost on the way (``cli`` flushes each write to stdout where it makes it), that
+a closed stdout is an exit 2, and that a closed stderr loses its messages but
+keeps the exit code, both in-process and through the entry.
 """
 
 import gc
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import markovgeom
-from markovgeom.cli import EXIT_USAGE, main, write_matrix_csv
+from markovgeom.cli import EXIT_NO_CONVERGENCE, EXIT_OK, EXIT_USAGE, main, write_matrix_csv
 
 SRC = Path(markovgeom.__file__).parents[1]
 ROOT = SRC.parent
@@ -54,7 +56,10 @@ def _files(directory):
 def test_process_entry_writes_what_main_writes(inputs, capsys, monkeypatch):
     tmp_path, paths = inputs
     cloud = str(paths["cloud"])
+    monkeypatch.setenv("COLUMNS", "80")  # one help width for the children and for main
     forms = {
+        "help": ["--help"],
+        "dmap_help": ["dmap", "-h"],
         "dmap": ["dmap", "--input", cloud],
         "attention_json": ["attention", "--input", cloud, "--format", "json"],
         "magnetic": ["magnetic", "--input", cloud, "--weights", str(paths["weights"])],
@@ -86,7 +91,9 @@ def test_process_entry_writes_what_main_writes(inputs, capsys, monkeypatch):
         assert (tmp_path / name / "stdout").read_text() == captured.out, name
         assert (tmp_path / name / "stderr").read_text() == captured.err, name
         assert written == _files(out_dir), name
-    assert [codes[name] for name in ("dmap", "verify", "bad_input", "stall")] == [0, 0, 2, 3]
+    assert [codes[name] for name in ("help", "dmap", "verify", "bad_input", "stall")] == [
+        0, 0, 0, 2, 3]
+    assert (tmp_path / "dmap_help" / "stdout").read_text().startswith("usage: markovgeom dmap")
     assert set(_files(tmp_path / "magnetic" / "out")) == {
         "magnetic_report.json", "magnetic_magnitude.csv", "magnetic_phase.csv",
         "magnetic_current.csv"}
@@ -144,7 +151,7 @@ def test_closed_stdout_exits_2_in_process(inputs, capsys, monkeypatch, unbuffere
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_for_help_exits_2_through_the_entry(unbuffered):
-    # buffered, the entry's flush fails; unbuffered, the parser's own write
+    # buffered, the parser's flush fails; unbuffered, its write
     write_fd = _closed_pipe()
     try:
         run = subprocess.run([sys.executable, "-m", "markovgeom", "--help"],
@@ -165,6 +172,76 @@ def test_closed_stdout_for_help_exits_2_in_process(capsys, monkeypatch):
         monkeypatch.undo()
         stdout.close()
     assert (code, capsys.readouterr().err) == (EXIT_USAGE, "error: [Errno 32] Broken pipe\n")
+
+
+def _closed_stderr_form(form, tmp_path, paths):
+    cloud = str(paths["cloud"])
+    return {
+        "bad_input": ["dmap", "--input", str(tmp_path / "bad.csv")],
+        "usage": ["dmap", "--input", cloud, "--bogus"],
+        "stall": ["attention", "--input", cloud, "--bistochastic", "--max-iter", "1"],
+        "bridge": ["bridge", "--input", cloud, "--kernel", "rbf",
+                   "--mu-plus", "stationary", "--mu-minus", str(paths["mu"])],
+    }[form]
+
+
+@pytest.mark.parametrize("form, code", [("bad_input", EXIT_USAGE), ("usage", EXIT_USAGE),
+                                        ("stall", EXIT_NO_CONVERGENCE), ("bridge", EXIT_OK)])
+def test_closed_stderr_keeps_the_code_through_the_entry(inputs, form, code):
+    # each run logs at debug; stdout and the files must be those of a run with stderr open
+    tmp_path, paths = inputs
+    argv = _closed_stderr_form(form, tmp_path, paths)
+    write_fd = _closed_pipe()
+    modes = {  # mode: (command prefix, stderr, unbuffered)
+        "open": ([], subprocess.DEVNULL, False),
+        "pipe_buffered": ([], write_fd, False),
+        "pipe_unbuffered": ([], write_fd, True),
+        "fd_closed": (["sh", "-c", 'exec "$@" 2>&-', "sh"], None, False),
+    }
+    children = {}
+    try:
+        for mode, (prefix, stderr, unbuffered) in modes.items():
+            (tmp_path / mode).mkdir()
+            env = dict(_child_env(unbuffered), MG_LOG_LEVEL="debug")
+            command = [*prefix, sys.executable, "-m", "markovgeom", *argv,
+                       "--out-dir", str(tmp_path / mode / "out")]
+            with open(tmp_path / mode / "stdout", "wb") as out:
+                children[mode] = subprocess.Popen(command, env=env, stdout=out, stderr=stderr)
+    finally:
+        os.close(write_fd)
+    codes = {mode: child.wait(timeout=120) for mode, child in children.items()}
+    assert codes == dict.fromkeys(modes, code)
+    for mode in modes:
+        assert (tmp_path / mode / "stdout").read_bytes() == \
+            (tmp_path / "open" / "stdout").read_bytes(), mode
+        assert _files(tmp_path / mode / "out") == _files(tmp_path / "open" / "out"), mode
+    if form == "bridge":
+        assert len(_files(tmp_path / "open" / "out")) == 7
+
+
+@pytest.mark.parametrize("stderr_kind", ["buffered", "unbuffered", "none"])
+def test_closed_stderr_keeps_the_code_in_process(inputs, capsys, monkeypatch, stderr_kind):
+    # "none" is sys.stderr where fd 2 was closed at start: no line goes to stdout instead
+    tmp_path, paths = inputs
+    stderr = None
+    if stderr_kind != "none":
+        raw = io.FileIO(_closed_pipe(), "w")
+        unbuffered = stderr_kind == "unbuffered"
+        stderr = io.TextIOWrapper(raw if unbuffered else io.BufferedWriter(raw),
+                                  line_buffering=not unbuffered, write_through=unbuffered)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    try:
+        codes = [main([*_closed_stderr_form(form, tmp_path, paths),
+                       "--out-dir", str(tmp_path / "out")])
+                 for form in ("bad_input", "usage", "stall")]
+    finally:
+        monkeypatch.undo()
+        if stderr is not None:
+            with suppress(BrokenPipeError):  # a failed flush leaves the line buffered
+                stderr.close()
+    assert codes == [EXIT_USAGE, EXIT_USAGE, EXIT_NO_CONVERGENCE]
+    assert capsys.readouterr().out == ""
+    assert _files(tmp_path / "out") == {}
 
 
 def test_main_leaves_the_collector_on(inputs, capsys):

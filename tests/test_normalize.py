@@ -462,12 +462,14 @@ def exact_marginal_gap(matrix, rows, cols):
                for line, target in zip(lines, targets))
 
 
-def _exact_case(scaler, seed, tol):
+def _exact_case(scaler, seed, tol, n=None):
     """(matrix, row sums, column sums) of one scaler on the seed's draw of 2 to
-    299 points: standard normal logits at a random scale for sinkhorn, a
-    Gaussian cloud in 3-D at a random beta for the others."""
+    299 points, or of n points (then not drawn): standard normal logits at a
+    random scale for sinkhorn, a Gaussian cloud in 3-D at a random beta for
+    the others."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 300))
+    if n is None:
+        n = int(rng.integers(2, 300))
     if scaler == "sinkhorn":
         z = rng.standard_normal((n, n)) * rng.uniform(0.1, 3)
         return sinkhorn(z, tol=tol)[0].values, 1.0, 1.0
