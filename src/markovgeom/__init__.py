@@ -23,9 +23,8 @@ _PUBLIC = {
         "stationary_distribution",
     ),
     "geometry": (
-        "Bidivergence", "DataCloud", "GramMatrix", "HermitianPartition", "InteractionWeights",
-        "bidivergence", "edge_phases", "generalized_gram", "gram", "hermitian_partition",
-        "squared_distance",
+        "Bidivergence", "DataCloud", "GramMatrix", "InteractionWeights", "bidivergence",
+        "edge_phases", "generalized_gram", "gram", "squared_distance",
     ),
     "normalize": (
         "ConvergenceError", "ScalingPotentials", "StochasticOperator", "poe_combine",

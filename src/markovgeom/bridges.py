@@ -88,13 +88,12 @@ class BridgeSolution:
 class RegimeReport:
     """Classification of an operator/marginal pair as EQ, NESS, or NE.
 
-    ``stationary`` is the common marginal when both agree and the operator
-    preserves it (EQ/NESS), and None for one-step transport (NE).  Residuals
-    are always reported so a borderline call can be audited.
+    At a steady state (EQ/NESS) mu_plus is the common marginal that the
+    operator preserves; NE is one-step transport.  Residuals are always
+    reported so a borderline call can be audited.
     """
 
     regime: str
-    stationary: np.ndarray | None
     currents: np.ndarray
     max_current: float
     current_threshold: float
@@ -315,9 +314,11 @@ def _reversible(values: np.ndarray, tol: float):
     worst = 0.0
     for lo in range(0, n, _STRIP_ROWS):
         hi = min(lo + _STRIP_ROWS, n)
-        # the mirror strip is made contiguous first; read strided, numpy would
-        # buffer it in larger chunks than the strip itself
-        ratio = np.ascontiguousarray(values[lo:, lo:hi].T)
+        # the mirror strip is copied contiguous first: read strided, numpy would
+        # buffer it in larger chunks than the strip itself.  It must be a copy:
+        # a one-row last strip is already contiguous, and a view of it would
+        # write its ratio over the operator's last diagonal entry
+        ratio = values[lo:, lo:hi].T.copy()
         with np.errstate(over="ignore", under="ignore"):
             np.divide(values[lo:hi, lo:], ratio, out=ratio)
             ratio *= pi[lo:hi, None]
@@ -433,11 +434,9 @@ def classify_regime(
     # max_ij mu_i P_ij, bitwise: a product with mu_i >= 0 is monotone in P_ij
     threshold = max(CURRENT_ZERO_FRACTION * float((mu_plus * values.max(axis=1)).max()), tol)
     stationarity_residual = float(np.abs(mu_plus @ values - mu_plus).max())
-    if marginal_gap > tol or stationarity_residual > tol:
-        regime, stationary = "NE", None
-    else:
-        regime, stationary = ("EQ" if max_current <= threshold else "NESS"), mu_plus
-    return RegimeReport(regime=regime, stationary=stationary, currents=j, max_current=max_current,
+    regime = ("NE" if marginal_gap > tol or stationarity_residual > tol
+              else "EQ" if max_current <= threshold else "NESS")
+    return RegimeReport(regime=regime, currents=j, max_current=max_current,
                         current_threshold=threshold, stationarity_residual=stationarity_residual,
                         marginal_gap=marginal_gap)
 

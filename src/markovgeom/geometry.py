@@ -11,7 +11,7 @@ transpose of the forward one for *every* weight matrix, bwd[i, j] = G[j, j] -
 G[j, i] = fwd[j, i], so ``Bidivergence`` stores ``fwd`` alone and reads ``bwd``
 as the view ``fwd.T``: an inconsistent pair cannot be built.  The genuinely
 asymmetric information lives in the antisymmetric part of the generalized Gram
-matrix, exposed through ``hermitian_partition`` and ``edge_phases``.
+matrix, which ``edge_phases`` carries to the sample pairs.
 """
 
 from __future__ import annotations
@@ -115,34 +115,6 @@ class InteractionWeights:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianPartition:
-    """Split of a weight matrix into symmetric and antisymmetric parts.
-
-    ``symmetric + 1j * antisymmetric`` is Hermitian by construction.
-    """
-
-    symmetric: np.ndarray
-    antisymmetric: np.ndarray
-
-    def __post_init__(self):
-        s = _finite_matrix(self.symmetric, "symmetric part", square=True)[0]
-        a = _finite_matrix(self.antisymmetric, "antisymmetric part", square=True)[0]
-        if s.shape != a.shape:
-            raise ValueError(f"partition parts differ in shape: {s.shape} and {a.shape}")
-        if not np.array_equal(s, s.T):
-            raise ValueError("symmetric part must satisfy S == S.T exactly")
-        if not np.array_equal(a, -a.T):
-            raise ValueError("antisymmetric part must satisfy A == -A.T exactly")
-        object.__setattr__(self, "symmetric", s)
-        object.__setattr__(self, "antisymmetric", a)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The combined complex Hermitian matrix S + iA."""
-        return self.symmetric + 1j * self.antisymmetric
-
-
-@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Pairwise inner-product matrix, not symmetric when weighted."""
 
@@ -170,10 +142,6 @@ class Bidivergence:
         """Backward part bwd[i, j] = fwd[j, i], a view sharing fwd's memory."""
         return self.fwd.T
 
-    @property
-    def n(self) -> int:
-        return self.fwd.shape[0]
-
 
 def gram(cloud: DataCloud) -> GramMatrix:
     """Plain Gram matrix R R^T of the sample rows."""
@@ -191,12 +159,6 @@ def generalized_gram(cloud: DataCloud, weights: InteractionWeights) -> GramMatri
     if weights.query_factor is not None:
         return GramMatrix((r @ weights.query_factor) @ (r @ weights.key_factor).T)
     return GramMatrix(r @ weights.matrix @ r.T)
-
-
-def hermitian_partition(weights: InteractionWeights) -> HermitianPartition:
-    """Split W into (W + W.T)/2 and (W - W.T)/2; the parts sum back to W."""
-    w = weights.matrix
-    return HermitianPartition(symmetric=(w + w.T) / 2.0, antisymmetric=(w - w.T) / 2.0)
 
 
 def bidivergence(gram_matrix: GramMatrix) -> Bidivergence:

@@ -11,6 +11,7 @@ potential at unit geometric mean (gauge).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
@@ -314,10 +315,10 @@ def _held_to_tol(residual: float, tol: float, iterations: int, lead: str) -> Non
                                f"after {iterations} iterations", residual, iterations)
 
 
-def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling:
+def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False, done=0) -> _Scaling:
     """Scale the positive ``kernel`` K to row sums a and column sums b within
-    ``tol`` (sup norm).  ``log_kernel()`` returns log K; it is called only if a
-    sweep has to absorb.
+    ``tol`` (sup norm), counting sweeps on from ``done`` up to ``max_iter``.
+    ``log_kernel()`` returns log K; it is called only if a sweep has to absorb.
 
     Sweeps run in the linear domain from the start: u <- a / (K v),
     v <- b / (K^T u), so the columns are exact and the residual is the row
@@ -361,7 +362,7 @@ def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling
     relax = not symmetric  # whether over-relaxation may still engage
     history = []  # residuals of the current phase: plain since absorption, or over-relaxed
     absorptions = 0
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(done + 1, max_iter + 1):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if symmetric:
                 u_next = v_next = np.sqrt(v * a / kv)
@@ -390,7 +391,7 @@ def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling
             log.debug("scaling converged: %d sweeps, %d absorptions, omega %.3f, "
                       "residual %.3e", sweep, absorptions, engaged, residual)
             return _Scaling(kernel, u, v, f + np.log(u), g + np.log(v), sweep, residual)
-        if absorb or sweep == 1:
+        if absorb or sweep == done + 1:
             continue  # the first sweep of a phase is no contraction step: keep it out of the rate
         history.append(residual)
         if omega != 1.0 and len(history) > _RATE_WINDOW and residual > max(history[:_RATE_WINDOW]):
@@ -412,20 +413,53 @@ def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False) -> _Scaling
     _held_to_tol(residual, tol, max_iter, "scaling stalled at residual")
 
 
-def _scaled_operator(found: _Scaling, tol: float, lead: str, symmetric: bool = False):
-    """diag(u) K diag(v) in place on the kernel K the core measured, held to tol
-    by the marginals its construction measures.  ``symmetric`` (u = v) forms
-    K_ij (u_i u_j) a block of rows at a time, so the result is bitwise symmetric."""
-    scaled, u = found.kernel, found.u
-    if symmetric:
-        for lo in range(0, u.shape[0], _ROW_BLOCK):
-            scaled[lo:lo + _ROW_BLOCK] *= np.multiply.outer(u[lo:lo + _ROW_BLOCK], u)
-    else:
-        scaled *= u[:, None]
-        scaled *= found.v
-    operator = StochasticOperator(scaled, "bi", check_tol=np.inf)
-    _held_to_tol(max(operator.residuals.values()), tol, found.sweeps, lead)
-    return operator
+def _held_residual(operator: StochasticOperator, tol: float) -> float:
+    """The operator's marginal violation max |sums - 1| as its float sums
+    measure it.  Where that lies within their rounding bound n * eps of
+    ``tol``, the exact sums may fall on the other side: the violation is then
+    the larger of the float one and the exact one, each sum taken with
+    ``math.fsum``, so an operator within tol is so by either measure."""
+    residual = max(operator.residuals.values())
+    values = operator.values
+    if abs(residual - tol) > values.shape[0] * np.finfo(float).eps * (1.0 + residual):
+        return residual
+    return max(residual, *(abs(math.fsum([*line.tolist(), -1.0]))
+                           for line in (*values, *values.T)))
+
+
+def _scaled_operator(kernel, log_kernel, tol, max_iter, lead, symmetric=False):
+    """Scale ``kernel`` K to unit marginals and form diag(u) K diag(v) in place
+    on the kernel the core measured, held to tol by ``_held_residual``.  Returns
+    the operator and the _Scaling, whose potentials are those of K.
+
+    The core stops on its own residual, and the built operator's sums can
+    still miss tol by rounding.  The sweeps then go on with the remaining
+    budget from that operator, read as an absorbed kernel with u = v = 1, and
+    each round's log potentials add up.  A round that does not lower the held
+    residual, or a budget spent, raises ``ConvergenceError`` with ``lead``.
+    ``symmetric`` (u = v) forms K_ij (u_i u_j) a block of rows at a time, so
+    the result is bitwise symmetric.
+    """
+    ones = np.ones(kernel.shape[0])
+    found = _scale(kernel, log_kernel, ones, ones, tol, max_iter, symmetric)
+    log_u, log_v, missed = found.log_u, found.log_v, np.inf
+    while True:
+        scaled, u = found.kernel, found.u
+        if symmetric:
+            for lo in range(0, u.shape[0], _ROW_BLOCK):
+                scaled[lo:lo + _ROW_BLOCK] *= np.multiply.outer(u[lo:lo + _ROW_BLOCK], u)
+        else:
+            scaled *= u[:, None]
+            scaled *= found.v
+        operator = StochasticOperator(scaled, "bi", check_tol=np.inf)
+        held = _held_residual(operator, tol)
+        if held <= tol or found.sweeps == max_iter or not held < missed:
+            _held_to_tol(held, tol, found.sweeps, lead)
+            return operator, found._replace(log_u=log_u, log_v=log_v)
+        missed = held
+        found = _scale(scaled, lambda lu=log_u, lv=log_v: log_kernel() + (lu[:, None] + lv),
+                       ones, ones, tol, max_iter, symmetric, done=found.sweeps)
+        log_u, log_v = log_u + found.log_u, log_v + found.log_v
 
 
 def _gauged(log_u, log_v, sweeps, residual) -> ScalingPotentials:
@@ -461,9 +495,8 @@ def sinkhorn(
     z, top = _validate_logits(z, square=True)
     kernel = np.subtract(z, top)
     np.exp(kernel, out=kernel)
-    ones = np.ones(z.shape[0])
-    found = _scale(kernel, lambda: z - top, ones, ones, tol, max_iter)
-    operator = _scaled_operator(found, tol, "bistochastic operator misses tol: residual")
+    operator, found = _scaled_operator(kernel, lambda: z - top, tol, max_iter,
+                                       "bistochastic operator misses tol: residual")
     return operator, _gauged(found.log_u - top[:, 0], found.log_v, found.sweeps, found.residual)
 
 

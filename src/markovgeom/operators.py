@@ -16,7 +16,6 @@ from .geometry import Bidivergence, _finite_matrix, _tile_pairs, _validate_beta
 from .normalize import (
     StochasticOperator,
     _chain_values,
-    _scale,
     _scaled_operator,
     _softmax,
     sinkhorn,
@@ -25,15 +24,12 @@ from .normalize import (
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Strictly positive similarity matrix together with the inverse
-    temperature that produced it."""
+    """Strictly positive, finite square similarity matrix."""
 
     values: np.ndarray
-    beta: float
 
     def __post_init__(self):
         vals = _finite_matrix(self.values, "kernel", square=True, positive=True)[0]
-        _validate_beta(self.beta)
         object.__setattr__(self, "values", vals)
 
 
@@ -145,7 +141,7 @@ def rbf_kernel(d2, beta: float) -> KernelMatrix:
             f"squared distance {float(d2.max()):g} exceeds the exponential "
             "range; reduce beta"
         )
-    return KernelMatrix(values, beta)
+    return KernelMatrix(values)
 
 
 def directional_kernels(bidiv: Bidivergence, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -236,10 +232,9 @@ def dmap_bistochastic(
     top = kernel.max()
     kernel -= top
     np.exp(kernel, out=kernel)
-    ones = np.ones(kernel.shape[0])
-    found = _scale(kernel, lambda: d2 * -beta - top, ones, ones, tol, max_iter, symmetric=True)
-    return _scaled_operator(found, tol, "symmetrized bistochastic operator misses tol: residual",
-                            symmetric=True)
+    return _scaled_operator(kernel, lambda: d2 * -beta - top, tol, max_iter,
+                            "symmetrized bistochastic operator misses tol: residual",
+                            symmetric=True)[0]
 
 
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:

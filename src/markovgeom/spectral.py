@@ -41,7 +41,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    is_complex: bool
     degenerate: bool
 
 
@@ -50,7 +49,6 @@ class Embedding:
     """Eigenvalue-damped coordinates: column c is lambda_{c+1}^t psi_{c+1}."""
 
     coordinates: np.ndarray
-    time: float
     retained: int
 
 
@@ -138,7 +136,6 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=eigenvalues,
         right_vectors=vectors,
-        is_complex=bool(np.iscomplexobj(vectors)),
         degenerate=bool(gaps.size and gaps.min() < DEGENERACY_GAP),
     )
 
@@ -161,4 +158,4 @@ def diffusion_embedding(dec: SpectralDecomposition, t: float, k: int) -> Embeddi
         )
     weights = lam ** float(t)
     coordinates = dec.right_vectors[:, 1 : k + 1] * weights[None, :]
-    return Embedding(coordinates=coordinates, time=float(t), retained=int(k))
+    return Embedding(coordinates=coordinates, retained=int(k))

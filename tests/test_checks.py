@@ -24,7 +24,6 @@ from markovgeom.geometry import (
     Bidivergence,
     DataCloud,
     GramMatrix,
-    HermitianPartition,
     InteractionWeights,
     bidivergence,
     generalized_gram,
@@ -81,7 +80,7 @@ FINITE_CHECKS = {
     **{f"operator-{kind}": (_UNIFORM, lambda m, kind=kind: StochasticOperator(m, kind),
                             "operator contains non-finite entries")
        for kind in ("row", "column", "bi")},
-    "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0),
+    "KernelMatrix": (_KERNEL, KernelMatrix,
                      "kernel must be strictly positive and finite"),
     "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU),
                           "kernel must be strictly positive and finite"),
@@ -102,8 +101,10 @@ FINITE_CHECKS = {
     "DataCloud": (_POINTS, DataCloud, "points contains non-finite entries"),
     "InteractionWeights": (np.eye(3), InteractionWeights,
                            "weight matrix contains non-finite entries"),
-    "HermitianPartition": (np.eye(3), lambda m: HermitianPartition(m, np.zeros((3, 3))),
-                           "symmetric part contains non-finite entries"),
+    "from_factors query": (np.eye(3), lambda m: InteractionWeights.from_factors(m, np.eye(3)),
+                           "query factor contains non-finite entries"),
+    "from_factors key": (np.eye(3), lambda m: InteractionWeights.from_factors(np.eye(3), m),
+                         "key factor contains non-finite entries"),
     "ComplexOperator phases": (np.zeros((N, N)), lambda m: ComplexOperator(
         StochasticOperator(_UNIFORM, "row"), m), "phase field contains non-finite entries"),
     # the planted cells lie on the diagonal, where a NaN or inf leaves the
@@ -134,13 +135,9 @@ SHAPE_CHECKS = {
                            "query factor", False),
     "from_factors key": (np.eye(3), lambda m: InteractionWeights.from_factors(np.eye(3), m),
                          "key factor", False),
-    "HermitianPartition symmetric": (np.eye(3), lambda m: HermitianPartition(
-        m, np.zeros((3, 3))), "symmetric part", True),
-    "HermitianPartition antisymmetric": (np.zeros((3, 3)), lambda m: HermitianPartition(
-        np.eye(3), m), "antisymmetric part", True),
     "GramMatrix": (_GRAM, GramMatrix, "gram values", True),
     "Bidivergence": (_FWD, Bidivergence, "forward divergence", True),
-    "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0), "kernel", True),
+    "KernelMatrix": (_KERNEL, KernelMatrix, "kernel", True),
     "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU), "kernel", True),
     "solve_bridge": (_KERNEL, lambda m: solve_bridge(m, _MU, _MU), "kernel", True),
     "rbf_kernel": (_D2, lambda m: rbf_kernel(m, 1.0), "squared-distance matrix", True),
@@ -180,7 +177,7 @@ SIGN_CHECKS = {
     **{f"operator-{kind}": (_UNIFORM, lambda m, kind=kind: StochasticOperator(m, kind),
                             "operator entries must be nonnegative", (-0.1,))
        for kind in ("row", "column", "bi")},
-    "KernelMatrix": (_KERNEL, lambda m: KernelMatrix(m, 1.0),
+    "KernelMatrix": (_KERNEL, KernelMatrix,
                      "kernel must be strictly positive and finite", (-0.1, 0.0)),
     "schrodinger_solve": (_KERNEL, lambda m: schrodinger_solve(m, _MU, _MU),
                           "kernel must be strictly positive and finite", (-0.1, 0.0)),
@@ -379,15 +376,6 @@ _BI = StochasticOperator(_UNIFORM, "bi")
 MESSAGE_CHECKS = {
     "DataCloud without features": (lambda tmp: DataCloud(np.empty((3, 0))),
                                    "a data cloud needs at least 1 feature"),
-    "HermitianPartition part shapes": (
-        lambda tmp: HermitianPartition(np.eye(3), np.zeros((2, 2))),
-        "partition parts differ in shape: (3, 3) and (2, 2)"),
-    "HermitianPartition asymmetric S": (
-        lambda tmp: HermitianPartition(np.array([[1.0, 2.0], [3.0, 1.0]]), np.zeros((2, 2))),
-        "symmetric part must satisfy S == S.T exactly"),
-    "HermitianPartition symmetric A": (
-        lambda tmp: HermitianPartition(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])),
-        "antisymmetric part must satisfy A == -A.T exactly"),
     "softmax_rows 1-D logits": (lambda tmp: softmax_rows(np.ones(3)),
                                 "logits must be 2-D, got shape (3,)"),
     "sinkhorn 3-D logits": (lambda tmp: sinkhorn(np.ones((2, 2, 2))),

@@ -1637,6 +1637,23 @@ class TestLazyPackage:
     """The package resolves its public names on first use, from the modules
     that define them, and caches none of them."""
 
+    def test_public_names_are_pinned(self):
+        # a name joins or leaves the public surface only with this list
+        assert markovgeom.__all__ == [
+            "Bidivergence", "BridgeSolution", "CheckResult", "ComplexOperator",
+            "ConvergenceError", "DataCloud", "Embedding", "GramMatrix", "InteractionWeights",
+            "KernelMatrix", "RegimeReport", "ScalingPotentials", "SpectralDecomposition",
+            "StochasticOperator", "attention_backward", "attention_bistochastic",
+            "attention_bridge", "attention_forward", "attention_gauge", "bidivergence",
+            "classify_regime", "conjugate_hermitize", "conjugate_symmetrize", "currents",
+            "decompose", "diffusion_embedding", "directional_kernels", "dmap", "dmap_as_bridge",
+            "dmap_bistochastic", "doob_transform", "edge_phases", "generalized_gram", "gram",
+            "magnetic_flux", "magnetic_operator", "poe_combine", "poe_factorization",
+            "rbf_kernel", "run_identity_checks", "sb_factorization_check", "schrodinger_solve",
+            "sinkhorn", "softmax_cols", "softmax_rows", "solve_bridge", "squared_distance",
+            "stationary_distribution",
+        ]
+
     def test_each_public_name_is_its_home_module_object(self):
         for name in markovgeom.__all__:
             value = getattr(markovgeom, name)

@@ -13,9 +13,9 @@ from markovgeom.geometry import (
     edge_phases,
     generalized_gram,
     gram,
-    hermitian_partition,
     squared_distance,
 )
+from markovgeom.operators import rbf_kernel
 from markovgeom.verify import check_attention_equivalence, check_magnetic_operators
 
 
@@ -144,33 +144,6 @@ class TestInteractionWeights:
             InteractionWeights(np.zeros((2, 3)))
 
 
-class TestHermitianPartition:
-    def test_symmetric_weight_kills_antisymmetric_part(self):
-        rng = np.random.default_rng(15)
-        m = rng.standard_normal((4, 4))
-        part = hermitian_partition(InteractionWeights(m + m.T))
-        np.testing.assert_array_equal(part.antisymmetric, np.zeros((4, 4)))
-
-    def test_pure_antisymmetry(self):
-        w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        part = hermitian_partition(InteractionWeights(w))
-        np.testing.assert_array_equal(part.symmetric, np.zeros((2, 2)))
-        np.testing.assert_array_equal(part.antisymmetric, w)
-
-    def test_parts_reconstruct_weight(self):
-        rng = np.random.default_rng(16)
-        w = rng.standard_normal((5, 5))
-        part = hermitian_partition(InteractionWeights(w))
-        np.testing.assert_allclose(part.symmetric + part.antisymmetric, w,
-                                   rtol=0, atol=1e-15)
-
-    def test_combined_matrix_is_hermitian(self):
-        rng = np.random.default_rng(17)
-        part = hermitian_partition(InteractionWeights(rng.standard_normal((4, 4))))
-        v = part.matrix
-        np.testing.assert_array_equal(v, v.conj().T)
-
-
 class TestBidivergence:
     def test_plain_gram_example(self):
         biv = bidivergence(gram(DataCloud(np.array([[1.0], [2.0]]))))
@@ -253,6 +226,13 @@ class TestSquaredDistance:
         )
         np.testing.assert_allclose(full, sym, rtol=0, atol=1e-12)
 
+    def test_antisymmetric_weight_puts_no_distance(self):
+        rng = np.random.default_rng(15)
+        cloud = DataCloud(rng.standard_normal((5, 4)))
+        m = rng.standard_normal((4, 4))
+        d2 = squared_distance(bidivergence(generalized_gram(cloud, InteractionWeights(m - m.T))))
+        np.testing.assert_allclose(d2, 0.0, rtol=0, atol=1e-13)
+
 
 class TestEdgePhases:
     def test_symmetric_weight_gives_zero(self):
@@ -282,6 +262,34 @@ class TestEdgePhases:
         three = edge_phases(cloud, weights, beta=3.0)
         np.testing.assert_allclose(three, 3.0 * one, rtol=1e-15)
 
+    def test_symmetric_weight_part_is_ignored(self):
+        rng = np.random.default_rng(16)
+        cloud = DataCloud(rng.standard_normal((6, 3)))
+        w, m = rng.standard_normal((2, 3, 3))
+        theta = edge_phases(cloud, InteractionWeights(w), beta=1.3)
+        shifted = edge_phases(cloud, InteractionWeights(w + m + m.T), beta=1.3)
+        np.testing.assert_allclose(shifted, theta, rtol=0, atol=1e-12)
+
+    def test_phases_and_symmetric_part_rebuild_the_weighted_gram(self):
+        # the symmetric weight part, which alone sets the distances, and the
+        # phases together carry all of W to the samples
+        rng = np.random.default_rng(17)
+        cloud = DataCloud(rng.standard_normal((6, 4)))
+        w = rng.standard_normal((4, 4))
+        symmetric = generalized_gram(cloud, InteractionWeights((w + w.T) / 2.0)).values
+        theta = edge_phases(cloud, InteractionWeights(w), beta=2.0)
+        np.testing.assert_allclose(symmetric + theta / 2.0,
+                                   generalized_gram(cloud, InteractionWeights(w)).values,
+                                   rtol=0, atol=1e-12)
+
+    def test_kernel_and_phases_assemble_a_hermitian_matrix(self):
+        rng = np.random.default_rng(18)
+        cloud = DataCloud(rng.standard_normal((5, 3)))
+        weights = InteractionWeights(rng.standard_normal((3, 3)))
+        d2 = squared_distance(bidivergence(generalized_gram(cloud, weights)))
+        v = rbf_kernel(d2, 0.5).values * np.exp(1j * edge_phases(cloud, weights, beta=0.5))
+        np.testing.assert_array_equal(v, v.conj().T)
+
     def test_rejects_nonpositive_beta(self):
         cloud = DataCloud(np.eye(2))
         with pytest.raises(ValueError, match="beta"):
@@ -293,8 +301,8 @@ class TestEdgePhases:
         rng = np.random.default_rng(26)
         cloud = DataCloud(rng.standard_normal((6, 4)))
         weights = InteractionWeights(rng.standard_normal((4, 4)))
-        part = hermitian_partition(weights)
-        expected = 1.7 * cloud.points @ part.antisymmetric @ cloud.points.T
+        antisymmetric = (weights.matrix - weights.matrix.T) / 2.0
+        expected = 1.7 * cloud.points @ antisymmetric @ cloud.points.T
         np.testing.assert_allclose(
             edge_phases(cloud, weights, beta=1.7), expected, rtol=0, atol=1e-12
         )
@@ -314,6 +322,24 @@ def test_magnetic_check_builds_the_weighted_gram_once(monkeypatch):
     cloud = DataCloud(np.random.default_rng(27).standard_normal((8, 3)))
     assert check_magnetic_operators(cloud, 1.0).passed
     assert len(calls) == 1
+
+
+def test_magnetic_check_fails_on_rounded_magnitudes(monkeypatch):
+    # magnitudes rescaled in place by one rounding are still the operator's
+    # own array: only an operator built apart from them shows the change
+    from markovgeom import verify
+
+    real = verify.magnetic_operator
+
+    def rescaled(p_plus, theta):
+        p_plus.values[...] *= 1.0 + 2.0**-52
+        return real(p_plus, theta)
+
+    monkeypatch.setattr(verify, "magnetic_operator", rescaled)
+    result = check_magnetic_operators(DataCloud(np.random.default_rng(28).standard_normal((8, 3))),
+                                      1.0)
+    failed = [part["label"] for part in result.parts if not part["passed"]]
+    assert failed == ["assembled magnitudes equal the real operator (exact)"]
 
 
 class TestGramMatrixType:

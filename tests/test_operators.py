@@ -24,7 +24,6 @@ from markovgeom.geometry import (
 from markovgeom.normalize import ConvergenceError, StochasticOperator, softmax_rows
 from markovgeom.operators import (
     ComplexOperator,
-    KernelMatrix,
     _gaussian_logits,
     _max_hermitian_gap,
     _polar,
@@ -53,7 +52,6 @@ def _beta_calls():
     weights = InteractionWeights(np.random.default_rng(71).standard_normal((3, 3)))
     mu = np.full(6, 1.0 / 6.0)
     return {
-        "KernelMatrix": lambda beta: KernelMatrix(np.ones((2, 2)), beta),
         "rbf_kernel": lambda beta: rbf_kernel(d2, beta),
         "directional_kernels": lambda beta: directional_kernels(biv, beta),
         "attention_forward": lambda beta: attention_forward(biv, beta),
@@ -182,8 +180,8 @@ class TestDirectionalKernels:
     def test_unit_diagonals(self):
         _, biv, _ = random_geometry(54)
         fwd, bwd = directional_kernels(biv, beta=2.0)
-        np.testing.assert_array_equal(np.diag(fwd), np.ones(biv.n))
-        np.testing.assert_array_equal(np.diag(bwd), np.ones(biv.n))
+        np.testing.assert_array_equal(np.diag(fwd), np.ones(biv.fwd.shape[0]))
+        np.testing.assert_array_equal(np.diag(bwd), np.ones(biv.fwd.shape[0]))
 
     def test_backward_kernel_is_the_forward_transpose(self):
         _, biv, _ = random_geometry(55)
@@ -228,7 +226,7 @@ class TestAttentionForward:
         out = attention_forward(biv, beta=200.0).values
         hot = np.argmin(biv.fwd, axis=1)
         assert np.array_equal(np.argmax(out, axis=1), hot)
-        assert out[np.arange(biv.n), hot].min() > 0.99
+        assert out[np.arange(biv.fwd.shape[0]), hot].min() > 0.99
 
 
 class TestAttentionBackward:
@@ -323,15 +321,15 @@ class TestDmapBistochastic:
         # a scaling that reports convergence but whose symmetrized operator
         # misses tol, here by far more than the construction bound of 1e-6,
         # raises ConvergenceError, not the constructor's ValueError
-        from markovgeom import operators
+        from markovgeom import normalize
 
-        real_scale = operators._scale
+        real_scale = normalize._scale
 
         def off_by_a_thousandth(*args, **kwargs):
             found = real_scale(*args, **kwargs)
             return found._replace(u=found.u * 1.001)
 
-        monkeypatch.setattr(operators, "_scale", off_by_a_thousandth)
+        monkeypatch.setattr(normalize, "_scale", off_by_a_thousandth)
         _, _, d2 = random_geometry(66)
         with pytest.raises(ConvergenceError, match="symmetrized bistochastic operator misses tol") \
                 as excinfo:
