@@ -31,9 +31,8 @@ _PUBLIC = {
         "schrodinger_solve", "sinkhorn", "softmax_cols", "softmax_rows",
     ),
     "operators": (
-        "ComplexOperator", "KernelMatrix", "attention_backward", "attention_bistochastic",
-        "attention_forward", "dmap", "dmap_bistochastic", "directional_kernels",
-        "magnetic_operator", "rbf_kernel",
+        "ComplexOperator", "KernelMatrix", "attention_bistochastic", "attention_forward",
+        "dmap", "dmap_bistochastic", "directional_kernels", "magnetic_operator", "rbf_kernel",
     ),
     "spectral": (
         "Embedding", "SpectralDecomposition", "conjugate_hermitize", "conjugate_symmetrize",

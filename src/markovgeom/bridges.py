@@ -450,15 +450,15 @@ def sb_factorization_check(bidiv: Bidivergence, beta: float) -> float:
     z_minus_j (the column sums of the backward directional kernel), and
     returns the sup-norm difference from the diffusion operator built on the
     summed divergences.  Exact algebraically; the return value measures pure
-    floating-point drift.
+    floating-point drift.  The backward logits are the forward ones
+    transposed, so the backward map is the forward map transposed and its
+    column masses are the forward row normalizers.
     """
     beta = _validate_beta(beta)
     log_fwd = -beta * bidiv.fwd
-    log_bwd = -beta * bidiv.bwd
-    log_a_plus = log_fwd - logsumexp(log_fwd, axis=1, keepdims=True)
-    log_a_minus = log_bwd - logsumexp(log_bwd, axis=0, keepdims=True)
-    log_z_minus = logsumexp(log_bwd, axis=0)
-    terms = log_a_plus + log_a_minus + log_z_minus[None, :]
+    log_z = logsumexp(log_fwd, axis=1, keepdims=True)
+    log_a_plus = log_fwd - log_z
+    terms = log_a_plus + log_a_plus.T + log_z.T
     rhs = np.exp(terms - logsumexp(terms, axis=1, keepdims=True))
     reference = dmap(squared_distance(bidiv), beta).values
     return float(np.abs(rhs - reference).max())

@@ -43,11 +43,10 @@ from .geometry import (
     gram,
     squared_distance,
 )
-from .normalize import ConvergenceError, _validate_max_iter, _validate_tol
+from .normalize import ConvergenceError, StochasticOperator, _validate_max_iter, _validate_tol
 from .operators import (
     _diffusion,
     _max_hermitian_gap,
-    attention_backward,
     attention_bistochastic,
     attention_forward,
     dmap,
@@ -765,30 +764,25 @@ def cmd_dmap(args, geo: Geometry, beta: float) -> Outcome:
 
 def cmd_kernel(args, geo: Geometry, beta: float) -> Outcome:
     kernel = rbf_kernel(geo.d2, beta)
-    symmetry = _max_hermitian_gap(kernel.values)
+    least = float(kernel.values.min())
     return Outcome(
-        {
-            "symmetry_residual": symmetry,
-            "symmetry_tolerance": 1e-12,
-            "min_entry": float(kernel.values.min()),
-        },
+        {"min_entry": least},
         {"kernel": kernel.values},
-        f"kernel: N={geo.cloud.n_samples} beta={beta:.6g} symmetry residual {symmetry:.3e}",
+        f"kernel: N={geo.cloud.n_samples} beta={beta:.6g} min entry {least:.3e}",
     )
 
 
 def cmd_attention(args, geo: Geometry, beta: float) -> Outcome:
+    # bwd = fwd^T, so the backward map is the forward map transposed: the
+    # column softmax, or the one bistochastic scaling of exp(-beta * bwd)
     if args.bistochastic:
-        operator = attention_bistochastic(
-            geo.biv, beta, direction=args.direction, tol=args.tol, max_iter=args.max_iter
-        )
-        variant = f"bistochastic-{args.direction}"
-    elif args.direction == "fwd":
-        operator = attention_forward(geo.biv, beta)
-        variant = "fwd"
+        operator = attention_bistochastic(geo.biv, beta, tol=args.tol, max_iter=args.max_iter)
     else:
-        operator = attention_backward(geo.biv, beta)
-        variant = "bwd"
+        operator = attention_forward(geo.biv, beta)
+    if args.direction == "bwd":  # its marginals were checked as built, before transposing
+        operator = StochasticOperator(operator.values.T, "bi" if args.bistochastic else "column",
+                                      check_tol=np.inf)
+    variant = f"bistochastic-{args.direction}" if args.bistochastic else args.direction
     results = {"variant": variant, "kind": operator.kind,
                **{f"{axis}_sum_residual": r for axis, r in operator.residuals.items()}}
     return Outcome(
@@ -909,7 +903,6 @@ def cmd_magnetic(args, geo: Geometry, beta: float) -> Outcome:
     hermiticity = _max_hermitian_gap(hermitized)
     eigenvalues = np.linalg.eigvalsh(hermitized)[::-1]  # eigvalsh is ascending
     results = {
-        "magnitude_residual": float(np.abs(phased.magnitudes.values - operator.values).max()),
         "hermiticity_residual": hermiticity,
         "max_magnetic_current": float(np.abs(current).max()),
         "eigenvalues": [float(v) for v in eigenvalues],

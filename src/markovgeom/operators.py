@@ -37,9 +37,10 @@ class KernelMatrix:
 class ComplexOperator:
     """Row-stochastic magnitudes with a unit-modulus antisymmetric phase field.
 
-    Magnitudes and phases are stored separately so that the magnitude of every
-    assembled complex entry equals the real operator entry *exactly*, not just
-    to rounding.
+    Magnitudes and phases are stored separately: ``magnitudes`` is the real
+    operator itself.  The modulus of an assembled entry |P_ij e^{i Theta_ij}|
+    is rounded and equals P_ij only to within a few units in the last place;
+    verify's C12 bounds its gap at 1e-15.
     """
 
     magnitudes: StochasticOperator
@@ -165,38 +166,24 @@ def attention_forward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
 
     Coincides with the row softmax of the raw scaled scores beta * Q K^T when
     the weights factor as W_Q W_K^T, because the diagonal shift in the forward
-    divergence is constant along each row.
+    divergence is constant along each row.  The backward map, the column
+    softmax over bwd = fwd^T, is this map transposed, bit for bit.
     """
     beta = _validate_beta(beta)
     z = bidiv.fwd * -beta
     return _softmax(z, 1, "row", out=z)[0]
 
 
-def attention_backward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
-    """Column-softmax attention over the backward divergence."""
-    beta = _validate_beta(beta)
-    z = bidiv.bwd * -beta
-    return _softmax(z, 0, "column", out=z)[0]
-
-
 def attention_bistochastic(
-    bidiv: Bidivergence,
-    beta: float,
-    direction: str = "fwd",
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
+    bidiv: Bidivergence, beta: float, tol: float = 1e-10, max_iter: int = 10_000
 ) -> StochasticOperator:
-    """Bistochastic attention: Sinkhorn scaling of one directional divergence.
+    """Bistochastic attention: Sinkhorn scaling of exp(-beta * fwd).
 
-    The forward and backward variants coincide for symmetric geometry; no
-    cross-relation is asserted in general.
+    A positive kernel has one bistochastic scaling, so that of the backward
+    kernel exp(-beta * bwd) = exp(-beta * fwd)^T is this result transposed.
     """
     beta = _validate_beta(beta)
-    if direction not in ("fwd", "bwd"):
-        raise ValueError(f"direction must be 'fwd' or 'bwd', got {direction!r}")
-    divergence = bidiv.fwd if direction == "fwd" else bidiv.bwd
-    operator, _ = sinkhorn(-beta * divergence, tol=tol, max_iter=max_iter)
-    return operator
+    return sinkhorn(-beta * bidiv.fwd, tol=tol, max_iter=max_iter)[0]
 
 
 def dmap(d2, beta: float) -> StochasticOperator:
@@ -240,7 +227,8 @@ def dmap_bistochastic(
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:
     """Attach an antisymmetric phase field to a row-stochastic operator.
 
-    The assembled entries are P_ij * e^{i Theta_ij}; their magnitudes agree
-    with P exactly because magnitudes and phases are stored separately.
+    The assembled entries are P_ij * e^{i Theta_ij}.  The stored magnitudes
+    are ``p_plus`` itself; the modulus of an assembled entry is rounded, and
+    verify's C12 bounds its gap from P at 1e-15.
     """
     return ComplexOperator(magnitudes=p_plus, phases=theta)

@@ -311,7 +311,10 @@ def check_doob_transform(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 10)
     _, d2 = _plain_geometry(cloud)
     operator = dmap(d2, beta)
-    neutral_dev = _max_abs(doob_transform(operator, np.ones(cloud.n_samples)).values - operator.values)
+    # against a separately built operator: a neutral transform that returns
+    # its input unchanged differs from that input by 0 by identity
+    neutral_dev = _max_abs(doob_transform(operator, np.ones(cloud.n_samples)).values
+                           - dmap(d2, beta).values)
 
     kernel = rbf_kernel(d2, beta).values
     n = cloud.n_samples

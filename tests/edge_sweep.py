@@ -12,7 +12,9 @@ and ``marginal_residual``) within that tol; or if it exits 2 or 3 with stderr
 starting ``error: `` (an exit 3 must also name the ``beta=`` it stalled at).
 At beta auto, a form that is one of the ``cli_emit`` benchmark commands must
 also write what that command's library oracle in ``perfbench/workloads.py``
-computes, bit for bit.  A traceback, exit 1 (``verify`` included) or a
+computes, bit for bit.  Where ``attention --bistochastic --direction bwd``
+and its forward form both exit 0, the backward CSV must be the forward CSV
+transposed, cell for cell.  A traceback, exit 1 (``verify`` included) or a
 non-finite output number is a finding, and the script exits 1 if there is
 any.  Its name keeps it out of pytest's collection; it takes a few seconds:
 
@@ -71,6 +73,7 @@ FORMS = (
     ("attention", (), (), True),
     ("attention", ("--direction", "bwd"), (), True),
     ("attention", ("--bistochastic",), (), True),
+    ("attention", ("--bistochastic", "--direction", "bwd"), (), True),
     ("attention", ("--bistochastic", "--tol", "1e-15"), (), True),
     ("attention", ("--format", "json"), (), True),
     ("bridge", ("--kernel", "rbf"), ("--mu-plus", "{mu_plus}", "--mu-minus", "{mu_minus}"), True),
@@ -97,6 +100,19 @@ def form_argvs():
 
 
 ORACLES = {command.argv: command for command in workloads.EMIT_ROTATION}
+
+_BACKWARD_BISTOCHASTIC = ("attention", "--bistochastic", "--direction", "bwd")
+
+
+def forward_twin(template):
+    """The forward form of a backward bistochastic attention template, or None."""
+    if template[:4] == _BACKWARD_BISTOCHASTIC:
+        return ("attention", "--bistochastic", *template[4:])
+    return None
+
+
+def csv_cells(path):
+    return [line.split(",") for line in path.read_text().splitlines()]
 
 
 def write_inputs(points, work):
@@ -177,7 +193,8 @@ def main() -> int:
         return 1
     exits = Counter()
     findings = []
-    oracle_checks = 0
+    oracle_checks = transpose_checks = 0
+    written = {}  # (cloud, template, beta) -> output directory of an exit-0 run
     with tempfile.TemporaryDirectory() as tmp:
         for index, (cloud_name, make) in enumerate(CLOUDS.items()):
             work = Path(tmp) / f"cloud{index}"
@@ -207,11 +224,23 @@ def main() -> int:
                         oracle_checks += 1
                         if not workloads.outputs_match(out_dir, ORACLES[template].expect(files)):
                             findings.append(f"{label}: output differs from the library oracle")
+                    if code == 0:
+                        written[cloud_name, template, beta] = out_dir
+        for (cloud_name, template, beta), out_dir in written.items():
+            twin = written.get((cloud_name, forward_twin(template), beta))
+            if twin is not None:
+                transpose_checks += 1
+                backward = csv_cells(out_dir / "attention.csv")
+                if backward != [list(row) for row in zip(*csv_cells(twin / "attention.csv"))]:
+                    findings.append(f"{cloud_name}: {' '.join(template)} --beta {beta}: "
+                                    "not the forward CSV transposed")
     runs = sum(exits.values())
     ends = ", ".join(f"{end} {count}" for end, count in sorted(exits.items()))
     print(f"{runs} runs over {len(CLOUDS)} clouds, {len(templates)} forms and "
           f"{len(BETAS)} betas: {ends}")
     print(f"{oracle_checks} cli_emit outputs compared with their library oracle")
+    print(f"{transpose_checks} backward bistochastic outputs compared with the forward ones "
+          "transposed")
     for finding in findings:
         print(f"FINDING: {finding}")
     return int(bool(findings))

@@ -283,6 +283,25 @@ class TestDoobTransform:
             transformed.values, bridge.forward.values, rtol=0, atol=1e-10
         )
 
+    def test_verify_exact_part_fails_when_a_constant_h_renormalizes(self, monkeypatch):
+        # a constant h that renormalizes the rows by their rounded sums, in
+        # the operator's own array, still returns that array: only an
+        # operator built apart from it shows the change
+        real = verify.doob_transform
+
+        def renormalizing(p_plus, h):
+            if np.all(h == h[0]):
+                p_plus.values[...] /= p_plus.values.sum(axis=1, keepdims=True)
+                return p_plus
+            return real(p_plus, h)
+
+        cloud = DataCloud(np.random.default_rng(82).standard_normal((8, 3)))
+        assert verify.check_doob_transform(cloud, 1.0).passed
+        monkeypatch.setattr(verify, "doob_transform", renormalizing)
+        result = verify.check_doob_transform(cloud, 1.0)
+        failed = [part["label"] for part in result.parts if not part["passed"]]
+        assert failed == ["unit reweighting is the identity transform (exact)"]
+
     def test_rejects_nonpositive_h(self):
         _, _, d2 = random_geometry(81)
         p = dmap(d2, 1.0)

@@ -42,7 +42,6 @@ from markovgeom.normalize import (
 from markovgeom.operators import (
     ComplexOperator,
     KernelMatrix,
-    attention_backward,
     attention_forward,
     dmap,
     dmap_bistochastic,
@@ -228,7 +227,7 @@ def test_non_square_operator_is_rejected(check):
 _WEIGHTED_BIV = bidivergence(generalized_gram(
     DataCloud(np.random.default_rng(160).standard_normal((6, 3))),
     InteractionWeights(np.random.default_rng(161).standard_normal((3, 3)))))
-_COLUMN = attention_backward(_WEIGHTED_BIV, 1.0)
+_COLUMN = softmax_cols(-1.0 * _WEIGHTED_BIV.bwd)
 _UNIFORM6 = np.full(6, 1.0 / 6.0)
 
 CHAIN_CHECKS = {

@@ -27,7 +27,6 @@ from markovgeom.operators import (
     _gaussian_logits,
     _max_hermitian_gap,
     _polar,
-    attention_backward,
     attention_bistochastic,
     attention_forward,
     dmap,
@@ -55,7 +54,6 @@ def _beta_calls():
         "rbf_kernel": lambda beta: rbf_kernel(d2, beta),
         "directional_kernels": lambda beta: directional_kernels(biv, beta),
         "attention_forward": lambda beta: attention_forward(biv, beta),
-        "attention_backward": lambda beta: attention_backward(biv, beta),
         "attention_bistochastic": lambda beta: attention_bistochastic(biv, beta),
         "dmap": lambda beta: dmap(d2, beta),
         "dmap_bistochastic": lambda beta: dmap_bistochastic(d2, beta),
@@ -229,47 +227,17 @@ class TestAttentionForward:
         assert out[np.arange(biv.fwd.shape[0]), hot].min() > 0.99
 
 
-class TestAttentionBackward:
-    def test_zero_divergence_gives_uniform_columns(self):
-        zero = bidivergence(gram(DataCloud(np.ones((4, 2)))))
-        out = attention_backward(zero, beta=1.0)
-        assert out.kind == "column"
-        np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
-
-    def test_transpose_duality_for_plain_gram(self):
-        _, biv, _ = random_geometry(57)
-        fwd = attention_forward(biv, beta=1.1)
-        bwd = attention_backward(biv, beta=1.1)
-        np.testing.assert_allclose(bwd.values, fwd.values.T, rtol=0, atol=1e-12)
-
-    def test_columns_sum_to_one(self):
-        _, biv, _ = random_geometry(58)
-        out = attention_backward(biv, beta=0.4)
-        np.testing.assert_allclose(out.values.sum(axis=0), 1.0, atol=1e-12)
-
-
 class TestAttentionBistochastic:
     def test_zero_divergence_gives_flat_matrix(self):
         zero = bidivergence(gram(DataCloud(np.ones((4, 2)))))
         out = attention_bistochastic(zero, beta=1.0)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-12)
 
-    def test_directions_coincide_for_symmetric_geometry(self):
-        _, biv, _ = random_geometry(59)
-        fwd = attention_bistochastic(biv, beta=1.0, direction="fwd", tol=1e-12)
-        bwd = attention_bistochastic(biv, beta=1.0, direction="bwd", tol=1e-12)
-        np.testing.assert_allclose(fwd.values, bwd.values, rtol=0, atol=1e-10)
-
     def test_marginal_residuals_within_tolerance(self):
         _, biv, _ = random_geometry(60)
         out = attention_bistochastic(biv, beta=0.8, tol=1e-11)
         assert np.abs(out.values.sum(axis=0) - 1.0).max() <= 1e-11
         assert np.abs(out.values.sum(axis=1) - 1.0).max() <= 1e-11
-
-    def test_rejects_unknown_direction(self):
-        _, biv, _ = random_geometry(61)
-        with pytest.raises(ValueError, match="direction"):
-            attention_bistochastic(biv, beta=1.0, direction="sideways")
 
 
 class TestDmap:
@@ -386,6 +354,20 @@ class TestMagneticOperator:
         col = StochasticOperator(np.full((2, 2), 0.5), "column")
         with pytest.raises(ValueError, match="row"):
             ComplexOperator(col, np.zeros((2, 2)))
+
+
+def test_kernel_symmetry_and_magnitudes_hold_by_construction():
+    # squared_distance returns fwd + fwd^T and rbf_kernel exponentiates it
+    # entrywise, so the kernel is its own transpose bit for bit, weighted or
+    # not; the phased operator stores the operator it was given
+    rng = np.random.default_rng(73)
+    cloud = DataCloud(rng.standard_normal((40, 4)))
+    weights = InteractionWeights(rng.standard_normal((4, 4)))
+    for grams in (gram(cloud), generalized_gram(cloud, weights)):
+        kernel = rbf_kernel(squared_distance(bidivergence(grams)), 0.7).values
+        np.testing.assert_array_equal(kernel, kernel.T)
+    p = dmap(squared_distance(bidivergence(gram(cloud))), 0.7)
+    assert magnetic_operator(p, edge_phases(cloud, weights, 0.7)).magnitudes is p
 
 
 class TestPolar:
