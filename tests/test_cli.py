@@ -1107,6 +1107,14 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_USAGE
 
+    def test_unknown_direction_is_usage_error(self, tmp_path, cloud_csv, capsys):
+        cloud_path, _ = cloud_csv
+        code = main(["attention", "--input", str(cloud_path), "--beta", "1",
+                     "--direction", "sideways", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "--direction" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_command_is_usage_error(self, capsys):
         code = main(["frobnicate"])
         assert code == EXIT_USAGE

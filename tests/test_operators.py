@@ -233,6 +233,14 @@ class TestAttentionBistochastic:
         out = attention_bistochastic(zero, beta=1.0)
         np.testing.assert_allclose(out.values, 0.25, atol=1e-12)
 
+    def test_directions_coincide_for_symmetric_geometry(self):
+        # the backward map is the forward one transposed; for a plain Gram
+        # matrix exp(-beta * fwd) is a diagonal scaling of the symmetric
+        # exp(beta * G), whose unique bistochastic scaling is symmetric
+        _, biv, _ = random_geometry(59)
+        fwd = attention_bistochastic(biv, beta=1.0, tol=1e-12).values
+        np.testing.assert_allclose(fwd.T, fwd, rtol=0, atol=1e-10)
+
     def test_marginal_residuals_within_tolerance(self):
         _, biv, _ = random_geometry(60)
         out = attention_bistochastic(biv, beta=0.8, tol=1e-11)
