@@ -159,13 +159,12 @@ def doob_transform(p_plus: StochasticOperator, h) -> StochasticOperator:
     return StochasticOperator(weighted / weighted.sum(axis=1, keepdims=True), "row")
 
 
-# a rung's proposal: a fixed point, its error bound, the debug record's name
-# for the rung, and the ConvergenceError lead if it is the last and misses tol
+# a rung's proposal: a fixed point, its error bound, and the debug record's
+# name for the rung; only the LU, the last rung, can be left to miss tol
 class _Candidate(NamedTuple):
     pi: np.ndarray
     bound: float
     how: str
-    miss: str = "stationary distribution misses tol: error bound"
 
 
 def _sign_probes(n: int) -> np.ndarray:
@@ -351,9 +350,8 @@ def _direct(values: np.ndarray) -> _Candidate:
     residual[-1] += 1.0
     bound = inverse_norm * (float(np.abs(residual).max())
                             + np.sqrt(n) * np.finfo(float).eps * float(pi.max()))
-    return _Candidate(np.maximum(pi, 0.0), bound, "direct solve",
-                      f"stationary distribution misses tol after a direct solve "
-                      f"(inverse norm {inverse_norm:.1e}): error bound")
+    return _Candidate(np.maximum(pi, 0.0), bound,
+                      f"direct solve (inverse norm {inverse_norm:.1e})")
 
 
 def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.ndarray:
@@ -397,7 +395,8 @@ def stationary_distribution(p: StochasticOperator, tol: float = 1e-12) -> np.nda
         if found is not None and found.bound <= tol:
             break
     log.debug("stationary measure: %s, error bound %.3e", found.how, found.bound)
-    _held_to_tol(found.bound, tol, 1, found.miss)
+    _held_to_tol(found.bound, tol, 1,
+                 f"stationary distribution misses tol after a {found.how}: error bound")
     return found.pi
 
 

@@ -21,10 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# tile edge of the pairwise scan: a tile and its mirror stay cache-resident
-_TILE = 256
-
-
 def _validate_beta(beta) -> float:
     """The inverse temperature as a float; raises ``ValueError`` unless it is
     finite and positive.  Every public function that takes beta calls this."""
@@ -32,14 +28,6 @@ def _validate_beta(beta) -> float:
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be finite and positive, got {beta}")
     return beta
-
-
-def _tile_pairs(n: int):
-    """(rows, cols) slices of every tile on or above the diagonal of an n x n
-    matrix; ``matrix[cols, rows]`` is the mirror of ``matrix[rows, cols]``."""
-    for lo in range(0, n, _TILE):
-        for lo2 in range(lo, n, _TILE):
-            yield slice(lo, lo + _TILE), slice(lo2, lo2 + _TILE)
 
 
 def _finite_matrix(values, name: str, square: bool = False, positive: bool = False):
@@ -109,10 +97,6 @@ class InteractionWeights:
             )
         return cls(matrix=wq @ wk.T, query_factor=wq, key_factor=wk)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
@@ -150,9 +134,9 @@ def gram(cloud: DataCloud) -> GramMatrix:
 
 def generalized_gram(cloud: DataCloud, weights: InteractionWeights) -> GramMatrix:
     """Weighted Gram matrix R W R^T, or (R W_Q)(R W_K)^T for factored weights."""
-    if weights.dim != cloud.n_features:
+    if weights.matrix.shape[0] != cloud.n_features:
         raise ValueError(
-            f"weight dimension {weights.dim} does not match "
+            f"weight dimension {weights.matrix.shape[0]} does not match "
             f"feature dimension {cloud.n_features}"
         )
     r = cloud.points

@@ -14,9 +14,15 @@ At beta auto, a form that is one of the ``cli_emit`` benchmark commands must
 also write what that command's library oracle in ``perfbench/workloads.py``
 computes, bit for bit.  Where ``attention --bistochastic --direction bwd``
 and its forward form both exit 0, the backward CSV must be the forward CSV
-transposed, cell for cell.  A traceback, exit 1 (``verify`` included) or a
-non-finite output number is a finding, and the script exits 1 if there is
-any.  Its name keeps it out of pytest's collection; it takes a few seconds:
+transposed, cell for cell.  A scale pass then reruns every form on each
+cloud scaled by 8, at beta / 64 (``auto`` stays ``auto``), which leaves every
+logit the same double: each pair must end with the same exit code, and where
+both exit 0, ``verify`` excepted (its fixed-beta parts run on the input cloud
+itself), every CSV must be byte-identical and every report equal as parsed
+JSON outside its ``config`` echo.  A traceback, exit 1 (``verify`` included)
+or a non-finite output number is a finding, and the script exits 1 if there
+is any.  Its name keeps it out of pytest's collection; it takes about 17 s on
+two vCPUs:
 
     PYTHONPATH=src python tests/edge_sweep.py
 """
@@ -41,6 +47,10 @@ import workloads  # noqa: E402
 from markovgeom import cli  # noqa: E402
 
 BETAS = ("auto", "1e-9", "1e3", "1e6")
+
+# the scale pass reruns every form on each cloud times SCALE at beta / SCALE^2,
+# which leaves every logit the same double
+SCALE = 8.0
 
 
 def _two_clusters(rng):
@@ -115,6 +125,24 @@ def csv_cells(path):
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
+def scaled_beta(beta):
+    """The scale pass's --beta: auto stays auto, an explicit beta is divided by SCALE^2."""
+    return beta if beta == "auto" else repr(float(beta) / SCALE**2)
+
+
+def scale_invariant_outputs(out_dir):
+    """Each output file as the scale pass compares it: a CSV as its bytes, a
+    report parsed, without its config echo."""
+    outputs = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".json":
+            outputs[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
+                                  if k != "config"}
+        else:
+            outputs[path.name] = path.read_bytes()
+    return outputs
+
+
 def write_inputs(points, work):
     """The cloud, a D x D weight matrix and two CSV marginals, seeded by N."""
     n, d = points.shape
@@ -173,15 +201,18 @@ def residual_over_tol(out_dir, command):
     return None
 
 
-def run(argv):
-    """(exit code, stderr, traceback or None) of one in-process command."""
+def run(template, files, beta, tmp):
+    """(exit code, stderr, traceback or None, output directory) of one
+    in-process command: the template on the input files at one --beta."""
+    argv = [arg.format(**{k: str(v) for k, v in files.items()}) for arg in template]
+    out_dir = Path(tempfile.mkdtemp(dir=tmp))
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
+            code = cli.main([*argv, "--beta", beta, "--out-dir", str(out_dir)])
     except Exception:  # any escape from main is a finding
-        return None, stderr.getvalue(), traceback.format_exc()
-    return code, stderr.getvalue(), None
+        return None, stderr.getvalue(), traceback.format_exc(), out_dir
+    return code, stderr.getvalue(), None, out_dir
 
 
 def main() -> int:
@@ -193,7 +224,8 @@ def main() -> int:
         return 1
     exits = Counter()
     findings = []
-    oracle_checks = transpose_checks = 0
+    oracle_checks = transpose_checks = scale_pairs = 0
+    codes = {}  # (cloud, template, beta) -> exit code, None for a traceback
     written = {}  # (cloud, template, beta) -> output directory of an exit-0 run
     with tempfile.TemporaryDirectory() as tmp:
         for index, (cloud_name, make) in enumerate(CLOUDS.items()):
@@ -201,10 +233,9 @@ def main() -> int:
             work.mkdir()
             files = write_inputs(make(), work)
             for template in templates:
-                argv = [arg.format(**{k: str(v) for k, v in files.items()}) for arg in template]
                 for beta in BETAS:
-                    out_dir = Path(tempfile.mkdtemp(dir=tmp))
-                    code, stderr, trace = run([*argv, "--beta", beta, "--out-dir", str(out_dir)])
+                    code, stderr, trace, out_dir = run(template, files, beta, tmp)
+                    codes[cloud_name, template, beta] = code
                     exits["traceback" if trace else f"exit {code}"] += 1
                     label = f"{cloud_name}: {' '.join(template)} --beta {beta}"
                     if trace is not None:
@@ -226,6 +257,24 @@ def main() -> int:
                             findings.append(f"{label}: output differs from the library oracle")
                     if code == 0:
                         written[cloud_name, template, beta] = out_dir
+        for index, (cloud_name, make) in enumerate(CLOUDS.items()):
+            work = Path(tmp) / f"scaled{index}"
+            work.mkdir()
+            files = write_inputs(make() * SCALE, work)
+            for template in templates:
+                for beta in BETAS:
+                    scaled = scaled_beta(beta)
+                    code, _, _, out_dir = run(template, files, scaled, tmp)
+                    label = f"{cloud_name} x {SCALE:g}: {' '.join(template)} --beta {scaled}"
+                    if code != codes[cloud_name, template, beta]:
+                        findings.append(f"{label}: exit {code}, unscaled exit "
+                                        f"{codes[cloud_name, template, beta]}")
+                    # verify's fixed-beta parts run on the input cloud itself
+                    elif code == 0 and template[0] != "verify":
+                        scale_pairs += 1
+                        if (scale_invariant_outputs(out_dir)
+                                != scale_invariant_outputs(written[cloud_name, template, beta])):
+                            findings.append(f"{label}: output differs from the unscaled one")
         for (cloud_name, template, beta), out_dir in written.items():
             twin = written.get((cloud_name, forward_twin(template), beta))
             if twin is not None:
@@ -241,6 +290,8 @@ def main() -> int:
     print(f"{oracle_checks} cli_emit outputs compared with their library oracle")
     print(f"{transpose_checks} backward bistochastic outputs compared with the forward ones "
           "transposed")
+    print(f"{runs} exit codes and {scale_pairs} exit-0 outputs compared with the cloud "
+          f"scaled by {SCALE:g} at beta / {SCALE**2:g}")
     for finding in findings:
         print(f"FINDING: {finding}")
     return int(bool(findings))

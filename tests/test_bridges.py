@@ -458,11 +458,12 @@ class TestStationaryDistribution:
                 stationary_distribution(two_state, tol=1e-30)
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 4
+        lu = r"direct solve \(inverse norm \d\.\de[+-]\d\d\)"
         for message, rung in zip(messages, (
                 r"Doeblin certificate after \d+ power steps",
                 "reversibility certificate",
-                "direct solve",
-                "direct solve")):
+                lu,
+                lu)):
             assert re.fullmatch(f"stationary measure: {rung}, error bound (\\S+)", message)
         bounds = [float(message.rsplit(" ", 1)[1]) for message in messages]
         assert max(bounds[:3]) <= 1e-12 and bounds[3] > 1e-30
@@ -509,6 +510,27 @@ class TestStationaryDistribution:
         p /= p.sum(axis=1, keepdims=True)
         with pytest.raises(ConvergenceError, match="direct solve"):
             stationary_distribution(StochasticOperator(p, "row"))
+
+    def test_lu_miss_names_its_inverse_norm(self, caplog):
+        # the one raise of the ladder: its lead is the LU's debug name, and the
+        # record carries the same inverse-norm estimate and bound
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.5, 1.5, (8, 8))
+        p[:4, 4:] *= 1e-9
+        p[4:, :4] *= 3e-9
+        p /= p.sum(axis=1, keepdims=True)
+        with caplog.at_level(logging.DEBUG, logger="markovgeom"), \
+                pytest.raises(ConvergenceError) as excinfo:
+            stationary_distribution(StochasticOperator(p, "row"), tol=1e-12)
+        bound = f"{excinfo.value.residual:.3e}"
+        match = re.fullmatch(
+            r"stationary distribution misses tol after a direct solve "
+            r"\(inverse norm (\d\.\de[+-]\d\d)\): error bound (\S+) > tol 1\.000e-12 "
+            r"after 1 iterations", str(excinfo.value))
+        assert match and match[2] == bound and excinfo.value.iterations == 1
+        [record] = [r.getMessage() for r in caplog.records]
+        assert record == (f"stationary measure: direct solve (inverse norm {match[1]}), "
+                          f"error bound {bound}")
 
     def test_rejects_operators_with_zero_entries(self):
         p = StochasticOperator(np.array([[1.0, 0.0], [0.5, 0.5]]), "row")

@@ -708,6 +708,14 @@ class TestDmapCommand:
         assert report["results"]["row_sum_residual"] <= 1e-12
         assert report["config"]["beta"] == 1.0
 
+    def test_report_holds_only_measured_results(self, tmp_path, cloud_csv):
+        # no tolerance field: the operator is held to no tol of its own
+        cloud_path, _ = cloud_csv
+        out = tmp_path / "o"
+        assert main(["dmap", "--input", str(cloud_path), "--out-dir", str(out)]) == EXIT_OK
+        results = json.loads((out / "dmap_report.json").read_text())["results"]
+        assert list(results) == ["size", "row_sum_residual"] and results["size"] == 8
+
     def test_auto_beta_resolution(self, tmp_path, cloud_csv):
         cloud_path, points = cloud_csv
         out = tmp_path / "auto"

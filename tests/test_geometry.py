@@ -16,7 +16,11 @@ from markovgeom.geometry import (
     squared_distance,
 )
 from markovgeom.operators import rbf_kernel
-from markovgeom.verify import check_attention_equivalence, check_magnetic_operators
+from markovgeom.verify import (
+    check_attention_equivalence,
+    check_magnetic_operators,
+    run_identity_checks,
+)
 
 
 def gram_oracle(points):
@@ -340,6 +344,24 @@ def test_magnetic_check_fails_on_rounded_magnitudes(monkeypatch):
                                       1.0)
     failed = [part["label"] for part in result.parts if not part["passed"]]
     assert failed == ["assembled magnitudes equal the real operator (exact)"]
+
+
+def test_no_verify_part_restates_a_construction():
+    # fwd + bwd is squared_distance(biv) by construction, and the gauge
+    # L - L^T is antisymmetric by construction: neither is a part
+    checks = {check.id: check for check in run_identity_checks(
+        DataCloud(np.random.default_rng(29).standard_normal((8, 3))), 1.0)}
+    assert [part["label"] for part in checks["C1"].parts] == [
+        "squared distance matches pairwise-norm oracle"]
+    assert [part["label"] for part in checks["C12"].parts] == [
+        "assembled magnitudes equal the real operator (exact)",
+        "complex modulus of the assembled matrix",
+        "conjugated operator is Hermitian",
+        "Hermitian spectrum is real (general-solver oracle)",
+        "zero phases mean zero magnetic current (exact)",
+        "gauge field vanishes under detailed balance",
+    ]
+    assert checks["C1"].passed and checks["C12"].passed
 
 
 class TestGramMatrixType:

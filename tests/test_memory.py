@@ -14,6 +14,7 @@ distances, two units) beside its own n^2 arrays, but not the Gram matrix;
 """
 
 import logging
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -134,5 +135,8 @@ def test_lu_rung_factorizes_once(monkeypatch, caplog):
             stationary_distribution(two_state, tol=1e-30)
     assert len(solves) == 2
     answered, missed = (r.getMessage() for r in caplog.records)
-    assert answered.startswith("stationary measure: direct solve, error bound ")
-    assert missed == f"stationary measure: direct solve, error bound {excinfo.value.residual:.3e}"
+    assert re.fullmatch(r"stationary measure: direct solve \(inverse norm \d\.\de[+-]\d\d\), "
+                        r"error bound \S+", answered)
+    norm = re.search(r"\(inverse norm (\S+)\)", str(excinfo.value))[1]
+    assert missed == (f"stationary measure: direct solve (inverse norm {norm}), "
+                      f"error bound {excinfo.value.residual:.3e}")

@@ -8,9 +8,13 @@ constructor and solver then runs on both orders.  Values agree within
 ``C`` u κ, κ = max(1, β max|fwd|) the logit range in nats: only the order of
 the sums differs.  A solver may accept in one order and raise in the other
 only where both held residuals lie within rounding of its tol.
+
+Scaling the cloud by c = 2^k with β → β / c² changes no output at all: both
+rescalings are exact, so every logit is the same double.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from markovgeom.bridges import (
@@ -23,6 +27,7 @@ from markovgeom.geometry import (
     DataCloud,
     InteractionWeights,
     bidivergence,
+    edge_phases,
     generalized_gram,
     gram,
     squared_distance,
@@ -164,3 +169,44 @@ def test_spectra_labels_and_flags_agree(case):
     assert float(np.abs(relabelled - eigenvalues).max()) <= C * U * kappa
     assert relabelled_labels == labels
 
+
+def _scale_outputs(points, weights, beta, mu):
+    """Every constructor and solver on one cloud at one beta, as arrays."""
+    biv, d2 = _geometry(points, weights)
+    cloud, w = DataCloud(points), InteractionWeights(np.eye(points.shape[1])
+                                                     if weights is None else weights)
+    attention = attention_forward(biv, beta)
+    bridge = dmap_as_bridge(d2, beta)
+    dec = decompose(conjugate_symmetrize(bridge.forward, bridge.mu_plus), bridge.mu_plus)
+    return {
+        "attention_forward": attention.values,
+        "attention_bistochastic": attention_bistochastic(biv, beta).values,
+        "dmap": dmap(d2, beta).values,
+        "dmap_bistochastic": dmap_bistochastic(d2, beta).values,
+        "rbf_kernel": rbf_kernel(d2, beta).values,
+        "edge_phases": edge_phases(cloud, w, beta),
+        "stationary_distribution": stationary_distribution(attention),
+        "solve_bridge": solve_bridge(np.exp(-beta * d2), *mu).coupling,
+        "decompose": np.vstack([dec.eigenvalues, dec.right_vectors]),
+    }
+
+
+@pytest.mark.parametrize("k", [-3, 3])
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+def test_power_of_two_scale_changes_no_output(k, weighted):
+    # X -> 2^k X scales G, fwd and d2 by 4^k exactly and beta -> beta / 4^k
+    # undoes it exactly, so -beta * fwd is the same double in every entry
+    c = 2.0**k
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(3, 30)), int(rng.integers(1, 5))
+        points = rng.standard_normal((n, d)) * rng.uniform(0.3, 3.0)
+        a = rng.standard_normal((d, d))
+        weights = np.eye(d) + 0.5 * (a - a.T) if weighted else None
+        reach = float(np.abs(_geometry(points, weights)[0].fwd).max())
+        beta = float(rng.uniform(0.1, 10.0)) / reach
+        mu = rng.dirichlet(np.full(n, 5.0), size=2)
+        original = _scale_outputs(points, weights, beta, mu)
+        scaled = _scale_outputs(points * c, weights, beta / c**2, mu)
+        for name, value in original.items():
+            np.testing.assert_array_equal(scaled[name], value, err_msg=name)
