@@ -418,22 +418,13 @@ def _held_residual(operator: StochasticOperator, tol: float) -> float:
     measure it.  Where that lies within their rounding bound n * eps of
     ``tol``, the exact sums may fall on the other side: the violation is then
     the larger of the float one and the exact one, each sum taken with
-    ``math.fsum``, so an operator within tol is so by either measure.
-
-    A float sum of n nonnegative terms is within gamma_{n-1} (1 + e) /
-    (1 - gamma_{n-1}) < w of the exact one, e its float deviation, so a line
-    whose float deviation is at most residual - w cannot exceed residual
-    exactly: only the others are summed exactly, and the result is that of
-    the full pass bit for bit."""
+    ``math.fsum``, so an operator within tol is so by either measure."""
     residual = max(operator.residuals.values())
     values = operator.values
-    w = values.shape[0] * np.finfo(float).eps * (1.0 + residual)
-    if abs(residual - tol) > w:
+    if abs(residual - tol) > values.shape[0] * np.finfo(float).eps * (1.0 + residual):
         return residual
-    floor = residual - w
-    lines = [*values[np.abs(values.sum(axis=1) - 1.0) > floor],
-             *values.T[np.abs(values.sum(axis=0) - 1.0) > floor]]
-    return max([residual, *(abs(math.fsum([*line.tolist(), -1.0])) for line in lines)])
+    return max(residual, *(abs(math.fsum([*line.tolist(), -1.0]))
+                           for line in (*values, *values.T)))
 
 
 def _scaled_operator(kernel, log_kernel, tol, max_iter, lead, symmetric=False):

@@ -21,7 +21,7 @@ both exit 0, ``verify`` excepted (its fixed-beta parts run on the input cloud
 itself), every CSV must be byte-identical and every report equal as parsed
 JSON outside its ``config`` echo.  A traceback, exit 1 (``verify`` included)
 or a non-finite output number is a finding, and the script exits 1 if there
-is any.  Its name keeps it out of pytest's collection; it takes about 17 s on
+is any.  Its name keeps it out of pytest's collection; it takes about 19 s on
 two vCPUs:
 
     PYTHONPATH=src python tests/edge_sweep.py
@@ -215,6 +215,22 @@ def run(template, files, beta, tmp):
     return code, stderr.getvalue(), None, out_dir
 
 
+def end_finding(label, code, stderr, trace):
+    """The finding a run's end makes on its own, or None: a traceback, an exit
+    other than 0, 2 and 3, or an exit 2 or 3 without its error line (exit 3
+    must also name the beta)."""
+    if trace is not None:
+        return f"{label}: traceback\n{trace}"
+    if code in (2, 3):
+        if not stderr.startswith("error: "):
+            return f"{label}: exit {code} without an error line"
+        if code == 3 and "beta=" not in stderr:
+            return f"{label}: exit 3 names no beta"
+    elif code != 0:
+        return f"{label}: exit {code}\n{stderr}"
+    return None
+
+
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     templates = list(form_argvs())
@@ -238,25 +254,19 @@ def main() -> int:
                     codes[cloud_name, template, beta] = code
                     exits["traceback" if trace else f"exit {code}"] += 1
                     label = f"{cloud_name}: {' '.join(template)} --beta {beta}"
-                    if trace is not None:
-                        findings.append(f"{label}: traceback\n{trace}")
-                    elif code in (2, 3):
-                        if not stderr.startswith("error: "):
-                            findings.append(f"{label}: exit {code} without an error line")
-                        elif code == 3 and "beta=" not in stderr:
-                            findings.append(f"{label}: exit 3 names no beta")
-                    elif code != 0:
-                        findings.append(f"{label}: exit {code}\n{stderr}")
-                    elif (bad := non_finite_output(out_dir)) is not None:
-                        findings.append(f"{label}: non-finite number in {bad}")
-                    elif (over := residual_over_tol(out_dir, template[0])) is not None:
-                        findings.append(f"{label}: {over}")
-                    elif beta == "auto" and template in ORACLES:
-                        oracle_checks += 1
-                        if not workloads.outputs_match(out_dir, ORACLES[template].expect(files)):
-                            findings.append(f"{label}: output differs from the library oracle")
-                    if code == 0:
+                    if (end := end_finding(label, code, stderr, trace)) is not None:
+                        findings.append(end)
+                    elif code == 0:
                         written[cloud_name, template, beta] = out_dir
+                        if (bad := non_finite_output(out_dir)) is not None:
+                            findings.append(f"{label}: non-finite number in {bad}")
+                        elif (over := residual_over_tol(out_dir, template[0])) is not None:
+                            findings.append(f"{label}: {over}")
+                        elif beta == "auto" and template in ORACLES:
+                            oracle_checks += 1
+                            expect = ORACLES[template].expect(files)
+                            if not workloads.outputs_match(out_dir, expect):
+                                findings.append(f"{label}: output differs from the library oracle")
         for index, (cloud_name, make) in enumerate(CLOUDS.items()):
             work = Path(tmp) / f"scaled{index}"
             work.mkdir()
@@ -264,9 +274,11 @@ def main() -> int:
             for template in templates:
                 for beta in BETAS:
                     scaled = scaled_beta(beta)
-                    code, _, _, out_dir = run(template, files, scaled, tmp)
+                    code, stderr, trace, out_dir = run(template, files, scaled, tmp)
                     label = f"{cloud_name} x {SCALE:g}: {' '.join(template)} --beta {scaled}"
-                    if code != codes[cloud_name, template, beta]:
+                    if (end := end_finding(label, code, stderr, trace)) is not None:
+                        findings.append(end)
+                    elif code != codes[cloud_name, template, beta]:
                         findings.append(f"{label}: exit {code}, unscaled exit "
                                         f"{codes[cloud_name, template, beta]}")
                     # verify's fixed-beta parts run on the input cloud itself

@@ -500,19 +500,10 @@ class TestStationaryDistribution:
             return
         assert np.abs(pi - gth_stationary(p.values)).max() <= tol
 
-    def test_nearly_decomposable_chain_raises(self):
+    def test_nearly_decomposable_chain_raises(self, caplog):
         # two blocks coupled at 1e-9: no residual in double precision pins the
-        # fixed point to 1e-12, so the solver raises instead of guessing
-        rng = np.random.default_rng(5)
-        p = rng.uniform(0.5, 1.5, (8, 8))
-        p[:4, 4:] *= 1e-9
-        p[4:, :4] *= 3e-9
-        p /= p.sum(axis=1, keepdims=True)
-        with pytest.raises(ConvergenceError, match="direct solve"):
-            stationary_distribution(StochasticOperator(p, "row"))
-
-    def test_lu_miss_names_its_inverse_norm(self, caplog):
-        # the one raise of the ladder: its lead is the LU's debug name, and the
+        # fixed point to 1e-12, so the solver raises instead of guessing.  The
+        # one raise of the ladder leads with the LU's debug name, and the
         # record carries the same inverse-norm estimate and bound
         rng = np.random.default_rng(5)
         p = rng.uniform(0.5, 1.5, (8, 8))

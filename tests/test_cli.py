@@ -705,16 +705,10 @@ class TestDmapCommand:
         operator = load_matrix(op_path)
         np.testing.assert_allclose(operator.sum(axis=1), 1.0, atol=1e-12)
         report = json.loads((out / "dmap_report.json").read_text())
+        # no tolerance field: the operator is held to no tol of its own
+        assert list(report["results"]) == ["size", "row_sum_residual"]
         assert report["results"]["row_sum_residual"] <= 1e-12
         assert report["config"]["beta"] == 1.0
-
-    def test_report_holds_only_measured_results(self, tmp_path, cloud_csv):
-        # no tolerance field: the operator is held to no tol of its own
-        cloud_path, _ = cloud_csv
-        out = tmp_path / "o"
-        assert main(["dmap", "--input", str(cloud_path), "--out-dir", str(out)]) == EXIT_OK
-        results = json.loads((out / "dmap_report.json").read_text())["results"]
-        assert list(results) == ["size", "row_sum_residual"] and results["size"] == 8
 
     def test_auto_beta_resolution(self, tmp_path, cloud_csv):
         cloud_path, points = cloud_csv

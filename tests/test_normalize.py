@@ -21,7 +21,6 @@ from markovgeom.normalize import (
     ConvergenceError,
     ScalingPotentials,
     StochasticOperator,
-    _held_residual,
     poe_combine,
     schrodinger_solve,
     sinkhorn,
@@ -529,32 +528,6 @@ class TestExactMarginals:
             accepted += 1
             assert exact_marginal_gap(matrix, rows, cols) <= tol, tol
         assert accepted >= 2
-
-    def test_held_residual_equals_the_full_exact_pass(self):
-        # the full pass takes math.fsum over every row and column whenever the
-        # float residual R lies within w = n eps (1 + R) of tol; the held
-        # residual sums exactly only the lines that can exceed R.  Seed 12 has
-        # a line whose float deviation is below R and whose exact one is above
-        eps = np.finfo(float).eps
-        compared = decided = 0
-        for seed in range(72):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 100))
-            z = rng.standard_normal((n, n)) * rng.uniform(0.1, 3)
-            try:
-                operator = sinkhorn(z, tol=float(rng.choice([1e-8, 1e-12, 1e-14, 1e-15])))[0]
-            except ConvergenceError:
-                continue
-            residual = max(operator.residuals.values())
-            exact = max(residual, exact_marginal_gap(operator.values, 1.0, 1.0))
-            w = n * eps * (1.0 + residual)
-            for tol in (residual, residual - w / 2, residual + w / 2,
-                        residual * (1 - 1e-3), residual * (1 + 1e-3)):
-                full = exact if abs(residual - tol) <= w else residual
-                decided += full > residual
-                assert _held_residual(operator, tol) == full, (seed, tol)
-                compared += 1
-        assert compared >= 300 and decided >= 100
 
     # the core met tol 1e-12 here, and the built operator's sums missed it by
     # rounding: seeds 7 and 13 (n = 189, 179) raised in their own row order,
