@@ -32,7 +32,7 @@ from .normalize import (
     schrodinger_solve,
     softmax_rows,
 )
-from .operators import ComplexOperator, _diffusion, _polar, directional_kernels, dmap
+from .operators import ComplexOperator, _diffusion, _polar, _range_error, directional_kernels, dmap
 
 # currents below this fraction of the largest flux, or below the tol the
 # marginals hold to, count as zero when separating equilibrium from
@@ -490,8 +490,13 @@ def attention_bridge(
     the row softmax of the forward logits plus log u_minus per column,
     equivalently a Doob transform of the plain forward attention with
     h = u_minus.  Choosing mu_minus = mu_plus @ A_plus makes it coincide with
-    the plain forward attention map.
+    the plain forward attention map; a beta that underflows the kernel raises.
     """
+    beta = _validate_beta(beta)
+    largest = float(bidiv.fwd.max())
+    if np.exp(largest * -beta) == 0.0:  # the least entry of exp(-beta * fwd)
+        raise _range_error("attention kernel underflowed to zero", beta,
+                           f"the largest forward divergence {largest:g}")
     kernel, _ = directional_kernels(bidiv, beta)
     return solve_bridge(kernel, mu_plus, mu_minus, tol=tol, max_iter=max_iter)
 

@@ -47,6 +47,7 @@ from .normalize import ConvergenceError, StochasticOperator, _validate_max_iter,
 from .operators import (
     _diffusion,
     _max_hermitian_gap,
+    _range_error,
     attention_bistochastic,
     attention_forward,
     dmap,
@@ -809,10 +810,6 @@ def cmd_bridge(args, geo: Geometry, beta: float) -> Outcome:
     else:
         mu_plus, mu_minus = _marginals(args, n, lambda: positive(_attention_stationary(
             geo, attention_forward(geo.biv, beta), beta, args.tol)))
-        largest = float(geo.biv.fwd.max())
-        if np.exp(largest * -beta) == 0.0:  # the least entry of exp(-beta * fwd)
-            raise _underflow("attention kernel", beta,
-                             f"the largest forward divergence {largest:g}")
         bridge = attention_bridge(geo.biv, beta, mu_plus, mu_minus, tol=args.tol,
                                   max_iter=args.max_iter)
     # the bridge meets each marginal within --tol, so mu_plus P may miss
@@ -861,11 +858,6 @@ def cmd_classify(args, geo: Geometry, beta: float) -> Outcome:
     )
 
 
-def _underflow(what: str, beta: float, reach: str) -> ValueError:
-    return ValueError(f"{what} underflowed to zero: beta={beta:g} times {reach} "
-                      "exceeds the exponential range; reduce beta")
-
-
 def _attention_stationary(geo: Geometry, operator, beta: float, tol: float):
     """``stationary_distribution`` of forward attention, which is unique only
     when every entry is positive.  Entry (i, j) is e^(-beta (fwd_ij - min_k
@@ -874,7 +866,8 @@ def _attention_stationary(geo: Geometry, operator, beta: float, tol: float):
 
     if operator.values.min() == 0.0:
         spread = float(np.ptp(geo.biv.fwd, axis=1).max())
-        raise _underflow("attention", beta, f"the spread {spread:g} of a forward divergence row")
+        raise _range_error("attention underflowed to zero", beta,
+                           f"the spread {spread:g} of a forward divergence row")
     return stationary_distribution(operator, tol=tol)
 
 
@@ -887,8 +880,8 @@ def _reversible_diffusion(geo: Geometry, beta: float):
     operator, pi = _diffusion(geo.d2, beta)
     if pi.min() == 0.0:
         spread = float(np.ptp(geo.d2.min(axis=1)))
-        raise _underflow("stationary measure", beta,
-                         f"the spread {spread:g} of each point's smallest squared distance")
+        raise _range_error("stationary measure underflowed to zero", beta,
+                           f"the spread {spread:g} of each point's smallest squared distance")
     return operator, pi
 
 

@@ -17,7 +17,7 @@ matrix, which ``edge_phases`` carries to the sample pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,14 +73,15 @@ class DataCloud:
 class InteractionWeights:
     """Square feature-interaction matrix, optionally built from a factor pair.
 
-    Built by :meth:`from_factors`, it keeps the factors next to the product
-    ``query_factor @ key_factor.T``: ``generalized_gram`` forms the query-key
-    scores from the factors, and only what needs W itself reads ``matrix``.
+    The constructor takes ``matrix`` alone; only :meth:`from_factors` keeps
+    the factors next to their product ``query_factor @ key_factor.T``, so
+    ``generalized_gram`` forms the query-key scores from them and only what
+    needs W itself reads ``matrix``.
     """
 
     matrix: np.ndarray
-    query_factor: np.ndarray | None = None
-    key_factor: np.ndarray | None = None
+    query_factor: np.ndarray | None = field(default=None, init=False)
+    key_factor: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         mat = _finite_matrix(self.matrix, "weight matrix", square=True)[0]
@@ -95,7 +96,10 @@ class InteractionWeights:
             raise ValueError(
                 f"factor shapes must match, got {wq.shape} and {wk.shape}"
             )
-        return cls(matrix=wq @ wk.T, query_factor=wq, key_factor=wk)
+        weights = cls(wq @ wk.T)
+        object.__setattr__(weights, "query_factor", wq)
+        object.__setattr__(weights, "key_factor", wk)
+        return weights
 
 
 @dataclass(frozen=True, eq=False)

@@ -131,6 +131,11 @@ def _gaussian_logits(d2, beta: float):
     return d2, beta, d2 * -beta
 
 
+def _range_error(what: str, beta: float, reach: str) -> ValueError:
+    return ValueError(f"{what}: beta={beta:g} times {reach} exceeds the exponential "
+                      "range; reduce beta")
+
+
 def rbf_kernel(d2, beta: float) -> KernelMatrix:
     """Gaussian kernel exp(-beta * d2): unit diagonal, symmetric, positive."""
     d2, beta, values = _gaussian_logits(d2, beta)
@@ -138,16 +143,11 @@ def rbf_kernel(d2, beta: float) -> KernelMatrix:
         np.exp(values, out=values)
     if np.isinf(values.max()):
         # negative "squared distances" come from indefinite weighted geometry
-        raise ValueError(
-            f"kernel overflowed: beta={beta:g} times the most negative squared "
-            f"distance {float(d2.min()):g} exceeds the exponential range; reduce beta"
-        )
+        raise _range_error("kernel overflowed", beta,
+                           f"the most negative squared distance {float(d2.min()):g}")
     if values.min() == 0.0:
-        raise ValueError(
-            f"kernel underflowed to zero: beta={beta:g} times the largest "
-            f"squared distance {float(d2.max()):g} exceeds the exponential "
-            "range; reduce beta"
-        )
+        raise _range_error("kernel underflowed to zero", beta,
+                           f"the largest squared distance {float(d2.max()):g}")
     return KernelMatrix(values)
 
 
@@ -163,7 +163,8 @@ def directional_kernels(bidiv: Bidivergence, beta: float) -> tuple[np.ndarray, n
     with np.errstate(over="ignore"):
         np.exp(k, out=k)
     if np.isinf(k.max()):
-        raise ValueError(f"directional kernel overflowed at beta={beta:g}; reduce beta")
+        raise _range_error("directional kernel overflowed", beta,
+                           f"the most negative forward divergence {float(bidiv.fwd.min()):g}")
     return k, k.T
 
 

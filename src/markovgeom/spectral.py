@@ -41,7 +41,11 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        gaps = np.abs(np.diff(self.eigenvalues))
+        return bool(gaps.size and gaps.min() < DEGENERACY_GAP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +53,11 @@ class Embedding:
     """Eigenvalue-damped coordinates: column c is lambda_{c+1}^t psi_{c+1}."""
 
     coordinates: np.ndarray
-    retained: int
+
+    @property
+    def retained(self) -> int:
+        """The number k of nontrivial eigenpairs kept, one per column."""
+        return self.coordinates.shape[1]
 
 
 def conjugate_symmetrize(p_plus: StochasticOperator, pi) -> np.ndarray:
@@ -132,12 +140,7 @@ def decompose(conjugated, pi) -> SpectralDecomposition:
     vectors = vectors[:, ::-1]
     _fix_leading_phase(vectors)
     vectors /= np.sqrt(pi)[:, None]
-    gaps = np.abs(np.diff(eigenvalues))
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        right_vectors=vectors,
-        degenerate=bool(gaps.size and gaps.min() < DEGENERACY_GAP),
-    )
+    return SpectralDecomposition(eigenvalues=eigenvalues, right_vectors=vectors)
 
 
 def diffusion_embedding(dec: SpectralDecomposition, t: float, k: int) -> Embedding:
@@ -158,4 +161,4 @@ def diffusion_embedding(dec: SpectralDecomposition, t: float, k: int) -> Embeddi
         )
     weights = lam ** float(t)
     coordinates = dec.right_vectors[:, 1 : k + 1] * weights[None, :]
-    return Embedding(coordinates=coordinates, retained=int(k))
+    return Embedding(coordinates=coordinates)

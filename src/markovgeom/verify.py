@@ -65,9 +65,13 @@ class CheckResult:
 
     id: str
     name: str
-    passed: bool
     parts: list[dict]
     info: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        """Whether every part passed, read from the parts as they stand."""
+        return all(p["passed"] for p in self.parts)
 
     def as_dict(self) -> dict:
         out = {"id": self.id, "name": self.name, "passed": self.passed, "parts": self.parts}
@@ -91,16 +95,6 @@ def _part(label: str, residual: float, tolerance: float, require: str = "<=") ->
 
 def _part_bool(label: str, ok: bool) -> dict:
     return _part(label, 0.0 if ok else 1.0, 0.0)
-
-
-def _result(check_id: str, name: str, parts: list[dict], info: dict | None = None) -> CheckResult:
-    return CheckResult(
-        id=check_id,
-        name=name,
-        passed=all(p["passed"] for p in parts),
-        parts=parts,
-        info=info or {},
-    )
 
 
 def _random_cloud(rng: np.random.Generator, n: int, d: int) -> DataCloud:
@@ -142,7 +136,7 @@ def check_bidivergence_identity(cloud: DataCloud, beta: float) -> CheckResult:
         oracle = ((x[:, None] - x[None]) ** 2).sum(-1)
         worst_oracle = max(worst_oracle, _max_abs(_plain_geometry(sample)[1] - oracle))
     parts = [_part("squared distance matches pairwise-norm oracle", worst_oracle, 1e-12)]
-    return _result("C1", "bidivergence identity", parts)
+    return CheckResult("C1", "bidivergence identity", parts)
 
 
 def check_attention_equivalence(cloud: DataCloud, beta: float) -> CheckResult:
@@ -161,7 +155,7 @@ def check_attention_equivalence(cloud: DataCloud, beta: float) -> CheckResult:
         reference = softmax_rows(b * (queries @ keys.T)).values
         worst = max(worst, _max_abs(ours - reference))
     parts = [_part("divergence path equals raw query-key softmax path", worst, 1e-12)]
-    return _result("C2", "attention equivalence", parts)
+    return CheckResult("C2", "attention equivalence", parts)
 
 
 def check_poe_theorem(cloud: DataCloud, beta: float) -> CheckResult:
@@ -185,7 +179,7 @@ def check_poe_theorem(cloud: DataCloud, beta: float) -> CheckResult:
         _part("column softmax of summed logits equals expert product", col_dev, 1e-12),
         _part("shift invariance along the normalized axis", shift_dev, 1e-15),
     ]
-    return _result("C3", "product-of-experts theorem", parts)
+    return CheckResult("C3", "product-of-experts theorem", parts)
 
 
 def check_kernel_factorization(cloud: DataCloud, beta: float) -> CheckResult:
@@ -194,7 +188,7 @@ def check_kernel_factorization(cloud: DataCloud, beta: float) -> CheckResult:
     fwd, bwd = directional_kernels(biv, beta)
     dev = _max_abs(kernel - fwd * bwd)
     parts = [_part("distance kernel equals Hadamard product of directional kernels", dev, 1e-12)]
-    return _result("C4", "kernel factorization", parts)
+    return CheckResult("C4", "kernel factorization", parts)
 
 
 def check_sb_factorization(cloud: DataCloud, beta: float) -> CheckResult:
@@ -211,7 +205,7 @@ def check_sb_factorization(cloud: DataCloud, beta: float) -> CheckResult:
     ]
     # ratio of largest to smallest backward column mass at beta=1: how far the
     # exact factorization sits from a pure product of experts
-    return _result("C5", "bridge factorization", parts, info={"column_mass_spread_max": spread})
+    return CheckResult("C5", "bridge factorization", parts, {"column_mass_spread_max": spread})
 
 
 def check_poe_factorization(cloud: DataCloud, beta: float) -> CheckResult:
@@ -221,7 +215,7 @@ def check_poe_factorization(cloud: DataCloud, beta: float) -> CheckResult:
         for b in _SWEEP_BETAS:
             worst = max(worst, _max_abs(poe_factorization(biv, b).values - dmap(d2, b).values))
     parts = [_part("expert-product factorization equals the diffusion operator", worst, 1e-12)]
-    return _result("C6", "product-of-experts factorization", parts)
+    return CheckResult("C6", "product-of-experts factorization", parts)
 
 
 def check_dmap_equilibrium(cloud: DataCloud, beta: float) -> CheckResult:
@@ -235,7 +229,7 @@ def check_dmap_equilibrium(cloud: DataCloud, beta: float) -> CheckResult:
         _part("probability currents vanish", current_max, 1e-12),
         _part_bool(f"regime classified EQ (got {report.regime})", report.regime == "EQ"),
     ]
-    return _result("C7", "diffusion-operator equilibrium", parts)
+    return CheckResult("C7", "diffusion-operator equilibrium", parts)
 
 
 def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
@@ -270,7 +264,7 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
         _part("product of two bistochastic outputs stays bistochastic", closure_dev, 1e-12),
         _part("2x2 kernel scales to its analytic fixed point", analytic_dev, 1e-10),
     ]
-    return _result("C8", "bistochastic scaling contract", parts)
+    return CheckResult("C8", "bistochastic scaling contract", parts)
 
 
 def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
@@ -298,7 +292,7 @@ def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
         _part("flat-kernel bridge equals the product coupling", product_dev, 1e-12),
         _part("closed-form diffusion bridge matches the iterative solver", closed_dev, 1e-10),
     ]
-    return _result("C9", "bridge contract", parts)
+    return CheckResult("C9", "bridge contract", parts)
 
 
 def check_doob_transform(cloud: DataCloud, beta: float) -> CheckResult:
@@ -322,7 +316,7 @@ def check_doob_transform(cloud: DataCloud, beta: float) -> CheckResult:
         _part("unit reweighting is the identity transform (exact)", neutral_dev, 0.0),
         _part("bridge forward operator equals the Doob transform", doob_dev, 1e-10),
     ]
-    return _result("C10", "Doob transform", parts)
+    return CheckResult("C10", "Doob transform", parts)
 
 
 def _weighted_attention(cloud: DataCloud, beta: float, rng: np.random.Generator):
@@ -383,7 +377,7 @@ def check_attention_bridge(cloud: DataCloud, beta: float) -> CheckResult:
         _part("steady-state currents clear 10x the equilibrium threshold",
               report.max_current, 10.0 * report.current_threshold, ">"),
     ]
-    return _result("C11", "attention as a bridge", parts, info)
+    return CheckResult("C11", "attention as a bridge", parts, info)
 
 
 def check_magnetic_operators(cloud: DataCloud, beta: float) -> CheckResult:
@@ -419,7 +413,7 @@ def check_magnetic_operators(cloud: DataCloud, beta: float) -> CheckResult:
         _part("zero phases mean zero magnetic current (exact)", quiet_dev, 0.0),
         _part("gauge field vanishes under detailed balance", gauge_zero, 1e-12),
     ]
-    return _result("C12", "magnetic operators", parts)
+    return CheckResult("C12", "magnetic operators", parts)
 
 
 def _spectrum_parts(label: str, operator, pi) -> list[dict]:
@@ -496,7 +490,7 @@ def check_spectral(cloud: DataCloud, beta: float) -> CheckResult:
     )
     parts.append(_part_bool("two-cluster embedding separates clusters by sign", separated))
 
-    return _result("C13", "spectral contracts", parts)
+    return CheckResult("C13", "spectral contracts", parts)
 
 
 _CHECKS = (

@@ -1309,7 +1309,7 @@ class TestUnderflowingAttention:
         biv = markovgeom.bidivergence(markovgeom.gram(load_cloud(files["cloud"])))
         with pytest.raises(ValueError, match="operator must be strictly positive"):
             markovgeom.stationary_distribution(markovgeom.attention_forward(biv, self.BETA))
-        with pytest.raises(ValueError, match="kernel must be strictly positive and finite"):
+        with pytest.raises(ValueError, match="attention kernel underflowed to zero: beta=1000"):
             markovgeom.attention_bridge(biv, self.BETA, np.full(12, 1 / 12), np.full(12, 1 / 12))
         return files
 
@@ -1330,6 +1330,22 @@ class TestUnderflowingAttention:
         err = capsys.readouterr().err
         assert message in err
         assert "reduce beta" in err
+
+    def test_bridge_reports_the_library_message(self, tmp_path, files, capsys):
+        # attention_bridge names beta itself, so the CLI's line is its message
+        biv = markovgeom.bidivergence(markovgeom.gram(load_cloud(files["cloud"])))
+        mu = np.full(12, 1 / 12)
+        with pytest.raises(ValueError) as raised:
+            markovgeom.attention_bridge(biv, self.BETA, mu, mu)
+        largest = float(biv.fwd.max())
+        assert str(raised.value) == (
+            f"attention kernel underflowed to zero: beta=1000 times the largest forward "
+            f"divergence {largest:g} exceeds the exponential range; reduce beta")
+        code = main(["bridge", "--kernel", "attention", "--mu-plus", str(files["mu"]),
+                     "--mu-minus", str(files["mu"]), "--input", str(files["cloud"]),
+                     "--beta", str(self.BETA), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 # commands whose solvers take --tol, and whether they take --max-iter

@@ -1,5 +1,7 @@
 """Gram matrices, divergence pairs, distances, and phase fields."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,13 @@ from markovgeom.geometry import (
     gram,
     squared_distance,
 )
-from markovgeom.operators import rbf_kernel
+from markovgeom.normalize import softmax_rows
+from markovgeom.operators import attention_forward, rbf_kernel
+from markovgeom.spectral import Embedding, SpectralDecomposition
 from markovgeom.verify import (
+    _SEED,
+    CheckResult,
+    _part,
     check_attention_equivalence,
     check_magnetic_operators,
     run_identity_checks,
@@ -138,6 +145,29 @@ class TestInteractionWeights:
         )
         check = check_attention_equivalence(cloud, 1.0)
         assert check.passed, check.parts
+
+    def test_constructor_takes_the_matrix_alone(self):
+        # factors that disagree with the matrix cannot be stored, and a lone
+        # factor cannot reach generalized_gram
+        with pytest.raises(TypeError):
+            InteractionWeights(np.eye(2), query_factor=np.eye(2), key_factor=2 * np.eye(2))
+        with pytest.raises(TypeError):
+            InteractionWeights(np.eye(2), query_factor=np.eye(2))
+        weights = InteractionWeights(np.eye(2))
+        assert weights.query_factor is None and weights.key_factor is None
+
+    def test_from_factors_keeps_the_c2_residual(self):
+        # C2 recomputed by hand on the factor path (R W_Q)(R W_K)^T, bit for bit
+        rng = np.random.default_rng(20)
+        cloud = DataCloud(rng.standard_normal((40, 6)))
+        factors = np.random.default_rng(_SEED + 2)
+        wq, wk = factors.standard_normal((6, 5)), factors.standard_normal((6, 5))
+        queries, keys = cloud.points @ wq, cloud.points @ wk
+        biv = bidivergence(GramMatrix(queries @ keys.T))
+        worst = max(float(np.abs(attention_forward(biv, b).values
+                                 - softmax_rows(b * (queries @ keys.T)).values).max())
+                    for b in (0.1, 1.0, 10.0))
+        assert check_attention_equivalence(cloud, 1.0).parts[0]["residual"] == worst
 
     def test_factor_shape_mismatch(self):
         with pytest.raises(ValueError, match="factor"):
@@ -362,6 +392,31 @@ def test_no_verify_part_restates_a_construction():
         "gauge field vanishes under detailed balance",
     ]
     assert checks["C1"].passed and checks["C12"].passed
+
+
+def test_check_verdict_follows_its_parts():
+    result = CheckResult("C0", "a check", [_part("small", 0.5, 1.0)])
+    assert result.passed and result.as_dict()["passed"]
+    result.parts.append(_part("large", 2.0, 1.0))
+    assert not result.passed and not result.as_dict()["passed"]
+    result.parts.pop()
+    assert result.passed
+
+
+def test_public_types_take_only_what_nothing_else_determines():
+    # a value the other fields determine is a read-only property, not an argument
+    inits = {cls.__name__: [f.name for f in dataclasses.fields(cls) if f.init]
+             for cls in (InteractionWeights, Embedding, SpectralDecomposition, CheckResult)}
+    assert inits == {
+        "InteractionWeights": ["matrix"],
+        "Embedding": ["coordinates"],
+        "SpectralDecomposition": ["eigenvalues", "right_vectors"],
+        "CheckResult": ["id", "name", "parts", "info"],
+    }
+    assert Embedding(np.zeros((5, 3))).retained == 3
+    assert SpectralDecomposition(np.array([1.0, 0.5, 0.5 - 1e-11]), np.eye(3)).degenerate
+    assert not SpectralDecomposition(np.array([1.0, 0.5, 0.5 - 1e-9]), np.eye(3)).degenerate
+    assert not SpectralDecomposition(np.array([1.0]), np.eye(1)).degenerate
 
 
 class TestGramMatrixType:

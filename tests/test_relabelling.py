@@ -11,7 +11,13 @@ only where both held residuals lie within rounding of its tol.
 
 Scaling the cloud by c = 2^k with β → β / c² changes no output at all: both
 rescalings are exact, so every logit is the same double.
+
+The CLI slice runs every command form on a cloud file and on its row-shuffled
+copy: each CSV it writes is permuted, and exit codes, regimes and verify's
+verdicts agree.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from markovgeom.bridges import (
     solve_bridge,
     stationary_distribution,
 )
+from markovgeom.cli import main, write_matrix_csv
 from markovgeom.geometry import (
     DataCloud,
     InteractionWeights,
@@ -210,3 +217,72 @@ def test_power_of_two_scale_changes_no_output(k, weighted):
         scaled = _scale_outputs(points * c, weights, beta / c**2, mu)
         for name, value in original.items():
             np.testing.assert_array_equal(scaled[name], value, err_msg=name)
+
+
+# (name, argv) of each CLI form; {cloud}, {weights}, {mu_plus} and {mu_minus}
+# are the files of one order
+CLI_FORMS = [
+    ("dmap", ["dmap", "--weights", "{weights}"]),
+    ("kernel", ["kernel", "--weights", "{weights}"]),
+    ("attention", ["attention", "--weights", "{weights}"]),
+    ("attention-bistochastic", ["attention", "--bistochastic", "--weights", "{weights}"]),
+    ("bridge-rbf", ["bridge", "--kernel", "rbf", "--weights", "{weights}",
+                    "--mu-plus", "{mu_plus}", "--mu-minus", "{mu_minus}"]),
+    ("bridge-attention", ["bridge", "--kernel", "attention", "--weights", "{weights}",
+                          "--mu-plus", "stationary", "--mu-minus", "stationary"]),
+    ("classify-attention", ["classify", "--kernel", "attention", "--weights", "{weights}",
+                            "--mu-plus", "stationary", "--mu-minus", "stationary"]),
+    ("magnetic", ["magnetic", "--weights", "{weights}"]),
+    ("verify", ["verify"]),
+]
+
+
+def _cli_outputs(files, out_dir, argv):
+    """Exit code, regime, verify verdicts and CSVs (by name) of one CLI run."""
+    code = main([*[a.format(**files) for a in argv], "--input", str(files["cloud"]),
+                 "--beta", "0.7", "--out-dir", str(out_dir)])
+    report = json.loads(next(out_dir.glob("*_report.json")).read_text())
+    results = report.get("results", report)  # verify's checks are top-level keys
+    verdicts = [check["passed"] for check in results.get("checks", [])]
+    csvs = {path.name: np.loadtxt(path, delimiter=",", ndmin=2)
+            for path in sorted(out_dir.glob("*.csv"))}
+    return code, results.get("regime"), verdicts, csvs
+
+
+def _permuted_csv(value, perm):
+    """A written matrix with its rows, its columns or both relabelled."""
+    if value.shape == (1, perm.size):
+        return value[:, perm]
+    if value.shape[1] == 1:
+        return value[perm]
+    return value[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("name, argv", CLI_FORMS, ids=[name for name, _ in CLI_FORMS])
+def test_cli_outputs_follow_a_row_shuffle(tmp_path, name, argv):
+    # over seeds 0-59 the largest gap was 15 u κ max(1, max|x|), by the
+    # forward operator of the stationary attention bridge, whose marginals
+    # come from a direct solve; without κ one draw reached 93 u max(1, max|x|)
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((25, 3))
+    a = rng.standard_normal((3, 3))
+    weights = np.eye(3) + 0.5 * (a - a.T)
+    mu = rng.uniform(0.5, 1.5, (2, 25))
+    mu /= mu.sum(axis=1, keepdims=True)
+    perm = rng.permutation(25)
+    orders = []
+    for label, rows in (("original", np.arange(25)), ("shuffled", perm)):
+        files = {key: tmp_path / f"{label}-{key}.csv"
+                 for key in ("cloud", "weights", "mu_plus", "mu_minus")}
+        write_matrix_csv(files["cloud"], points[rows])
+        write_matrix_csv(files["weights"], weights)
+        write_matrix_csv(files["mu_plus"], mu[0][rows].reshape(1, -1))
+        write_matrix_csv(files["mu_minus"], mu[1][rows].reshape(1, -1))
+        orders.append(_cli_outputs(files, tmp_path / label, argv))
+    (code, regime, verdicts, csvs), (code2, regime2, verdicts2, csvs2) = orders
+    assert (code2, regime2, verdicts2) == (code, regime, verdicts)
+    assert csvs2.keys() == csvs.keys()
+    kappa = max(1.0, 0.7 * float(np.abs(_geometry(points, weights)[0].fwd).max()))
+    for csv, value in csvs.items():
+        gap = float(np.abs(csvs2[csv] - _permuted_csv(value, perm)).max())
+        assert gap <= C * U * kappa * max(1.0, float(np.abs(value).max())), (csv, gap)
