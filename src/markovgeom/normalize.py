@@ -202,7 +202,7 @@ class ScalingPotentials:
             raise ValueError("iterations and residual must be nonnegative")
 
 
-def _softmax(z, axis: int, kind: str, out=None):
+def _softmax(z, axis: int, out=None):
     """exp(z) shifted by its maxima m along ``axis`` and normalized there, all in
     one array: a new one, or ``out`` (``out=z`` overwrites logits the caller
     owns).  Returns the operator, m and the shifted sums s, both kept 2-D."""
@@ -211,17 +211,17 @@ def _softmax(z, axis: int, kind: str, out=None):
     np.exp(e, out=e)
     sums = e.sum(axis=axis, keepdims=True)
     e /= sums
-    return StochasticOperator(e, kind), top, sums
+    return StochasticOperator(e, "row" if axis == 1 else "column"), top, sums
 
 
 def softmax_rows(z) -> StochasticOperator:
     """Row-normalized exponential of the log-scores, max-subtracted for stability."""
-    return _softmax(z, 1, "row")[0]
+    return _softmax(z, 1)[0]
 
 
 def softmax_cols(z) -> StochasticOperator:
     """Column-normalized exponential of the log-scores; mirror of ``softmax_rows``."""
-    return _softmax(z, 0, "column")[0]
+    return _softmax(z, 0)[0]
 
 
 def poe_combine(a: StochasticOperator, b: StochasticOperator) -> StochasticOperator:
@@ -296,7 +296,8 @@ def _phase_rate(history, omega):
 class _Scaling(NamedTuple):
     """What the scaling core found: diag(u) K diag(v) meets the marginals,
     where K is the kernel the residual was measured on (the given one, or its
-    last absorption), and log_u, log_v are the potentials of the given kernel."""
+    last absorption), and log_u, log_v are the potentials of the kernel whose
+    log ``log_kernel()`` returns.  A solve resumes from it (``start``)."""
 
     kernel: np.ndarray
     u: np.ndarray
@@ -315,10 +316,12 @@ def _held_to_tol(residual: float, tol: float, iterations: int, lead: str) -> Non
                                f"after {iterations} iterations", residual, iterations)
 
 
-def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False, done=0) -> _Scaling:
+def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False, start=None) -> _Scaling:
     """Scale the positive ``kernel`` K to row sums a and column sums b within
-    ``tol`` (sup norm), counting sweeps on from ``done`` up to ``max_iter``.
-    ``log_kernel()`` returns log K; it is called only if a sweep has to absorb.
+    ``tol`` (sup norm) in at most ``max_iter`` sweeps, ``log_kernel()`` giving
+    log K only if a sweep has to absorb.  ``start``, the _Scaling of a solve of
+    K whose potentials ``kernel`` has absorbed, resumes it: sweep count and log
+    potentials f, g carry on, with ``kernel`` read as exp(log K + f_i + g_j).
 
     Sweeps run in the linear domain from the start: u <- a / (K v),
     v <- b / (K^T u), so the columns are exact and the residual is the row
@@ -353,7 +356,7 @@ def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False, done=0) -> 
     _validate_tol(tol)
     _validate_max_iter(max_iter)
     log_a = np.log(a)
-    f = g = np.zeros_like(log_a)
+    f, g, done = (start.log_u, start.log_v, start.sweeps) if start else (0.0, 0.0, 0)
     u = v = np.ones_like(log_a)
     log_k = None  # log_kernel(), made at the first absorption
     kv = kernel @ v
@@ -427,45 +430,50 @@ def _held_residual(operator: StochasticOperator, tol: float) -> float:
                            for line in (*values, *values.T)))
 
 
-def _scaled_operator(kernel, log_kernel, tol, max_iter, lead, symmetric=False):
+def _scaled_operator(kernel, log_kernel, tol, max_iter, symmetric=False):
     """Scale ``kernel`` K to unit marginals and form diag(u) K diag(v) in place
     on the kernel the core measured, held to tol by ``_held_residual``.  Returns
     the operator and the _Scaling, whose potentials are those of K.
 
     The core stops on its own residual, and the built operator's sums can
-    still miss tol by rounding.  The sweeps then go on with the remaining
-    budget from that operator, read as an absorbed kernel with u = v = 1, and
-    each round's log potentials add up.  A round that does not lower the held
-    residual, or a budget spent, raises ``ConvergenceError`` with ``lead``.
-    ``symmetric`` (u = v) forms K_ij (u_i u_j) a block of rows at a time, so
-    the result is bitwise symmetric.
+    still miss tol by rounding.  The solve then resumes with the remaining
+    budget on that operator, which has absorbed its potentials.  A round that
+    does not lower the held residual, or a budget spent, raises
+    ``ConvergenceError``.  ``symmetric`` (u = v) forms K_ij (u_i u_j) a block
+    of rows at a time, so the result is bitwise symmetric.
     """
     ones = np.ones(kernel.shape[0])
-    found = _scale(kernel, log_kernel, ones, ones, tol, max_iter, symmetric)
-    log_u, log_v, missed = found.log_u, found.log_v, np.inf
+    lead = f"{'symmetrized ' if symmetric else ''}bistochastic operator misses tol: residual"
+    found, missed = None, np.inf
     while True:
-        scaled, u = found.kernel, found.u
+        found = _scale(kernel, log_kernel, ones, ones, tol, max_iter, symmetric, start=found)
+        kernel, u = found.kernel, found.u
         if symmetric:
             for lo in range(0, u.shape[0], _ROW_BLOCK):
-                scaled[lo:lo + _ROW_BLOCK] *= np.multiply.outer(u[lo:lo + _ROW_BLOCK], u)
+                kernel[lo:lo + _ROW_BLOCK] *= np.multiply.outer(u[lo:lo + _ROW_BLOCK], u)
         else:
-            scaled *= u[:, None]
-            scaled *= found.v
-        operator = StochasticOperator(scaled, "bi", check_tol=np.inf)
+            kernel *= u[:, None]
+            kernel *= found.v
+        operator = StochasticOperator(kernel, "bi", check_tol=np.inf)
         held = _held_residual(operator, tol)
         if held <= tol or found.sweeps == max_iter or not held < missed:
             _held_to_tol(held, tol, found.sweeps, lead)
-            return operator, found._replace(log_u=log_u, log_v=log_v)
+            return operator, found
         missed = held
-        found = _scale(scaled, lambda lu=log_u, lv=log_v: log_kernel() + (lu[:, None] + lv),
-                       ones, ones, tol, max_iter, symmetric, done=found.sweeps)
-        log_u, log_v = log_u + found.log_u, log_v + found.log_v
 
 
 def _gauged(log_u, log_v, sweeps, residual) -> ScalingPotentials:
     """The potentials exp(log_u), exp(log_v) with u at unit geometric mean."""
     shift = log_u.mean()
     return ScalingPotentials(np.exp(log_u - shift), np.exp(log_v + shift), sweeps, residual)
+
+
+def _bistochastic(z, tol, max_iter):
+    """``sinkhorn``'s operator, its _Scaling and the row maxima of z."""
+    z, top = _validate_logits(z, square=True)
+    kernel = np.subtract(z, top)
+    np.exp(kernel, out=kernel)
+    return (*_scaled_operator(kernel, lambda: z - top, tol, max_iter), top)
 
 
 def sinkhorn(
@@ -492,11 +500,7 @@ def sinkhorn(
     invariance), so only the scaled matrix is canonical; the potentials are
     reported with u normalized to unit geometric mean.
     """
-    z, top = _validate_logits(z, square=True)
-    kernel = np.subtract(z, top)
-    np.exp(kernel, out=kernel)
-    operator, found = _scaled_operator(kernel, lambda: z - top, tol, max_iter,
-                                       "bistochastic operator misses tol: residual")
+    operator, found, top = _bistochastic(z, tol, max_iter)
     return operator, _gauged(found.log_u - top[:, 0], found.log_v, found.sweeps, found.residual)
 
 

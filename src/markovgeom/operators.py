@@ -15,10 +15,10 @@ import numpy as np
 from .geometry import Bidivergence, _finite_matrix, _validate_beta
 from .normalize import (
     StochasticOperator,
+    _bistochastic,
     _chain_values,
     _scaled_operator,
     _softmax,
-    sinkhorn,
 )
 
 # tile edge of the pairwise scan: a tile and its mirror stay cache-resident
@@ -178,7 +178,7 @@ def attention_forward(bidiv: Bidivergence, beta: float) -> StochasticOperator:
     """
     beta = _validate_beta(beta)
     z = bidiv.fwd * -beta
-    return _softmax(z, 1, "row", out=z)[0]
+    return _softmax(z, 1, out=z)[0]
 
 
 def attention_bistochastic(
@@ -190,7 +190,7 @@ def attention_bistochastic(
     kernel exp(-beta * bwd) = exp(-beta * fwd)^T is this result transposed.
     """
     beta = _validate_beta(beta)
-    return sinkhorn(-beta * bidiv.fwd, tol=tol, max_iter=max_iter)[0]
+    return _bistochastic(-beta * bidiv.fwd, tol, max_iter)[0]
 
 
 def dmap(d2, beta: float) -> StochasticOperator:
@@ -205,7 +205,7 @@ def _diffusion(d2, beta: float) -> tuple[StochasticOperator, np.ndarray]:
     "Diffusion maps", 2006).  Bitwise the normalized row sums of ``rbf_kernel``
     when every row max m_i is 0, and defined where that kernel underflows."""
     z = _gaussian_logits(d2, beta)[2]
-    operator, top, sums = _softmax(z, 1, "row", out=z)
+    operator, top, sums = _softmax(z, 1, out=z)
     degrees = sums[:, 0] * np.exp(top[:, 0] - top.max())
     return operator, degrees / degrees.sum()
 
@@ -226,9 +226,7 @@ def dmap_bistochastic(
     top = kernel.max()
     kernel -= top
     np.exp(kernel, out=kernel)
-    return _scaled_operator(kernel, lambda: d2 * -beta - top, tol, max_iter,
-                            "symmetrized bistochastic operator misses tol: residual",
-                            symmetric=True)[0]
+    return _scaled_operator(kernel, lambda: d2 * -beta - top, tol, max_iter, symmetric=True)[0]
 
 
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:

@@ -911,6 +911,16 @@ class TestOtherCommands:
         assert 1e-6 < report["results"]["row_sum_residual"] <= 1e-4
         assert report["results"]["column_sum_residual"] <= 1e-4
 
+    def test_attention_bistochastic_with_unrepresentable_potentials(self, tmp_path):
+        # a rotation W at beta 2000: the flat answer's potential e^1000 is no float
+        write_matrix_csv(tmp_path / "cloud.csv", np.eye(2))
+        write_matrix_csv(tmp_path / "w.csv", np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        code = main(["attention", "--input", str(tmp_path / "cloud.csv"), "--bistochastic",
+                     "--weights", str(tmp_path / "w.csv"), "--beta", "2000",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert (tmp_path / "out" / "attention.csv").read_text() == "0.5,0.5\n0.5,0.5\n"
+
     def test_attention_forward_command(self, tmp_path, cloud_csv):
         cloud_path, points = cloud_csv
         out = tmp_path / "afw"

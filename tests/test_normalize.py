@@ -529,17 +529,54 @@ class TestExactMarginals:
             assert exact_marginal_gap(matrix, rows, cols) <= tol, tol
         assert accepted >= 2
 
+    # cumulative sweeps at the end of each round of the sweep-on, per seed and
+    # row order: a round after the first resumes the solve on its operator
+    ROUNDS = {(7, False): [2258, 2259], (7, True): [2258],
+              (13, False): [3501, 3502], (13, True): [3502],
+              (249, False): [3966, 3967], (249, True): [3966, 3967]}
+
     # the core met tol 1e-12 here, and the built operator's sums missed it by
     # rounding: seeds 7 and 13 (n = 189, 179) raised in their own row order,
     # seed 249 (n = 142) permuted, and its own order missed by exact sums
     @pytest.mark.parametrize("permuted", [False, True], ids=["original", "permuted"])
     @pytest.mark.parametrize("seed", [7, 13, 249])
-    def test_rounding_miss_sweeps_on(self, seed, permuted):
+    def test_rounding_miss_sweeps_on(self, seed, permuted, caplog):
         points, weights, perm, beta = weighted_draw(seed)
         biv = bidivergence(generalized_gram(DataCloud(points[perm] if permuted else points),
                                             InteractionWeights(weights)))
-        operator = attention_bistochastic(biv, beta, tol=1e-12, max_iter=4000)
+        with caplog.at_level(logging.DEBUG, logger="markovgeom.normalize"):
+            operator = attention_bistochastic(biv, beta, tol=1e-12, max_iter=4000)
         assert exact_marginal_gap(operator.values, 1.0, 1.0) <= 1e-12
+        rounds = [int(re.match(r"scaling converged: (\d+) sweeps", r.getMessage())[1])
+                  for r in caplog.records]
+        assert rounds == self.ROUNDS[seed, permuted]
+
+    # with no safe range every sweep absorbs, so the round that resumes on the
+    # built operator absorbs too: from log K and the potentials carried over
+    @pytest.mark.parametrize("scaler, seed, n", [("sinkhorn", 6, 22), ("dmap_bistochastic", 3, 33)])
+    def test_resumed_round_absorbs(self, scaler, seed, n, monkeypatch, caplog):
+        from markovgeom import normalize
+
+        monkeypatch.setattr(normalize, "_LOG_SAFE_RANGE", 0.0)
+        tol = 1e-15
+        with caplog.at_level(logging.DEBUG, logger="markovgeom.normalize"):
+            try:
+                matrix, rows, cols = _exact_case(scaler, seed, tol, n=n)
+            except ConvergenceError as exc:
+                assert exc.residual > tol
+            else:
+                assert exact_marginal_gap(matrix, rows, cols) <= tol
+        first, resumed = [r.getMessage() for r in caplog.records]
+        assert re.match(r"scaling converged: \d+ sweeps, [1-9]\d* absorptions", first)
+        assert re.match(r"scaling converged: \d+ sweeps, 1 absorptions", resumed)
+        if scaler == "sinkhorn":
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal((n, n)) * rng.uniform(0.1, 3)
+            operator, potentials = sinkhorn(z, tol=tol)
+            logits = z + np.log(potentials.u)[:, None] + np.log(potentials.v)
+            kappa = max(1.0, float(np.abs(logits).max()))
+            np.testing.assert_allclose(np.exp(logits), operator.values,
+                                       rtol=64 * np.finfo(float).eps * kappa, atol=0)
 
 
 # every public scaler on a fixed input, with the keyword arguments passed through

@@ -247,6 +247,16 @@ class TestAttentionBistochastic:
         assert np.abs(out.values.sum(axis=0) - 1.0).max() <= 1e-11
         assert np.abs(out.values.sum(axis=1) - 1.0).max() <= 1e-11
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [1420.0, 2000.0])
+    def test_needs_no_representable_potentials(self, beta):
+        # the rotation W gives the flat answer with potential e^{beta/2}, which
+        # overflows a float here; the operator itself is never built from it
+        biv = bidivergence(generalized_gram(DataCloud(np.eye(2)),
+                                            InteractionWeights(np.array([[0.0, 1.0], [-1.0, 0.0]]))))
+        out = attention_bistochastic(biv, beta)
+        np.testing.assert_allclose(out.values, 0.5, rtol=0, atol=1e-15)
+
 
 class TestDmap:
     def test_zero_distances_give_uniform(self):
