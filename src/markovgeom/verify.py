@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .normalize import (
     ConvergenceError,
-    _marginal_violation,
     poe_combine,
     sinkhorn,
     softmax_cols,
@@ -45,6 +44,7 @@ from .normalize import (
 )
 from .operators import (
     _diffusion,
+    attention_bistochastic,
     attention_forward,
     dmap,
     dmap_bistochastic,
@@ -237,11 +237,6 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
     # distance kernel to uniform marginals can be arbitrarily slow, and this
     # contract is about the scaler itself
     rng = np.random.default_rng(_SEED + 8)
-    sample = _random_cloud(rng, 10, 3)
-    sample_d2 = _plain_geometry(sample)[1]
-    scaled, _ = sinkhorn(-1.0 * sample_d2, tol=1e-12)
-    residual = _marginal_violation(scaled.values, 1.0, 1.0)
-
     z = rng.standard_normal((8, 8))
     u = rng.standard_normal(8)
     v = rng.standard_normal(8)
@@ -249,20 +244,27 @@ def check_sinkhorn_contract(cloud: DataCloud, beta: float) -> CheckResult:
     gauged, _ = sinkhorn(z + u[:, None] + v[None, :], tol=1e-12)
     gauge_dev = _max_abs(plain.values - gauged.values)
 
-    a, _ = sinkhorn(rng.standard_normal((8, 8)), tol=1e-13)
-    b, _ = sinkhorn(rng.standard_normal((8, 8)), tol=1e-13)
-    product = a.values @ b.values
-    closure_dev = _marginal_violation(product, 1.0, 1.0)
-
     two_by_two, _ = sinkhorn(np.log(np.array([[2.0, 1.0], [1.0, 2.0]])), tol=1e-13)
     analytic = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
     analytic_dev = _max_abs(two_by_two.values - analytic)
 
+    # a positive kernel has one bistochastic scaling diag(e^f) K diag(e^g)
+    # (Sinkhorn & Knopp, 1967), which no marginal tells from any other
+    # bistochastic matrix: log P - z must be additive, so its double-centred
+    # residual is rounding, within 256 u kappa, u = 2^-53, kappa = max(1, max |z|)
+    sample = _random_cloud(rng, 10, 3)
+    a = rng.standard_normal((3, 3))
+    biv = bidivergence(generalized_gram(sample, InteractionWeights(np.eye(3) + 0.5 * (a - a.T))))
+    logits = -1.0 * biv.fwd
+    m = np.log(attention_bistochastic(biv, 1.0, tol=1e-12).values) - logits
+    structure = _max_abs(m - m.mean(axis=1, keepdims=True) - m.mean(axis=0) + m.mean())
+    structure_tol = 256.0 * (np.finfo(float).eps / 2) * max(1.0, _max_abs(logits))
+
     parts = [
-        _part("bistochastic marginal residual", residual, 1e-10),
         _part("gauge invariance under rank-one logit shifts", gauge_dev, 1e-10),
-        _part("product of two bistochastic outputs stays bistochastic", closure_dev, 1e-12),
         _part("2x2 kernel scales to its analytic fixed point", analytic_dev, 1e-10),
+        _part("bistochastic attention is a diagonal scaling of its kernel",
+              structure, structure_tol),
     ]
     return CheckResult("C8", "bistochastic scaling contract", parts)
 
@@ -271,11 +273,6 @@ def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
     rng = np.random.default_rng(_SEED + 9)
     _, d2 = _plain_geometry(cloud)
     kernel = rbf_kernel(d2, beta).values
-    n = cloud.n_samples
-    mu_plus = _random_marginal(rng, n)
-    mu_minus = _random_marginal(rng, n)
-    bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=1e-11, max_iter=100_000)
-    marginal_residual = _marginal_violation(bridge.coupling, mu_plus, mu_minus)
 
     flat = np.ones((5, 5))
     wa = _random_marginal(rng, 5)
@@ -288,7 +285,6 @@ def check_bridge_contract(cloud: DataCloud, beta: float) -> CheckResult:
     closed_dev = _max_abs(closed.coupling - iterated.coupling)
 
     parts = [
-        _part("coupling matches both marginals", marginal_residual, 1e-10),
         _part("flat-kernel bridge equals the product coupling", product_dev, 1e-12),
         _part("closed-form diffusion bridge matches the iterative solver", closed_dev, 1e-10),
     ]

@@ -7,11 +7,15 @@ Each draw runs ``attention_bistochastic`` at tol 1e-12 with ``max_iter``
 4000, once in its own row order and once with its rows permuted, and the
 sweep prints, for each beta, how many calls were accepted, how many raised
 because the built operator missed tol ("misses tol") and how many raised
-because the sweeps stalled ("scaling stalled").  Exits 1 on any "misses tol"
-raise, on a draw whose two row orders end differently, on an accepted answer
-whose row or column sums (taken with ``math.fsum``) lie more than tol from 1,
-or on a ``ConvergenceError`` that reports a residual within tol.  Its name
-keeps it out of pytest's collection; it takes about 25 s:
+because the sweeps stalled ("scaling stalled").  Every accepted answer also
+runs the structure check of ``test_normalize.py`` (log P + beta * fwd must be
+additive, so P is a diagonal scaling of its kernel), and the sweep prints the
+worst reading in units of u kappa and the number of structure misses.  Exits 1
+on any "misses tol" raise, on a draw whose two row orders end differently, on
+an accepted answer whose row or column sums (taken with ``math.fsum``) lie
+more than tol from 1 or that is no scaling of its kernel, or on a
+``ConvergenceError`` that reports a residual within tol.  Its name keeps it
+out of pytest's collection; it takes about 25 s:
 
     PYTHONPATH=src python tests/scaling_sweep.py
 """
@@ -24,7 +28,12 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
-from test_normalize import exact_marginal_gap, weighted_draw  # noqa: E402
+from test_normalize import (  # noqa: E402
+    STRUCTURE_ULPS,
+    exact_marginal_gap,
+    scaling_defect,
+    weighted_draw,
+)
 
 from markovgeom.geometry import (  # noqa: E402
     DataCloud,
@@ -43,28 +52,38 @@ OUTCOMES = ("accepted", "misses tol", "scaling stalled")
 
 
 def run(points, weights, beta):
-    """The outcome of one call, and the fault it shows or None."""
+    """The outcome of one call, the fault it shows or None, and the structure
+    reading of an accepted answer in units of u kappa (else 0)."""
     biv = bidivergence(generalized_gram(DataCloud(points), InteractionWeights(weights)))
     try:
         operator = attention_bistochastic(biv, beta, tol=TOL, max_iter=MAX_ITER)
     except ConvergenceError as exc:
         outcome = "misses tol" if "misses tol" in str(exc) else "scaling stalled"
         fault = f"raised at residual {exc.residual:.3e}" if exc.residual <= TOL else None
-        return outcome, fault
+        return outcome, fault, 0.0
     gap = exact_marginal_gap(operator.values, 1.0, 1.0)
-    return "accepted", f"accepted, exact marginal gap {gap:.3e}" if gap > TOL else None
+    defect = scaling_defect(operator.values, -beta * biv.fwd)
+    if gap > TOL:
+        return "accepted", f"accepted, exact marginal gap {gap:.3e}", defect
+    if defect > STRUCTURE_ULPS:
+        return "accepted", f"accepted, no scaling of its kernel ({defect:.3g} u kappa)", defect
+    return "accepted", None, defect
 
 
 def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     counts = {beta: Counter() for beta in BETAS}
     faults = []
+    worst = 0.0
+    misses = 0
     for seed in SEEDS:
         points, weights, perm, beta = weighted_draw(seed)
         ends = []
         for order, rows in (("original", points), ("permuted", points[perm])):
-            outcome, fault = run(rows, weights, beta)
+            outcome, fault, defect = run(rows, weights, beta)
             counts[beta][outcome] += 1
+            worst = max(worst, defect)
+            misses += defect > STRUCTURE_ULPS
             ends.append(outcome)
             if outcome == "misses tol":
                 fault = fault or "raised: the built operator misses tol"
@@ -77,6 +96,7 @@ def main() -> int:
         print(f"beta {beta:g}: {row}")
     total = sum(counts.values(), Counter())
     print("all betas: " + ", ".join(f"{outcome} {total[outcome]}" for outcome in OUTCOMES))
+    print(f"structure: worst {worst:.3g} u kappa (bound {STRUCTURE_ULPS:g}), {misses} misses")
     for fault in faults:
         print(f"FAIL: {fault}")
     return int(bool(faults))

@@ -378,11 +378,23 @@ def test_magnetic_check_fails_on_rounded_magnitudes(monkeypatch):
 
 def test_no_verify_part_restates_a_construction():
     # fwd + bwd is squared_distance(biv) by construction, and the gauge
-    # L - L^T is antisymmetric by construction: neither is a part
+    # L - L^T is antisymmetric by construction: neither is a part; nor is a
+    # marginal residual that sinkhorn or solve_bridge already held to a
+    # tighter tol by the same expression, or a product's marginals that
+    # follow from two such holds
     checks = {check.id: check for check in run_identity_checks(
         DataCloud(np.random.default_rng(29).standard_normal((8, 3))), 1.0)}
     assert [part["label"] for part in checks["C1"].parts] == [
         "squared distance matches pairwise-norm oracle"]
+    assert [part["label"] for part in checks["C8"].parts] == [
+        "gauge invariance under rank-one logit shifts",
+        "2x2 kernel scales to its analytic fixed point",
+        "bistochastic attention is a diagonal scaling of its kernel",
+    ]
+    assert [part["label"] for part in checks["C9"].parts] == [
+        "flat-kernel bridge equals the product coupling",
+        "closed-form diffusion bridge matches the iterative solver",
+    ]
     assert [part["label"] for part in checks["C12"].parts] == [
         "assembled magnitudes equal the real operator (exact)",
         "complex modulus of the assembled matrix",
@@ -391,7 +403,7 @@ def test_no_verify_part_restates_a_construction():
         "zero phases mean zero magnetic current (exact)",
         "gauge field vanishes under detailed balance",
     ]
-    assert checks["C1"].passed and checks["C12"].passed
+    assert all(checks[i].passed for i in ("C1", "C8", "C9", "C12"))
 
 
 def test_check_verdict_follows_its_parts():
