@@ -30,7 +30,12 @@ from markovgeom.geometry import (
     gram,
     squared_distance,
 )
-from markovgeom.normalize import ConvergenceError, StochasticOperator, softmax_rows
+from markovgeom.normalize import (
+    ConvergenceError,
+    StochasticOperator,
+    schrodinger_solve,
+    softmax_rows,
+)
 from markovgeom.operators import (
     attention_forward,
     dmap,
@@ -190,6 +195,31 @@ class TestSolveBridge:
     def test_invalid_marginals_rejected(self):
         with pytest.raises(ValueError):
             solve_bridge(np.ones((2, 2)), np.array([2.0, 1.0]), np.full(2, 0.5))
+
+    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                       reason="the coupling built from the potentials misses tol by "
+                              "rounding; passes once solve_bridge sweeps on past it")
+    def test_rounding_miss_of_the_built_coupling_is_swept_past(self):
+        # seed 264 of tests/verify_sweep.py at beta auto, with the sink and
+        # source marginals of verify's C10: the scaling stops at a residual
+        # of 9.9987e-13, and the coupling built from its potentials reads
+        # 1.001e-12, so verify exits 3 at C10 on a correct library
+        rng = np.random.default_rng(264)
+        n, d = rng.integers(3, 120), rng.integers(1, 9)
+        points = rng.standard_normal((n, d)) * rng.uniform(0.3, 3)
+        k = rng.integers(1, 4)
+        points[:k] += 20 * rng.standard_normal((k, d))
+        d2 = squared_distance(bidivergence(gram(DataCloud(points))))
+        beta = 1.0 / float(np.median(d2[~np.eye(n, dtype=bool)]))
+        marginals = np.random.default_rng(verify._SEED + 10)
+        mu_plus = random_marginal(marginals, n)
+        mu_minus = random_marginal(marginals, n)
+        kernel = rbf_kernel(d2, beta).values
+        assert schrodinger_solve(kernel, mu_plus, mu_minus, tol=1e-12,
+                                 max_iter=100_000).residual <= 1e-12
+        bridge = solve_bridge(kernel, mu_plus, mu_minus, tol=1e-12, max_iter=100_000)
+        assert np.abs(bridge.coupling.sum(axis=1) - mu_plus).max() <= 1e-12
+        assert np.abs(bridge.coupling.sum(axis=0) - mu_minus).max() <= 1e-12
 
     def test_coupling_minimizes_relative_entropy(self):
         # optimality oracle: the objective sum(c * (log(c / k) - 1)) cannot
@@ -651,7 +681,7 @@ class TestClassifyRegime:
         cloud = DataCloud(np.random.default_rng(171).standard_normal((12, 2)))
         assert verify.check_dmap_equilibrium(cloud, 1.0).passed
         assert verify.check_attention_bridge(cloud, 1.0).passed
-        assert len(reports) == 3
+        assert len(reports) == 2
         for report in reports:
             assert report.max_current == float(np.abs(report.currents).max())
 

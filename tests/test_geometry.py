@@ -18,14 +18,21 @@ from markovgeom.geometry import (
     squared_distance,
 )
 from markovgeom.normalize import softmax_rows
-from markovgeom.operators import attention_forward, rbf_kernel
-from markovgeom.spectral import Embedding, SpectralDecomposition
+from markovgeom.operators import _diffusion, attention_forward, rbf_kernel
+from markovgeom.spectral import (
+    DEGENERACY_GAP,
+    Embedding,
+    SpectralDecomposition,
+    conjugate_symmetrize,
+    decompose,
+)
 from markovgeom.verify import (
     _SEED,
     CheckResult,
     _part,
     check_attention_equivalence,
     check_magnetic_operators,
+    check_spectral,
     run_identity_checks,
 )
 
@@ -374,6 +381,21 @@ def test_magnetic_check_fails_on_rounded_magnitudes(monkeypatch):
                                       1.0)
     failed = [part["label"] for part in result.parts if not part["passed"]]
     assert failed == ["assembled magnitudes equal the real operator (exact)"]
+
+
+def test_spectral_check_reads_the_constant_vector_against_a_degenerate_top_block():
+    # two clusters 4 apart at beta=4: the diffusion operator's top eigenvalue
+    # is double to rounding, and eigh may return any basis of that block, so
+    # no one vector of it need be constant; the constant vector lies in its span
+    points = np.random.default_rng(155).standard_normal((6, 2))
+    points[3:] += 4.0
+    cloud = DataCloud(points)
+    operator, pi = _diffusion(squared_distance(bidivergence(gram(cloud))), 4.0)
+    dec = decompose(conjugate_symmetrize(operator, pi), pi)
+    assert dec.eigenvalues[0] - dec.eigenvalues[1] < DEGENERACY_GAP
+    part = check_spectral(cloud, 4.0).parts[2]
+    assert part["passed"]
+    assert part["label"] == "diffusion operator: constant vector lies in the top eigenspace"
 
 
 def test_no_verify_part_restates_a_construction():
