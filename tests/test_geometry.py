@@ -383,6 +383,47 @@ def test_magnetic_check_fails_on_rounded_magnitudes(monkeypatch):
     assert failed == ["assembled magnitudes equal the real operator (exact)"]
 
 
+def test_bendixson_part_is_not_the_hermiticity_part(monkeypatch):
+    # H + i eps (11^T - I) has skew entries 2 eps = 8e-11, within the
+    # Hermiticity part's 1e-10, yet eigenvalues whose imaginary parts reach
+    # (n - 1) eps = 2.8e-10; the Bendixson certificate eps sqrt(n (n - 1))
+    # bounds them from above, and fails with them
+    from markovgeom import verify
+
+    real, eps, skewed = verify.conjugate_hermitize, 4e-11, []
+
+    def perturbed(operator, pi):
+        h = real(operator, pi)
+        skewed.append(h + 1j * eps * (np.ones_like(h) - np.eye(len(h))))
+        return skewed[-1]
+
+    monkeypatch.setattr(verify, "conjugate_hermitize", perturbed)
+    result = check_magnetic_operators(DataCloud(np.random.default_rng(29).standard_normal((8, 3))),
+                                      1.0)
+    parts = {part["label"]: part for part in result.parts}
+    assert parts["conjugated operator is Hermitian"]["passed"]
+    bound = parts["Hermitian spectrum is real (Bendixson bound)"]
+    assert not bound["passed"]
+    assert bound["residual"] == pytest.approx(eps * np.sqrt(8 * 7), rel=1e-3)
+    assert np.abs(np.linalg.eigvals(skewed[0]).imag).max() > bound["tolerance"]
+
+
+def test_verify_calls_no_general_eigensolver(monkeypatch):
+    # both spectral-location parts are read off theorems (Perron-Frobenius
+    # for C13's attention, Bendixson for C12), so verify's O(n^3) work is
+    # decompose's eigh on C13's four spectra and one LU rung of C11's
+    # stationary measure; numpy.linalg is patched where the library reads it
+    calls = dict.fromkeys(("eig", "eigvals", "eigh", "solve"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    run_identity_checks(DataCloud(np.random.default_rng(29).standard_normal((8, 3))), 1.0)
+    assert calls == {"eig": 0, "eigvals": 0, "eigh": 4, "solve": 1}
+
+
 def test_spectral_check_reads_the_constant_vector_against_a_degenerate_top_block():
     # two clusters 4 apart at beta=4: the diffusion operator's top eigenvalue
     # is double to rounding, and eigh may return any basis of that block, so
@@ -421,11 +462,24 @@ def test_no_verify_part_restates_a_construction():
         "assembled magnitudes equal the real operator (exact)",
         "complex modulus of the assembled matrix",
         "conjugated operator is Hermitian",
-        "Hermitian spectrum is real (general-solver oracle)",
+        "Hermitian spectrum is real (Bendixson bound)",
         "zero phases mean zero magnetic current (exact)",
         "gauge field vanishes under detailed balance",
     ]
-    assert all(checks[i].passed for i in ("C1", "C8", "C9", "C12"))
+    # a nonnegative operator's spectral radius is at most its largest row
+    # sum, which the unit-eigenvalue part bounds: no radius part
+    assert [part["label"] for part in checks["C13"].parts] == [
+        "diffusion operator: eigenvalues within [-1, 1]",
+        "diffusion operator: top eigenvalue equals 1",
+        "diffusion operator: constant vector lies in the top eigenspace",
+        "bistochastic diffusion operator: eigenvalues within [-1, 1]",
+        "bistochastic diffusion operator: top eigenvalue equals 1",
+        "bistochastic diffusion operator: constant vector lies in the top eigenspace",
+        "forward attention: unit eigenvalue with constant right eigenvector",
+        "two-point diffusion operator second eigenvalue is analytic",
+        "two-cluster embedding separates clusters by sign",
+    ]
+    assert all(checks[i].passed for i in ("C1", "C8", "C9", "C12", "C13"))
 
 
 def test_check_verdict_follows_its_parts():
