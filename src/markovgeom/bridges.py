@@ -22,6 +22,7 @@ from .geometry import Bidivergence, _validate_beta, squared_distance
 from .normalize import (
     ScalingPotentials,
     StochasticOperator,
+    _bridge,
     _chain_values,
     _held_to_tol,
     _marginal_violation,
@@ -29,7 +30,6 @@ from .normalize import (
     _validate_tol,
     logsumexp,
     poe_combine,
-    schrodinger_solve,
     softmax_rows,
 )
 from .operators import ComplexOperator, _diffusion, _polar, _range_error, directional_kernels, dmap
@@ -72,9 +72,11 @@ log = logging.getLogger(__name__)
 class BridgeSolution:
     """Coupling with its scaling potentials, marginals, and forward operator.
 
-    The coupling reconstructs as diag(u) K diag(v) from the potentials, and
-    the forward operator is the coupling with each row divided by the source
-    marginal, making it row-stochastic up to the solver residual.
+    ``solve_bridge`` forms the coupling diag(u) K diag(v) on the kernel its
+    solver last measured and holds it to tol; it reconstructs from the
+    potentials to rounding.  The forward operator is the coupling with each
+    row divided by the source marginal, so its rows sum to 1 within
+    tol / mu_plus.
     """
 
     coupling: np.ndarray
@@ -114,14 +116,7 @@ def solve_bridge(
     within ``tol``, else ``ConvergenceError``; its forward operator (rows
     summing to 1 within tol / mu_plus) propagates mu_plus to mu_minus.
     """
-    k = np.asarray(kernel, dtype=float)
-    potentials = schrodinger_solve(k, mu_plus, mu_minus, tol=tol, max_iter=max_iter)
-    mu_plus = np.asarray(mu_plus, dtype=float)
-    mu_minus = np.asarray(mu_minus, dtype=float)
-    coupling = np.multiply(k, potentials.u[:, None])
-    coupling *= potentials.v
-    _held_to_tol(_marginal_violation(coupling, mu_plus, mu_minus), tol,
-                 potentials.iterations, "bridge coupling misses tol: residual")
+    mu_plus, mu_minus, coupling, potentials = _bridge(kernel, mu_plus, mu_minus, tol, max_iter)
     forward = StochasticOperator(coupling / mu_plus[:, None], "row", check_tol=np.inf)
     return BridgeSolution(coupling, potentials, mu_plus, mu_minus, forward)
 

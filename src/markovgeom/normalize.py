@@ -1,11 +1,11 @@
 """Normalizers: softmax, product of experts, and stabilized matrix scaling.
 
-``sinkhorn``, ``schrodinger_solve`` and the bistochastic diffusion operator
-share one scaling core: matrix-vector sweeps in the linear domain, and a
-log-domain sweep that absorbs the potentials into the kernel only when a
-scaling vector leaves its safe range, so score ranges of hundreds of nats stay
-finite.  Scaling potentials are exposed as positive vectors, the source
-potential at unit geometric mean (gauge).
+``sinkhorn``, the bistochastic operators and the bridge share one scaling
+core: matrix-vector sweeps in the linear domain, and a log-domain sweep that
+absorbs the potentials into the kernel only when a scaling vector leaves its
+safe range, so score ranges of hundreds of nats stay finite.  Each holds the
+matrix it returns to tol through one path, ``_scaled_operator``.  Potentials
+are exposed as positive vectors, the source one at unit geometric mean.
 """
 
 from __future__ import annotations
@@ -416,37 +416,41 @@ def _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric=False, start=None)
     _held_to_tol(residual, tol, max_iter, "scaling stalled at residual")
 
 
-def _held_residual(operator: StochasticOperator, tol: float) -> float:
-    """The operator's marginal violation max |sums - 1| as its float sums
-    measure it.  Where that lies within their rounding bound n * eps of
-    ``tol``, the exact sums may fall on the other side: the violation is then
-    the larger of the float one and the exact one, each sum taken with
-    ``math.fsum``, so an operator within tol is so by either measure."""
-    residual = max(operator.residuals.values())
-    values = operator.values
-    if abs(residual - tol) > values.shape[0] * np.finfo(float).eps * (1.0 + residual):
+def _held_residual(values, residual, a, b, tol) -> float:
+    """The violation max(|row sums - a|, |column sums - b|) of ``values``,
+    ``residual`` as float sums measure it.  Within their rounding bound (n eps
+    times the largest target plus residual) of tol, the exact sums may fall on
+    the other side: it is then the larger of that and the exact violation, each
+    sum taken with ``math.fsum``, so a matrix within tol is so by either measure."""
+    bound = values.shape[0] * np.finfo(float).eps * (max(a.max(), b.max()) + residual)
+    if abs(residual - tol) > bound:
         return residual
-    return max(residual, *(abs(math.fsum([*line.tolist(), -1.0]))
-                           for line in (*values, *values.T)))
+    return max(residual, *(abs(math.fsum([*line.tolist(), -target]))
+                           for lines, targets in ((values, a), (values.T, b))
+                           for line, target in zip(lines, targets.tolist())))
 
 
-def _scaled_operator(kernel, log_kernel, tol, max_iter, symmetric=False):
-    """Scale ``kernel`` K to unit marginals and form diag(u) K diag(v) in place
-    on the kernel the core measured, held to tol by ``_held_residual``.  Returns
-    the operator and the _Scaling, whose potentials are those of K.
+def _scaled_operator(kernel, log_kernel, a, b, tol, max_iter, symmetric=False):
+    """Scale ``kernel`` K to row sums a and column sums b, and form
+    diag(u) K diag(v) in place on the kernel the core measured, held to tol by
+    ``_held_residual``: a bistochastic ``StochasticOperator`` for a = b = 1,
+    else a bridge coupling.  Returns it and the _Scaling, whose potentials are
+    those of K.
 
-    The core stops on its own residual, and the built operator's sums can
-    still miss tol by rounding.  The solve then resumes with the remaining
-    budget on that operator, which has absorbed its potentials.  A round that
-    does not lower the held residual, or a budget spent, raises
-    ``ConvergenceError``.  ``symmetric`` (u = v) forms K_ij (u_i u_j) a block
-    of rows at a time, so the result is bitwise symmetric.
+    The core stops on its own residual, and the built matrix's sums can still
+    miss tol by rounding.  The solve then resumes with the remaining budget on
+    that matrix, which has absorbed its potentials.  A round that does not
+    lower the held residual, or a budget spent, raises ``ConvergenceError``.
+    ``symmetric`` (u = v) forms K_ij (u_i u_j) a block of rows at a time, so
+    the result is bitwise symmetric.
     """
-    ones = np.ones(kernel.shape[0])
-    lead = f"{'symmetrized ' if symmetric else ''}bistochastic operator misses tol: residual"
+    name, bistochastic = "bridge coupling", np.ndim(a) == 0
+    if bistochastic:
+        a = b = np.ones(kernel.shape[0])
+        name = f"{'symmetrized ' if symmetric else ''}bistochastic operator"
     found, missed = None, np.inf
     while True:
-        found = _scale(kernel, log_kernel, ones, ones, tol, max_iter, symmetric, start=found)
+        found = _scale(kernel, log_kernel, a, b, tol, max_iter, symmetric, start=found)
         kernel, u = found.kernel, found.u
         if symmetric:
             for lo in range(0, u.shape[0], _ROW_BLOCK):
@@ -454,12 +458,14 @@ def _scaled_operator(kernel, log_kernel, tol, max_iter, symmetric=False):
         else:
             kernel *= u[:, None]
             kernel *= found.v
-        operator = StochasticOperator(kernel, "bi", check_tol=np.inf)
-        held = _held_residual(operator, tol)
-        if held <= tol or found.sweeps == max_iter or not held < missed:
-            _held_to_tol(held, tol, found.sweeps, lead)
-            return operator, found
-        missed = held
+        held = StochasticOperator(kernel, "bi", check_tol=np.inf) if bistochastic else kernel
+        residual = (max(held.residuals.values()) if bistochastic
+                    else _marginal_violation(kernel, a, b))
+        residual = _held_residual(kernel, residual, a, b, tol)
+        if residual <= tol or found.sweeps == max_iter or not residual < missed:
+            _held_to_tol(residual, tol, found.sweeps, f"{name} misses tol: residual")
+            return held, found
+        missed = residual
 
 
 def _gauged(log_u, log_v, sweeps, residual) -> ScalingPotentials:
@@ -473,7 +479,7 @@ def _bistochastic(z, tol, max_iter):
     z, top = _validate_logits(z, square=True)
     kernel = np.subtract(z, top)
     np.exp(kernel, out=kernel)
-    return (*_scaled_operator(kernel, lambda: z - top, tol, max_iter), top)
+    return (*_scaled_operator(kernel, lambda: z - top, 1.0, 1.0, tol, max_iter), top)
 
 
 def sinkhorn(
@@ -504,25 +510,23 @@ def sinkhorn(
     return operator, _gauged(found.log_u - top[:, 0], found.log_v, found.sweeps, found.residual)
 
 
+def _bridge(kernel, mu_plus, mu_minus, tol, max_iter):
+    """The validated marginals, their coupling held to tol on a copy of K, and its potentials."""
+    k = _finite_matrix(kernel, "kernel", square=True, positive=True)[0]
+    mu_plus = _validate_marginal(mu_plus, k.shape[0], "mu_plus")
+    mu_minus = _validate_marginal(mu_minus, k.shape[0], "mu_minus")
+    held, found = _scaled_operator(k.copy(), lambda: np.log(k), mu_plus, mu_minus, tol, max_iter)
+    return mu_plus, mu_minus, held, _gauged(found.log_u, found.log_v, found.sweeps, found.residual)
+
+
 def schrodinger_solve(
     kernel, mu_plus, mu_minus, tol: float = 1e-10, max_iter: int = 10_000
 ) -> ScalingPotentials:
-    """Find positive u, v with diag(u) K diag(v) matching prescribed marginals.
-
-    Convergence is declared when both constraints
-    u_i * (K v)_i = mu_plus_i and v_j * (K^T u)_j = mu_minus_j hold within
-    ``tol`` (sup norm).  Bistochastic scaling is the special case of uniform
-    marginals, up to an overall factor of n.  The sweeps run on K itself;
-    log K is formed only if a sweep has to absorb.
-
-    Raises
-    ------
-    ConvergenceError if the residual stays above ``tol`` for ``max_iter``
-    sweeps; ValueError for non-positive kernels or invalid marginals.
+    """Positive u, v whose coupling diag(u) K diag(v) has row sums mu_plus and
+    column sums mu_minus within ``tol`` (sup norm): the potentials of
+    ``solve_bridge``.  Bistochastic scaling is the special case of uniform
+    marginals, up to an overall factor of n.  Raises ``ConvergenceError``
+    when the coupling misses ``tol`` after ``max_iter`` sweeps, and
+    ``ValueError`` for a non-positive kernel or invalid marginals.
     """
-    k = _finite_matrix(kernel, "kernel", square=True, positive=True)[0]
-    n = k.shape[0]
-    mu_plus = _validate_marginal(mu_plus, n, "mu_plus")
-    mu_minus = _validate_marginal(mu_minus, n, "mu_minus")
-    found = _scale(k, lambda: np.log(k), mu_plus, mu_minus, tol, max_iter)
-    return _gauged(found.log_u, found.log_v, found.sweeps, found.residual)
+    return _bridge(kernel, mu_plus, mu_minus, tol, max_iter)[-1]

@@ -226,7 +226,8 @@ def dmap_bistochastic(
     top = kernel.max()
     kernel -= top
     np.exp(kernel, out=kernel)
-    return _scaled_operator(kernel, lambda: d2 * -beta - top, tol, max_iter, symmetric=True)[0]
+    return _scaled_operator(kernel, lambda: d2 * -beta - top, 1.0, 1.0, tol, max_iter,
+                            symmetric=True)[0]
 
 
 def magnetic_operator(p_plus: StochasticOperator, theta) -> ComplexOperator:

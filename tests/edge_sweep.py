@@ -21,8 +21,9 @@ both exit 0, ``verify`` excepted (its fixed-beta parts run on the input cloud
 itself), every CSV must be byte-identical and every report equal as parsed
 JSON outside its ``config`` echo.  A traceback, exit 1 (``verify`` included)
 or a non-finite output number is a finding, and the script exits 1 if there
-is any.  Its name keeps it out of pytest's collection; it takes about 19 s on
-two vCPUs:
+is any.  Its output is pinned in ``tests/expected/edge_sweep.txt``, which CI
+diffs against it.  Its name keeps it out of pytest's collection; it takes
+about 19 s on two vCPUs:
 
     PYTHONPATH=src python tests/edge_sweep.py
 """

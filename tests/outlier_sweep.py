@@ -13,8 +13,9 @@ Then it runs ``test_normalize.py``'s exact-marginal draws at n = 1000: seeds
 many answers were accepted and how many raised.  Exits 1 if an accepted
 answer has a row or column sum (taken with ``math.fsum``) more than tol from
 its target, if a ``ConvergenceError`` reports a residual within tol, or if a
-draw is accepted at no tol.  Its name keeps it out of pytest's collection; it
-takes a few seconds:
+draw is accepted at no tol.  Its output is pinned in
+``tests/expected/outlier_sweep.txt``, which CI diffs against it.  Its name
+keeps it out of pytest's collection; it takes a few seconds:
 
     PYTHONPATH=src python tests/outlier_sweep.py
 """

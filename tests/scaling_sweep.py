@@ -25,8 +25,9 @@ many raised (``ValueError`` where the kernel underflows), then the scaler's
 worst reading, its structure misses, and the draws it cannot read: those with
 an entry below ``STRUCTURE_FLOOR`` in every row.  A structure miss exits 1.
 ``sinkhorn`` shares its solver with ``attention_bistochastic``, so the
-attention lines cover it.  Its name keeps it out of pytest's collection; it
-takes about 40 s:
+attention lines cover it.  Its output is pinned in
+``tests/expected/scaling_sweep.txt``, which CI diffs against it.  Its name
+keeps it out of pytest's collection; it takes about 40 s:
 
     PYTHONPATH=src python tests/scaling_sweep.py
 """

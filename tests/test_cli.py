@@ -1032,7 +1032,7 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         c11 = json.loads((out / "verify_report.json").read_text())["checks"][10]
         assert "info" not in c11
-        assert [part["residual"] for part in c11["parts"][2:]] == [0.0, 0.07121868236597337]
+        assert [part["residual"] for part in c11["parts"][2:]] == [0.0, 0.07121868236597338]
 
     def test_near_flat_sink_marginal_is_still_perturbed(self, tmp_path):
         # at beta=1e-6 attention is nearly uniform, and so is the sink

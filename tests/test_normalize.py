@@ -414,23 +414,30 @@ class TestTolContract:
         operator, _ = sinkhorn(z, tol=1e-10)
         assert marginal_violation(operator.values, 1.0, 1.0) <= 1e-10
 
-    def test_bridge_coupling_is_held_to_tol(self, monkeypatch):
-        # potentials that the core reports as converged but whose coupling
-        # misses tol raise ConvergenceError, measured on the coupling itself
-        from markovgeom import bridges
-
-        real_solve = bridges.schrodinger_solve
-
-        def off_by_a_thousandth(*args, **kwargs):
-            potentials = real_solve(*args, **kwargs)
-            return ScalingPotentials(potentials.u * 1.001, potentials.v,
-                                     potentials.iterations, potentials.residual)
-
-        monkeypatch.setattr(bridges, "schrodinger_solve", off_by_a_thousandth)
+    def test_bridge_coupling_is_held_to_tol(self):
+        # below the rounding floor of its sums the coupling misses tol after
+        # the core met it, on the first round (2.1e-17) and on the resumed
+        # one (2.8e-17), which did not lower it; the lead names the coupling
+        z = np.random.default_rng(0).standard_normal((200, 200))
+        mu_plus, mu_minus = np.random.default_rng(1).dirichlet(np.ones(200), size=2)
         with pytest.raises(ConvergenceError, match=r"^bridge coupling misses tol: residual "
-                           r"\S+ > tol 1\.000e-10 after \d+ iterations$") as excinfo:
-            solve_bridge(np.exp(-_D2), _MU_PLUS, _MU_MINUS)
-        assert 1e-4 < excinfo.value.residual < 1e-3
+                           r"\S+ > tol 1\.000e-17 after \d+ iterations$") as excinfo:
+            solve_bridge(np.exp(z), mu_plus, mu_minus, tol=1e-17)
+        assert excinfo.value.residual > 1e-17
+        bridge = solve_bridge(np.exp(z), mu_plus, mu_minus, tol=1e-10)
+        assert marginal_violation(bridge.coupling, mu_plus, mu_minus) <= 1e-10
+
+    def test_bridge_coupling_is_held_by_exact_sums(self, core_rounds):
+        # a 60-state bridge at unequal marginals: the first coupling's float
+        # sums meet tol 3.3e-17 (3.12e-17), its math.fsum sums miss it
+        # (3.39e-17), so the solve resumes on that coupling, and the second
+        # round's coupling is within tol by exact sums
+        rng = np.random.default_rng(17)
+        z = rng.standard_normal((60, 60))
+        mu_plus, mu_minus = rng.dirichlet(np.full(60, 5.0), size=2)
+        bridge = solve_bridge(np.exp(z), mu_plus, mu_minus, tol=3.3e-17)
+        assert len(core_rounds) == 2
+        assert exact_marginal_gap(bridge.coupling, mu_plus, mu_minus) <= 3.3e-17
 
     def test_symmetric_log_domain_sweep(self, caplog):
         # negative squared distances (indefinite weights) push the damped
@@ -470,8 +477,9 @@ def exact_marginal_gap(matrix, rows, cols):
 # averages whole rows, so a row holding one is left out of the check
 STRUCTURE_FLOOR = 1e-200
 # c of the structure bound c u kappa: the worst reading was 28 for the three
-# scalers and 64 for solve_bridge over 400 seeded draws each of the recipe of
-# structure_cases, and 72 over the accepted calls of tests/scaling_sweep.py
+# scalers and 56 for solve_bridge over 400 seeded draws each of the recipe of
+# structure_cases, and 72 for attention_bistochastic and 128 for solve_bridge
+# over the accepted calls of tests/scaling_sweep.py
 STRUCTURE_ULPS = 256.0
 
 
@@ -845,6 +853,16 @@ class TestScalingCore:
     def test_two_cluster_sweep_counts(self, beta, sweeps):
         _, potentials, _, bridge = two_cluster_scalings(beta)
         assert (potentials.iterations, bridge.iterations) == sweeps
+
+    def test_bridge_runs_the_core_once(self, core_rounds):
+        # solve_bridge scales and holds its coupling through the one path of
+        # the bistochastic scalers: one round of the core when the built
+        # coupling meets tol
+        _, d2 = cloud_geometry(120, 3, 0, offset=3.0)
+        bridge = solve_bridge(np.exp(-d2), *_TWO_CLUSTER_MARGINALS)
+        assert len(core_rounds) == 1
+        assert bridge.potentials.iterations == 54
+        assert marginal_violation(bridge.coupling, *_TWO_CLUSTER_MARGINALS) <= 1e-10
 
     @pytest.mark.parametrize("n, d, seed, beta, attention_converges", [
         (60, 2, 0, 10.0, True),    # logits span about 200 nats

@@ -8,8 +8,9 @@ the sweep prints how many clouds pass every check, and for the rest the ids
 of the failed checks (``verify`` exit 1), the lead of the ``ValueError``
 (exit 2) or the check named by the ``ConvergenceError`` (exit 3), with their
 seeds.  Exits 1 on any other exception or when fewer than ``MIN_ALL_PASS``
-clouds pass every check.  Its name keeps it out of pytest's collection; it
-takes about 9 s:
+clouds pass every check.  Its output is pinned in
+``tests/expected/verify_sweep.txt``, which CI diffs against it.  Its name
+keeps it out of pytest's collection; it takes about 9 s:
 
     PYTHONPATH=src python tests/verify_sweep.py
 """
@@ -27,7 +28,7 @@ from markovgeom.normalize import ConvergenceError
 from markovgeom.verify import run_identity_checks
 
 SEEDS = range(300)
-MIN_ALL_PASS = 264
+MIN_ALL_PASS = 265
 
 
 def draw(seed):
